@@ -323,6 +323,10 @@ struct ExecutionReport {
   uint64_t intermediate_bytes = 0;
 
   uint64_t steals = 0;              ///< successful global acquisitions
+  /// Activations run away from their home queue: global steals on
+  /// kCluster and kSimulated; on kThreads, consumptions from another
+  /// thread's queue (mt::PipelineStats::nonprimary, which under FP counts
+  /// most probe activations).
   uint64_t stolen_activations = 0;
 
   /// Load imbalance: max over threads (kThreads) or nodes (kCluster) of

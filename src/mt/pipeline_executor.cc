@@ -63,9 +63,9 @@ class PipelineExecutor::BoundedQueue {
 };
 
 // Compiled operator kinds. Build ops scatter their source into per-bucket
-// insert batches; scan ops scatter the chain input into the first probe's
-// buckets (or straight to the chain output when the chain has no joins);
-// probe ops run one join step and forward or finalize.
+// insert batches; scan ops forward the chain input to the first probe in
+// batch_rows chunks (or straight to the chain output when the chain has no
+// joins); probe ops run one join step and forward or finalize.
 enum class COp : uint8_t { kScan, kBuild, kProbe };
 
 namespace {
@@ -166,9 +166,9 @@ struct PipelineExecutor::Shared {
   uint64_t cache_hits = 0;    // resolved at compile time
   uint64_t cache_misses = 0;
 
-  const RowTable& JoinTable(uint32_t join, uint32_t bucket) const {
+  const BucketTables& JoinTables(uint32_t join) const {
     const auto& sp = prebuilt[join];
-    return sp != nullptr ? (*sp)[bucket] : join_tables[join][bucket];
+    return sp != nullptr ? *sp : join_tables[join];
   }
 
   // Guest slots for cross-query stealers: per-worker state (busy, outbox,
@@ -687,7 +687,9 @@ void PipelineExecutor::EmitTraceCells() {
       if (c.empty()) continue;
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kSpan;
-      ev.worker = static_cast<int32_t>(s);
+      // A guest slot (cross-query helper, s >= threads) folds onto lane
+      // s % threads; the kSteal instant it recorded there marks the help.
+      ev.worker = static_cast<int32_t>(s % options_.threads);
       ev.op = static_cast<int32_t>(i);
       ev.start_ns = c.first_ns;
       ev.end_ns = c.last_ns;
@@ -773,7 +775,7 @@ bool PipelineExecutor::RunOneForeign() {
     // Cross-query help is the session-level steal event.
     obs::TraceEvent ev;
     ev.kind = obs::EventKind::kSteal;
-    ev.worker = static_cast<int32_t>(slot);
+    ev.worker = static_cast<int32_t>(slot % options_.threads);
     ev.start_ns = ev.end_ns = sh.trace->NowNs();
     ev.detail = 1;
     sh.trace->Record(slot, ev);
@@ -1246,47 +1248,43 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
     }
     return;
   }
-  const JoinStep& js = chain.joins[0];
-  auto& sc = sh.AcquireScratch(self, B);
-  auto& scratch = sc.bucket;
-  auto& hit = sc.hit;
-  auto scatter = [&](const int64_t* row, uint32_t bucket) {
-    Batch& b = scratch[bucket];
-    if (b.width() == 0) b = Batch(out_w);
-    if (b.empty()) hit.push_back(bucket);
-    append(b, row);
+  // Scan feeding a probe: forward the selected (projected) rows in chunks
+  // of at most batch_rows rows; the probe finds each row's bucket itself.
+  Batch out;
+  auto forward = [&](const int64_t* row) {
+    if (out.width() == 0) {
+      out = Batch(out_w);
+      out.Reserve(std::min<size_t>(options_.batch_rows, end - begin));
+    }
+    append(out, row);
     // Scan output = capture point 0 (offer the appended — projected —
     // row, which is what the reference executor's scan batch holds).
-    if (capturing) sh.OfferCapture(op.chain, 0, b.row(b.rows() - 1), out_w);
-    if (b.rows() >= options_.batch_rows) {
-      Emit(self, op.consumer, bucket, std::move(b));
-      scratch[bucket] = Batch();
-      hit.erase(std::find(hit.begin(), hit.end(), bucket));
+    if (capturing) {
+      sh.OfferCapture(op.chain, 0, out.row(out.rows() - 1), out_w);
+    }
+    if (out.rows() >= options_.batch_rows) {
+      Emit(self, op.consumer, self, std::move(out));
+      out = Batch();
     }
   };
   if (options_.vectorized) {
-    const size_t m = select_and_hash(sc, src_col(js.probe_col), true);
+    auto& sc = sh.AcquireScratch(self, B);
+    const size_t m = select_and_hash(sc, 0, false);
     const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
     for (size_t i = 0; i < m; ++i) {
-      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-      scatter(row, static_cast<uint32_t>(sc.hashes[i] % B));
+      forward(src.row(begin + (selp != nullptr ? selp[i] : i)));
     }
+    sh.ReleaseScratch(self);
     rows_out = m;
   } else {
     for (size_t i = begin; i < end; ++i) {
       const int64_t* row = src.row(i);
       if (!passes(row)) continue;
-      scatter(row,
-              static_cast<uint32_t>(HashKey(row[src_col(js.probe_col)]) % B));
+      forward(row);
       ++rows_out;
     }
   }
-  for (uint32_t bucket : hit) {
-    Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
-    scratch[bucket] = Batch();
-  }
-  hit.clear();
-  sh.ReleaseScratch(self);
+  if (!out.empty()) Emit(self, op.consumer, self, std::move(out));
   if (sh.trace != nullptr) {
     TraceActivation(self, op_id, tr0, end - begin, rows_out);
   }
@@ -1317,13 +1315,42 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
     return;
   }
 
-  // Probe step. JoinTable resolves shared (cached) vs locally built.
+  // Probe step: each row looks up its own bucket's table,
+  // JoinTables(join)[hash % B] (shared cached tables or locally built).
   const JoinStep& js = chain.joins[op.step];
-  const RowTable& table = sh.JoinTable(op.join, act.bucket);
+  const BucketTables& tables = sh.JoinTables(op.join);
   const uint32_t in_width = act.rows.width();
+  const uint32_t out_width = sh.width_at[op.chain][op.step + 1];
+  const uint32_t build_width = out_width - in_width;
   const bool last_step = op.step + 1 == chain.joins.size();
   const bool final_chain = op.chain + 1 == plan.chains.size();
-  const uint32_t out_width = in_width + table.width();
+  uint64_t produced = 0;
+  // Runs on_match(probe_row, build_row) for every match of the batch.
+  auto probe = [&](auto&& on_match) {
+    const size_t n = act.rows.rows();
+    if (options_.vectorized && n > 0) {
+      // Batched probe: gather the key column, hash it in one pass, then
+      // walk the chains with a prefetch window (ProbeBuckets).
+      auto& sc = sh.AcquireScratch(self, B);
+      sc.keys.resize(n);
+      sc.hashes.resize(n);
+      GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
+                    n, sc.keys.data());
+      HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
+      ProbeBuckets(tables, B, sc.keys.data(), sc.hashes.data(), n,
+                   [&](size_t i, const int64_t* brow) {
+                     on_match(act.rows.row(i), brow);
+                   });
+      sh.ReleaseScratch(self);
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const int64_t* row = act.rows.row(i);
+        const int64_t key = row[js.probe_col];
+        tables[HashKey(key) % B].ForEachMatch(
+            key, [&](const int64_t* brow) { on_match(row, brow); });
+      }
+    }
+  };
 
   if (last_step) {
     const bool to_agg = final_chain && sh.agg != nullptr;
@@ -1334,10 +1361,9 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
     }
     AggTable* agg_part = to_agg ? &sh.agg_partials[self] : nullptr;
     std::vector<int64_t> out_row(out_width);
-    uint64_t produced = 0;
-    auto on_match = [&](const int64_t* row, const int64_t* brow) {
+    probe([&](const int64_t* row, const int64_t* brow) {
       std::copy(row, row + in_width, out_row.begin());
-      std::copy(brow, brow + table.width(), out_row.begin() + in_width);
+      std::copy(brow, brow + build_width, out_row.begin() + in_width);
       ++produced;
       // Last probe output = chain output = capture point J.
       if (capturing) {
@@ -1355,91 +1381,33 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
         sh.thread_digests[self].Add(out_row.data(), out_width);
       }
       if (part != nullptr) part->AppendRow(out_row.data());
-    };
-    if (options_.vectorized && act.rows.rows() > 0) {
-      // Batched probe: gather the key column, hash it in one pass, then
-      // walk the chains with a prefetch window (RowTable::ProbeBatch).
-      auto& sc = sh.AcquireScratch(self, B);
-      const size_t n = act.rows.rows();
-      sc.keys.resize(n);
-      sc.hashes.resize(n);
-      GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
-                    n, sc.keys.data());
-      HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-      table.ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                       [&](size_t i, const int64_t* brow) {
-                         on_match(act.rows.row(i), brow);
-                       });
-      sh.ReleaseScratch(self);
-    } else {
-      for (size_t i = 0; i < act.rows.rows(); ++i) {
-        const int64_t* row = act.rows.row(i);
-        table.ForEachMatch(row[js.probe_col], [&](const int64_t* brow) {
-          on_match(row, brow);
-        });
-      }
-    }
+    });
     // The last probe is its chain's terminal op: its output rows are the
     // chain's actual cardinality (pre-aggregation on agg plans).
     sh.chain_rows[op.chain * sh.slots + self] += produced;
-    if (sh.trace != nullptr) {
-      TraceActivation(self, act.op, tr0, rows_in, produced);
-    }
-    FinishActivation(act.op);
-    return;
-  }
-
-  const JoinStep& next = chain.joins[op.step + 1];
-  auto& sc = sh.AcquireScratch(self, B);
-  auto& scratch = sc.bucket;
-  auto& hit = sc.hit;
-  std::vector<int64_t> out_row(out_width);
-  uint64_t produced = 0;
-  auto on_match = [&](const int64_t* row, const int64_t* brow) {
-    std::copy(row, row + in_width, out_row.begin());
-    std::copy(brow, brow + table.width(), out_row.begin() + in_width);
-    ++produced;
-    // Output of probe step s (0-based) = capture point s + 1.
-    if (capturing) {
-      sh.OfferCapture(op.chain, op.step + 1, out_row.data(), out_width);
-    }
-    uint32_t bucket =
-        static_cast<uint32_t>(HashKey(out_row[next.probe_col]) % B);
-    Batch& b = scratch[bucket];
-    if (b.width() == 0) b = Batch(out_width);
-    if (b.empty()) hit.push_back(bucket);
-    b.AppendRow(out_row.data());
-    if (b.rows() >= options_.batch_rows) {
-      Emit(self, op.consumer, bucket, std::move(b));
-      scratch[bucket] = Batch();
-      hit.erase(std::find(hit.begin(), hit.end(), bucket));
-    }
-  };
-  if (options_.vectorized && act.rows.rows() > 0) {
-    const size_t n = act.rows.rows();
-    sc.keys.resize(n);
-    sc.hashes.resize(n);
-    GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr, n,
-                  sc.keys.data());
-    HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-    table.ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                     [&](size_t i, const int64_t* brow) {
-                       on_match(act.rows.row(i), brow);
-                     });
   } else {
-    for (size_t i = 0; i < act.rows.rows(); ++i) {
-      const int64_t* row = act.rows.row(i);
-      table.ForEachMatch(row[js.probe_col], [&](const int64_t* brow) {
-        on_match(row, brow);
-      });
-    }
+    // A non-final probe appends its matches to one output batch and
+    // forwards it to the next probe every batch_rows rows.
+    Batch out;
+    probe([&](const int64_t* row, const int64_t* brow) {
+      if (out.width() == 0) {
+        out = Batch(out_width);
+        out.Reserve(std::min<size_t>(options_.batch_rows, act.rows.rows()));
+      }
+      out.AppendConcat(row, in_width, brow, build_width);
+      ++produced;
+      // Output of probe step s (0-based) = capture point s + 1.
+      if (capturing) {
+        sh.OfferCapture(op.chain, op.step + 1, out.row(out.rows() - 1),
+                        out_width);
+      }
+      if (out.rows() >= options_.batch_rows) {
+        Emit(self, op.consumer, self, std::move(out));
+        out = Batch();
+      }
+    });
+    if (!out.empty()) Emit(self, op.consumer, self, std::move(out));
   }
-  for (uint32_t bucket : hit) {
-    Emit(self, op.consumer, bucket, std::move(scratch[bucket]));
-    scratch[bucket] = Batch();
-  }
-  hit.clear();
-  sh.ReleaseScratch(self);
   if (sh.trace != nullptr) {
     TraceActivation(self, act.op, tr0, rows_in, produced);
   }
@@ -1458,7 +1426,10 @@ void PipelineExecutor::FinishActivation(uint32_t op_id) {
   }
 }
 
-// Emits one data activation toward `dst_op`. Operator bodies never block:
+// Emits one data activation toward `dst_op`, queued on column `bucket % T`.
+// A build insert passes its bucket; a probe batch, whose rows may span
+// buckets, passes the producer's slot, so it lands on the producer's own
+// column, where idle threads steal it. Operator bodies never block:
 // if the destination queue is full, the activation is staged in the
 // producing thread's outbox and FlushOutbox drains it at the top level —
 // the iterative equivalent of the paper's procedure-call suspension

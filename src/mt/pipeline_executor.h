@@ -26,9 +26,13 @@
 // disabled to reproduce the concurrent-chains discussion of Section 3.2.
 //
 // Trigger activations are morsel claims on a shared cursor (granularity
-// `morsel_rows`); data activations are row batches bound to a hash bucket
-// (granularity `batch_rows`); the degree of fragmentation `buckets` is
-// much higher than the thread count so skew spreads (Section 3.1).
+// `morsel_rows`). The degree of fragmentation `buckets` applies to the
+// build hash tables: builds scatter into per-bucket insert batches, each
+// bucket behind its own lock, and `buckets` much higher than the thread
+// count spreads a skewed key across many build locks (Section 3.1). Data
+// activations are chunks of at most `batch_rows` rows, whatever buckets
+// their rows fall in, routed to the producer's own queue (other threads
+// steal from it); a probe looks each row up in its bucket's table.
 
 #ifndef HIERDB_MT_PIPELINE_EXECUTOR_H_
 #define HIERDB_MT_PIPELINE_EXECUTOR_H_
@@ -63,9 +67,9 @@ inline const char* LocalStrategyName(LocalStrategy s) {
 
 struct PipelineOptions {
   uint32_t threads = 4;
-  uint32_t buckets = 64;        ///< degree of fragmentation per join
+  uint32_t buckets = 64;        ///< build-table fragmentation per join
   uint32_t morsel_rows = 16384; ///< trigger-activation granularity
-  uint32_t batch_rows = 1024;   ///< data-activation granularity
+  uint32_t batch_rows = 1024;   ///< max rows per data activation
   uint32_t queue_capacity = 256;///< flow control (activations per queue)
   LocalStrategy strategy = LocalStrategy::kDP;
   bool apply_h1 = true;         ///< chain scan waits for its hash tables
@@ -120,7 +124,10 @@ struct PipelineStats {
   uint64_t data_activations = 0;  ///< batch activations executed
   uint64_t batches_emitted = 0;
   uint64_t escapes = 0;           ///< full-queue procedure-call escapes
-  uint64_t nonprimary = 0;        ///< consumptions from non-primary queues
+  /// Consumptions from non-primary queues. Under FP this counts most probe
+  /// activations: a probe batch queues on its producer's column, and FP
+  /// never gives a probe's threads the producing operator's threads.
+  uint64_t nonprimary = 0;
   uint64_t idle_waits = 0;        ///< waits with no runnable work
   uint64_t fp_safety_escapes = 0; ///< FP deadlock valve firings (should be 0)
   uint64_t build_cache_hits = 0;  ///< builds satisfied from the shared cache
@@ -186,6 +193,9 @@ class PipelineExecutor {
   bool ClaimMorsel(uint32_t self, uint32_t op_id);
   void ExecuteData(uint32_t self, Activation&& act);
   void ExecuteMorsel(uint32_t self, uint32_t op_id, size_t begin, size_t end);
+  /// Queues `rows` for `dst_op` on column `bucket % threads`: `bucket` is
+  /// the bucket for a build insert and the producer's slot for a probe
+  /// batch (its rows may span buckets).
   void Emit(uint32_t self, uint32_t dst_op, uint32_t bucket, Batch&& rows);
   void FlushOutbox(uint32_t self);
   bool RunAllowedWhileStuck(uint32_t self, bool unrestricted);

@@ -78,6 +78,37 @@ class RowTable {
     }
   }
 
+  /// ProbeBatch across one join's fragmented build: row i is looked up in
+  /// the table of its own bucket, tables[hashes[i] % buckets] (where the
+  /// build scattered that key), so one probe batch may mix buckets. A loop
+  /// of its own: routing ProbeBatch through a shared one slowed the cluster
+  /// executor's probe path.
+  template <typename Fn>
+  friend void ProbeBuckets(const std::vector<RowTable>& tables,
+                           uint32_t buckets, const int64_t* keys,
+                           const uint64_t* hashes, size_t n, Fn&& fn) {
+    constexpr size_t kPrefetch = 8;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetch < n) {
+        const RowTable& ahead = tables[hashes[i + kPrefetch] % buckets];
+        if (!ahead.heads_.empty()) {
+          __builtin_prefetch(
+              &ahead.heads_[hashes[i + kPrefetch] & (ahead.heads_.size() - 1)],
+              0, 1);
+        }
+      }
+      const RowTable& t = tables[hashes[i] % buckets];
+      if (t.heads_.empty()) continue;
+      const int64_t key = keys[i];
+      for (uint32_t e = t.heads_[hashes[i] & (t.heads_.size() - 1)];
+           e != kNoEntry; e = t.next_[e]) {
+        const int64_t* row =
+            t.pool_.data() + static_cast<size_t>(e) * t.width_;
+        if (row[t.key_col_] == key) fn(i, row);
+      }
+    }
+  }
+
   size_t rows() const { return width_ == 0 ? 0 : pool_.size() / width_; }
   uint32_t width() const { return width_; }
   uint64_t bytes() const {

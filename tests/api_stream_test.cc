@@ -265,13 +265,20 @@ TEST(StreamAdmission, ConcurrencyLimitRespectedAndReached) {
 TEST(StreamAdmission, OverlappedMakespanBeatsSerialSum) {
   SessionOptions so;
   so.max_concurrent_queries = 3;
-  StreamFixture fx(so, 60000);
+  StreamFixture fx(so, 400000);
   ExecOptions opts = Opts(Backend::kThreads);
-
   std::vector<Query> queries(6, fx.ChainQuery(3));
+
+  // The serial baseline runs each query alone on its own two threads. On
+  // fx's machine-sized pool a lone query would also borrow every idle
+  // worker through cross-query stealing and fill the machine by itself;
+  // a one-thread pool plus the renting dispatcher leaves it none to borrow.
+  SessionOptions serial_so = so;
+  serial_so.pool_threads = 1;
+  StreamFixture serial(serial_so, 400000);
   double serial_sum = 0.0;
-  for (const Query& q : queries) {
-    auto r = fx.db.Execute(q, opts);
+  for (int i = 0; i < 6; ++i) {
+    auto r = serial.db.Execute(serial.ChainQuery(3), opts);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     serial_sum += r.value().response_ms;
   }

@@ -26,6 +26,7 @@
 #include "obs/export.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "tests/test_util.h"
 
 namespace hierdb::api {
 namespace {
@@ -399,12 +400,12 @@ TEST(Forensics, MidRunDeadlineMissWritesAValidBundle) {
   ScratchDir scratch("deadline");
   SessionOptions so;
   so.forensics_dir = scratch.str();
-  // A fact table big enough that one thread cannot finish inside the
-  // deadline: the timer fires mid-run, the executor stops cooperatively
-  // and the lane reports DeadlineExceeded — the canonical anomaly.
-  Fixture f(400000, so);
+  // A deadline well inside one thread's measured run: the timer fires
+  // mid-run, the executor stops cooperatively and the lane reports
+  // DeadlineExceeded — the canonical anomaly.
+  Fixture f(1000000, so);
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
-  o.deadline_ms = 15;
+  o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
   auto r = f.db.Execute(f.Join2(), o);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
@@ -443,9 +444,9 @@ TEST(Forensics, AutomaticBundlesStopAtTheCap) {
   SessionOptions so;
   so.forensics_dir = scratch.str();
   so.forensics_max_bundles = 2;
-  Fixture f(400000, so);
+  Fixture f(1000000, so);
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
-  o.deadline_ms = 15;
+  o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
   for (int i = 0; i < 4; ++i) {
     auto r = f.db.Execute(f.Join2(), o);
     ASSERT_FALSE(r.ok());

@@ -2,6 +2,8 @@
 // reference execution, and DP/FP/SP correctness against the reference
 // across plan shapes, thread counts, skew, and scheduling options.
 
+#include <algorithm>
+
 #include "gtest/gtest.h"
 #include "mt/pipeline_executor.h"
 #include "mt/plan.h"
@@ -458,7 +460,10 @@ TEST(Executor, TinyQueuesExerciseFlowControl) {
 
 TEST(Executor, DPImbalanceStaysModestUnderSkew) {
   std::vector<Table> tables;
-  tables.push_back(MakeSkewedTable("fact", 60000, 2, 400, 1, 1.0, 31));
+  // Large enough that the run outlasts several OS time slices: on a
+  // loaded host, a run of a few ms can finish on whichever one thread
+  // the scheduler happened to give the CPU.
+  tables.push_back(MakeSkewedTable("fact", 600000, 2, 400, 1, 1.0, 31));
   tables.push_back(MakeTable("dim", 400, 2, 10, 32));
   PipelinePlan plan = MakeRightDeepPlan(0, {1}, {1});
   PipelineOptions o = Opts(LocalStrategy::kDP, 4);
@@ -496,18 +501,47 @@ TEST(Executor, InvalidPlanRejectedBeforeRunning) {
   EXPECT_FALSE(exec.Execute(bad, fx.tables()).ok());
 }
 
-// Property sweep: all strategies x thread counts x bucket counts agree
-// with the reference on a moderately sized star join.
+// Data activations carry up to batch_rows rows whatever their buckets, so
+// raising the build fragmentation must not multiply them (re-scattering
+// every probe's output B ways made the count grow with B). Build inserts
+// still scale with the buckets a build touches, so the dimensions stay
+// small next to the fact stream.
+TEST(Executor, DataActivationsDoNotGrowWithBuckets) {
+  StarFixture fx(60000, 64);
+  auto ref = ReferenceExecute(fx.plan(), fx.tables()).ValueOrDie();
+  const uint32_t buckets[2] = {16, 256};
+  uint64_t acts[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    PipelineOptions o = Opts(LocalStrategy::kDP, 4);
+    o.buckets = buckets[i];
+    o.batch_rows = 64;
+    PipelineExecutor exec(o);
+    PipelineStats stats;
+    auto got = exec.Execute(fx.plan(), fx.tables(), &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "buckets=" << buckets[i];
+    acts[i] = stats.data_activations;
+  }
+  const uint64_t lo = std::min(acts[0], acts[1]);
+  const uint64_t hi = std::max(acts[0], acts[1]);
+  EXPECT_LE(static_cast<double>(hi), 1.1 * static_cast<double>(lo))
+      << "buckets=16: " << acts[0] << ", buckets=256: " << acts[1];
+}
+
+// Property sweep: all strategies x thread counts x bucket counts x
+// data-activation sizes agree with the reference on a moderately sized
+// star join.
 class StrategySweep
     : public ::testing::TestWithParam<
-          std::tuple<LocalStrategy, uint32_t, uint32_t>> {};
+          std::tuple<LocalStrategy, uint32_t, uint32_t, uint32_t>> {};
 
 TEST_P(StrategySweep, MatchesReference) {
-  auto [strategy, threads, buckets] = GetParam();
+  auto [strategy, threads, buckets, batch_rows] = GetParam();
   StarFixture fx(15000, 250, /*seed=*/threads * 100 + buckets);
   auto ref = ReferenceExecute(fx.plan(), fx.tables()).ValueOrDie();
   PipelineOptions o = Opts(strategy, threads);
   o.buckets = buckets;
+  o.batch_rows = batch_rows;
   PipelineExecutor exec(o);
   auto got = exec.Execute(fx.plan(), fx.tables());
   ASSERT_TRUE(got.ok());
@@ -520,7 +554,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          LocalStrategy::kFP,
                                          LocalStrategy::kSP),
                        ::testing::Values<uint32_t>(1, 2, 4, 8),
-                       ::testing::Values<uint32_t>(1, 64, 512)));
+                       ::testing::Values<uint32_t>(1, 64, 512),
+                       ::testing::Values<uint32_t>(1, 1024)));
 
 }  // namespace
 }  // namespace hierdb::mt

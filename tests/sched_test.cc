@@ -19,6 +19,7 @@
 #include "mt/row.h"
 #include "sched/admission_queue.h"
 #include "sched/timer_wheel.h"
+#include "tests/test_util.h"
 
 namespace hierdb {
 namespace {
@@ -269,7 +270,7 @@ struct SchedFixture {
   Session db;
   RelId fact, d1, d2, d3;
 
-  explicit SchedFixture(const SessionOptions& so, size_t fact_rows = 150000,
+  explicit SchedFixture(const SessionOptions& so, size_t fact_rows = 800000,
                         uint64_t seed = 7)
       : db(so) {
     fact = db.AddTable(mt::MakeTable("fact", fact_rows, 4, 500, seed));
@@ -304,12 +305,13 @@ bool WaitForInFlight(const Session& db, uint32_t n, int timeout_ms = 20000) {
   return false;
 }
 
-// An uncontended dispatch happens within microseconds of Submit, and the
-// 150k x 3-probe chain runs for >100 ms — a deadline in between reliably
-// fires mid-execution, stops the executor cooperatively, and surfaces
-// DeadlineExceeded with partial progress counters.
+// An uncontended dispatch happens within microseconds of Submit, so a
+// deadline inside the query's measured runtime reliably fires
+// mid-execution, stops the executor cooperatively, and surfaces
+// DeadlineExceeded with partial progress counters. The measuring runs arm
+// no timer.
 void ExpectMidExecutionMiss(Session& db, const Query& q, ExecOptions opts) {
-  opts.deadline_ms = 25.0;
+  opts.deadline_ms = test::DeadlineInsideRun(db, q, opts);
   auto t0 = std::chrono::steady_clock::now();
   auto r = db.Submit(q, opts).Take();
   double wall =
@@ -360,11 +362,15 @@ TEST(SchedDeadline, ExpiresWhileQueuedWithoutDispatch) {
   so.max_concurrent_queries = 1;
   SchedFixture fx(so);
   ExecOptions opts = Opts(Backend::kThreads);
+  // Measured on a twin session, so this one's counters stay exact.
+  SchedFixture twin(so);
+  const double deadline_ms =
+      test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
 
   QueryHandle blocker = fx.db.Submit(fx.ChainQuery(3), opts);
   ASSERT_TRUE(WaitForInFlight(fx.db, 1));
   ExecOptions dead = opts;
-  dead.deadline_ms = 40.0;  // far below the blocker's >100 ms runtime
+  dead.deadline_ms = deadline_ms;  // far below the blocker's runtime
   auto r = fx.db.Submit(fx.ChainQuery(1), dead).Take();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
@@ -403,9 +409,13 @@ TEST(SchedDeadline, DeadlinesStillFireAfterMidRunMiss) {
   so.max_concurrent_queries = 1;
   SchedFixture fx(so);
   ExecOptions opts = Opts(Backend::kThreads);
+  // Measured on a twin session, so this one's counters stay exact.
+  SchedFixture twin(so);
+  const double deadline_ms =
+      test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
 
   ExecOptions miss = opts;
-  miss.deadline_ms = 25.0;
+  miss.deadline_ms = deadline_ms;
   auto r1 = fx.db.Submit(fx.ChainQuery(3), miss).Take();
   ASSERT_FALSE(r1.ok());
   ASSERT_EQ(r1.status().code(), StatusCode::kDeadlineExceeded)
@@ -414,7 +424,7 @@ TEST(SchedDeadline, DeadlinesStillFireAfterMidRunMiss) {
   QueryHandle blocker = fx.db.Submit(fx.ChainQuery(3), opts);
   ASSERT_TRUE(WaitForInFlight(fx.db, 1));
   ExecOptions dead = opts;
-  dead.deadline_ms = 40.0;  // expires while queued behind the blocker
+  dead.deadline_ms = deadline_ms;  // expires while queued behind the blocker
   auto r2 = fx.db.Submit(fx.ChainQuery(1), dead).Take();
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kDeadlineExceeded)

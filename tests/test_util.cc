@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
+
 #include "opt/bushy_optimizer.h"
 
 namespace hierdb::test {
@@ -64,6 +68,22 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
   exec::RunResult r = engine.Run(plan, cat, opts);
   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
   return r.metrics;
+}
+
+double DeadlineInsideRun(api::Session& db, const api::Query& q,
+                         const api::ExecOptions& opts) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 3; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto r = db.Submit(q, opts).Take();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  // The timer wheel ticks every millisecond: keep two ticks at least.
+  EXPECT_GE(best / 8, 2.0) << "fixture too small: runs take " << best << " ms";
+  return best / 8;
 }
 
 }  // namespace hierdb::test

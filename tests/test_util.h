@@ -6,6 +6,7 @@
 
 #include <cstdint>
 
+#include "api/session.h"
 #include "catalog/catalog.h"
 #include "exec/engine.h"
 #include "opt/workload.h"
@@ -42,6 +43,15 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
                          const catalog::Catalog& cat,
                          const plan::PhysicalPlan& plan,
                          const exec::RunOptions& opts = {});
+
+/// A deadline that lands well inside a run of `q` on `db`: an eighth of
+/// the fastest of three runs without a deadline (these arm no timer).
+/// Measured, so deadline tests hold however fast the executor is; the
+/// margin absorbs a host that slows down between the measurement and the
+/// run it times. Fails the test if the eighth is under two timer-wheel
+/// ticks (the fixture is too small).
+double DeadlineInsideRun(api::Session& db, const api::Query& q,
+                         const api::ExecOptions& opts);
 
 }  // namespace hierdb::test
 

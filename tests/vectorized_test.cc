@@ -211,10 +211,14 @@ TEST(BatchAppend, AppendRowsMatchesRowAtATime) {
 TEST(ProbeBatchEquiv, MatchesForEachMatchWithDuplicates) {
   // Build rows with duplicate keys so chains have length > 1.
   RowTable table(2, 0);
+  // The same rows fragmented the way a build scatters them.
+  constexpr uint32_t kBuckets = 16;
+  std::vector<RowTable> buckets(kBuckets, RowTable(2, 0));
   std::mt19937_64 rng(29);
   for (int i = 0; i < 3000; ++i) {
     int64_t row[2] = {static_cast<int64_t>(rng() % 200), i};
     table.Insert(row);
+    buckets[HashKey(row[0]) % kBuckets].Insert(row);
   }
   Batch probes = RandomBatch(1000, 2, 260, 31);  // some keys miss entirely
 
@@ -235,6 +239,13 @@ TEST(ProbeBatchEquiv, MatchesForEachMatchWithDuplicates) {
   }
   EXPECT_EQ(batched, scalar);
   EXPECT_GT(batched.size(), 0u);
+
+  std::vector<std::pair<size_t, int64_t>> bucketed;
+  ProbeBuckets(buckets, kBuckets, keys.data(), hashes.data(), probes.rows(),
+               [&](size_t i, const int64_t* brow) {
+                 bucketed.emplace_back(i, brow[1]);
+               });
+  EXPECT_EQ(bucketed, scalar);
 }
 
 TEST(AggBatch, AccumulateBatchMatchesScalar) {
