@@ -528,6 +528,7 @@ struct ClusterExecutor::Impl {
     std::atomic<uint64_t> idle{0};
     std::atomic<uint64_t> stolen_acts{0};
     std::atomic<uint64_t> steals{0};
+    std::atomic<uint64_t> late_steals{0};
     std::atomic<uint64_t> steal_reqs{0};
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> shipped_rows{0};
@@ -1698,6 +1699,15 @@ struct ClusterExecutor::Impl {
     fabric.Send(node, m.from, std::move(reply)).ok();
   }
 
+  // Protocol invariant: no node receives work for an op after acking its
+  // drain. A drain ack (CheckReports) lets the coordinator terminate the
+  // op once the providers ack too, and a provider acks as soon as an
+  // acquire empties its queues; stolen batches arriving after that would
+  // run behind the termination and lose their rows downstream. So the
+  // thief never acquires an op it has acked: offers for acked ops count
+  // as no offer, and an op acked while offers were being collected drops
+  // the acquire. (Once the acquire is sent, steal_inflight holds the ack
+  // back until the work arrives.)
   void HandleOfferReply(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
     if (!ns.steal_in_progress) return;
@@ -1709,13 +1719,14 @@ struct ClusterExecutor::Impl {
     }
     if (ns.offers_pending == 0) return;
     --ns.offers_pending;
-    if (m.type == MsgType::kOffer && m.arg > ns.best_count) {
+    if (m.type == MsgType::kOffer && m.arg > ns.best_count &&
+        !ns.drain_acked[m.op]) {
       ns.best_count = m.arg;
       ns.best_provider = m.from;
       ns.best_op = m.op;
     }
     if (ns.offers_pending == 0) {
-      if (ns.best_provider == UINT32_MAX) {
+      if (ns.best_provider == UINT32_MAX || ns.drain_acked[ns.best_op]) {
         ns.steal_in_progress = false;
         return;
       }
@@ -1957,6 +1968,9 @@ struct ClusterExecutor::Impl {
     }
     uint32_t op = bundle.value().op;
     uint32_t g = join_of(op);
+    if (ns.drain_acked[op]) {
+      ns.late_steals.fetch_add(1, std::memory_order_relaxed);
+    }
     {
       std::unique_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
       for (auto& frag : bundle.value().fragments) {
@@ -2150,6 +2164,7 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
     for (auto& ns : im.node_state) {
       stats->steal_requests += ns->steal_reqs.load();
       stats->steals += ns->steals.load();
+      stats->late_steals += ns->late_steals.load();
       stats->stolen_activations += ns->stolen_acts.load();
       stats->shipped_fragment_rows += ns->shipped_rows.load();
       stats->fragment_cache_hits += ns->cache_hits.load();

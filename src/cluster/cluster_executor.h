@@ -215,6 +215,9 @@ struct ClusterStats {
   net::FabricStats fabric;
   uint64_t steal_requests = 0;      ///< kStarving broadcasts sent
   uint64_t steals = 0;              ///< kWork bundles received
+  /// kWork bundles received for an op after acking its drain: breaks of
+  /// the steal protocol's invariant, so always 0.
+  uint64_t late_steals = 0;
   uint64_t stolen_activations = 0;
   uint64_t shipped_fragment_rows = 0;
   uint64_t fragment_cache_hits = 0;  ///< fragments skipped thanks to cache

@@ -120,7 +120,9 @@ uint64_t GroupHash(const int64_t* vals, uint32_t n) {
     h *= 0x100000001B3ULL;
     h ^= h >> 29;
   }
-  return h;
+  // The FNV mix barely moves the top bits for small values, and SlotOf
+  // reads exactly those: finish with the full-avalanche key hash.
+  return HashKey(static_cast<int64_t>(h));
 }
 
 void AggTable::Init(const AggSpec* spec) {
@@ -137,7 +139,7 @@ void AggTable::Rehash() {
   heads_.assign(target, kNoEntry);
   size_t n = groups();
   for (size_t i = 0; i < n; ++i) {
-    uint64_t slot = hashes_[i] & (heads_.size() - 1);
+    uint64_t slot = SlotOf(hashes_[i], heads_.size());
     next_[i] = heads_[slot];
     heads_[slot] = static_cast<uint32_t>(i);
   }
@@ -146,7 +148,7 @@ void AggTable::Rehash() {
 int64_t* AggTable::FindOrInsert(const int64_t* vals, uint64_t h) {
   const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
   if (!heads_.empty()) {
-    uint64_t slot = h & (heads_.size() - 1);
+    uint64_t slot = SlotOf(h, heads_.size());
     for (uint32_t e = heads_[slot]; e != kNoEntry; e = next_[e]) {
       if (hashes_[e] != h) continue;
       int64_t* row = pool_.data() + static_cast<size_t>(e) * partial_width_;
@@ -174,7 +176,7 @@ int64_t* AggTable::FindOrInsert(const int64_t* vals, uint64_t h) {
     }
   }
   hashes_.push_back(h);
-  uint64_t slot = h & (heads_.size() - 1);
+  uint64_t slot = SlotOf(h, heads_.size());
   next_.push_back(heads_[slot]);
   heads_[slot] = id;
   return row;
@@ -229,8 +231,9 @@ void AggTable::AccumulateBatch(const Batch& rows, size_t begin,
   const int64_t* origin = rows.data().data() + begin * stride;
   // Column-at-a-time gather + hash: GroupHash's per-column mix
   //   h ^= v; h *= FNV_PRIME; h ^= h >> 29
-  // is sequential per row, so running it one column across all rows
-  // yields exactly the scalar per-row hashes.
+  // is sequential per row, so running it one column across all rows and
+  // then applying its HashKey finish yields exactly the scalar per-row
+  // hashes.
   scratch->hashes.assign(n, 0xCBF29CE484222325ULL);
   scratch->keys.resize(n * g);
   uint64_t* hashes = scratch->hashes.data();
@@ -249,6 +252,9 @@ void AggTable::AccumulateBatch(const Batch& rows, size_t begin,
       h ^= h >> 29;
       hashes[i] = h;
     }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    hashes[i] = HashKey(static_cast<int64_t>(hashes[i]));
   }
   for (size_t i = 0; i < n; ++i) {
     const size_t r = sel == nullptr ? i : sel[i];

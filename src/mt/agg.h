@@ -128,12 +128,15 @@ struct AggSpec {
 
 /// Deterministic hash of a group-value prefix — the one hash function the
 /// thread-level merge partitioning and the cluster's node repartitioning
-/// share (partials for one group always land in the same partition).
+/// share (partials for one group always land in the same partition). An
+/// FNV mix over the values, finished with HashKey so every bit avalanches.
 uint64_t GroupHash(const int64_t* vals, uint32_t n);
 
 /// A chained hash table from group values to an accumulator (partial) row,
 /// storing each entry's group hash so merge phases can select partitions
-/// without rehashing. Not thread-safe: one table per worker/partition.
+/// without rehashing. Partitions read `hash % parts`, chains the top bits
+/// (SlotOf), so a merge table holding one partition uses all its heads.
+/// Not thread-safe: one table per worker/partition.
 class AggTable {
  public:
   AggTable() = default;

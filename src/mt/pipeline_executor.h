@@ -49,7 +49,6 @@
 #include "common/status.h"
 #include "common/strategy.h"
 #include "mt/build_cache.h"
-#include "mt/hash_table.h"
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "obs/recorder.h"

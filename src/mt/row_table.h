@@ -1,6 +1,13 @@
 // Chained hash table over one column of fixed-width rows — the per-bucket
 // build table of the general pipeline executor.
 //
+// It is the one build layout of the real backends: DP/FP bucket tables,
+// SP, the build cache and the cluster's bucket fragments (shipped and
+// stolen fragments are rebuilt through Insert). A row's chain is
+// SlotOf(HashKey(key), heads) (mt/tuple.h), the top bits of the hash: a
+// bucket holds the keys with HashKey % B == b, so low-bit slots would
+// leave a bucket table on heads / B of its chains.
+//
 // Rows live in a flat pool (append-only during the build phase); chains
 // are index-linked. One bucket's table is written under the executor's
 // per-bucket exclusivity and probed read-only afterwards, so no internal
@@ -33,7 +40,7 @@ class RowTable {
     if (rows() + 1 > heads_.size() * 2) Rehash();
     uint32_t id = static_cast<uint32_t>(rows());
     pool_.insert(pool_.end(), row, row + width_);
-    uint64_t slot = HashKey(row[key_col_]) & (heads_.size() - 1);
+    uint64_t slot = SlotOf(HashKey(row[key_col_]), heads_.size());
     next_.push_back(heads_[slot]);
     heads_[slot] = id;
   }
@@ -47,7 +54,7 @@ class RowTable {
   template <typename Fn>
   void ForEachMatch(int64_t key, Fn&& fn) const {
     if (heads_.empty()) return;
-    uint64_t slot = HashKey(key) & (heads_.size() - 1);
+    uint64_t slot = SlotOf(HashKey(key), heads_.size());
     for (uint32_t e = heads_[slot]; e != kNoEntry; e = next_[e]) {
       const int64_t* row = pool_.data() + static_cast<size_t>(e) * width_;
       if (row[key_col_] == key) fn(row);
@@ -63,14 +70,15 @@ class RowTable {
   void ProbeBatch(const int64_t* keys, const uint64_t* hashes, size_t n,
                   Fn&& fn) const {
     if (heads_.empty()) return;
-    const uint64_t mask = heads_.size() - 1;
+    const size_t heads = heads_.size();
     constexpr size_t kPrefetch = 8;
     for (size_t i = 0; i < n; ++i) {
       if (i + kPrefetch < n) {
-        __builtin_prefetch(&heads_[hashes[i + kPrefetch] & mask], 0, 1);
+        __builtin_prefetch(&heads_[SlotOf(hashes[i + kPrefetch], heads)], 0,
+                           1);
       }
       const int64_t key = keys[i];
-      for (uint32_t e = heads_[hashes[i] & mask]; e != kNoEntry;
+      for (uint32_t e = heads_[SlotOf(hashes[i], heads)]; e != kNoEntry;
            e = next_[e]) {
         const int64_t* row = pool_.data() + static_cast<size_t>(e) * width_;
         if (row[key_col_] == key) fn(i, row);
@@ -93,14 +101,14 @@ class RowTable {
         const RowTable& ahead = tables[hashes[i + kPrefetch] % buckets];
         if (!ahead.heads_.empty()) {
           __builtin_prefetch(
-              &ahead.heads_[hashes[i + kPrefetch] & (ahead.heads_.size() - 1)],
+              &ahead.heads_[SlotOf(hashes[i + kPrefetch], ahead.heads_.size())],
               0, 1);
         }
       }
       const RowTable& t = tables[hashes[i] % buckets];
       if (t.heads_.empty()) continue;
       const int64_t key = keys[i];
-      for (uint32_t e = t.heads_[hashes[i] & (t.heads_.size() - 1)];
+      for (uint32_t e = t.heads_[SlotOf(hashes[i], t.heads_.size())];
            e != kNoEntry; e = t.next_[e]) {
         const int64_t* row =
             t.pool_.data() + static_cast<size_t>(e) * t.width_;
@@ -127,7 +135,7 @@ class RowTable {
     size_t n = rows();
     for (size_t i = 0; i < n; ++i) {
       const int64_t* row = pool_.data() + i * width_;
-      uint64_t slot = HashKey(row[key_col_]) & (heads_.size() - 1);
+      uint64_t slot = SlotOf(HashKey(row[key_col_]), heads_.size());
       next_[i] = heads_[slot];
       heads_[slot] = static_cast<uint32_t>(i);
     }

@@ -5,6 +5,7 @@
 
 #include "cluster/cluster_executor.h"
 
+#include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "net/message.h"
 
@@ -252,6 +253,7 @@ TEST(Cluster, GlobalLBFiresUnderPlacementSkew) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), ref);
   EXPECT_GT(stats.steal_requests, 0u);
+  EXPECT_EQ(stats.late_steals, 0u);
 }
 
 TEST(Cluster, GlobalLBCanBeDisabled) {
@@ -295,6 +297,36 @@ TEST(Cluster, StolenWorkIsAccounted) {
   if (stats.steals > 0) {
     EXPECT_GT(stats.stolen_activations, 0u);
     EXPECT_GT(stats.lb_bytes, 0u);
+  }
+  EXPECT_EQ(stats.late_steals, 0u);
+}
+
+TEST(Cluster, NoStealAfterDrainAckUnderFabricDelays) {
+  // Steals late in a probe op's life: a node that acked the op's drain
+  // must not take its work from a node that still has some, or the
+  // provider's own ack lets the coordinator terminate the op while the
+  // stolen batches are in flight, and their rows are lost downstream.
+  // Placement skew keeps nodes starving near the end of every op, one
+  // thread per node leaves the schedulers slow to drain, and seeded
+  // fabric delays stretch the window between ack and offer.
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    ChainFixture fx(4, 2, 12000, 250, /*placement_skew=*/0.8, seed);
+    auto ref = ReferenceExecute(fx.query).ValueOrDie();
+    fault::FaultPlan plan;
+    plan.seed = seed;
+    plan.delay_prob = 0.2;
+    plan.delay_us = 100;
+    fault::FaultInjector injector(plan);
+    ClusterOptions o = Opts(4, 1);
+    o.injector = &injector;
+    o.detect_faults = true;  // message faults need liveness detection on
+    ClusterExecutor exec(o);
+    ClusterStats stats;
+    auto got = exec.Execute(fx.query, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "seed " << seed;
+    EXPECT_EQ(stats.late_steals, 0u) << "seed " << seed;
+    EXPECT_GT(stats.faults.delayed, 0u);
   }
 }
 
@@ -498,6 +530,7 @@ TEST(MultiChain, LoadBalancingOnBushyPlanStaysCorrect) {
     EXPECT_GT(stats.stolen_activations, 0u);
     EXPECT_GT(stats.lb_bytes, 0u);
   }
+  EXPECT_EQ(stats.late_steals, 0u);
 }
 
 TEST(MultiChain, ValidateRejectsMalformedPlans) {
@@ -535,9 +568,11 @@ TEST_P(ClusterSweep, MatchesReference) {
                       static_cast<uint64_t>(skew * 10));
   auto ref = ReferenceExecute(fx.query).ValueOrDie();
   ClusterExecutor exec(Opts(nodes, threads, strategy));
-  auto got = exec.Execute(fx.query);
+  ClusterStats stats;
+  auto got = exec.Execute(fx.query, &stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), ref);
+  EXPECT_EQ(stats.late_steals, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

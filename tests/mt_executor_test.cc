@@ -1,144 +1,110 @@
-// Real multithreaded executor: correctness against the single-threaded
-// reference, across thread counts, skew, fragmentation and granularity
-// (property-style parameter sweeps).
+// The hash layout the real-thread executors share: the chain-slot rule of
+// mt/tuple.h (SlotOf) against the bucket rule (HashKey % B), and the
+// RowTable built on it.
 
 #include <gtest/gtest.h>
 
-#include "mt/executor.h"
-#include "mt/hash_table.h"
+#include <cstdint>
+#include <set>
+#include <vector>
+
+#include "mt/row_table.h"
 #include "mt/tuple.h"
 
 namespace hierdb::mt {
 namespace {
 
-TEST(HashTable, InsertAndMatch) {
-  HashTable ht;
-  ht.Insert({42, 1});
-  ht.Insert({42, 2});
-  ht.Insert({7, 3});
-  EXPECT_EQ(ht.MatchCount(42), 2u);
-  EXPECT_EQ(ht.MatchCount(7), 1u);
-  EXPECT_EQ(ht.MatchCount(100), 0u);
-  EXPECT_EQ(ht.size(), 3u);
+// Heads occupied by the keys of bucket `b` of `buckets`, under a slot rule.
+template <typename Slot>
+size_t HeadsUsedByBucket(uint32_t buckets, uint32_t b, size_t heads,
+                         Slot slot) {
+  std::set<uint64_t> used;
+  size_t keys = 0;
+  // Four keys per head: a uniform rule fills ~98% of the heads.
+  for (int64_t k = 0; keys < 4 * heads; ++k) {
+    const uint64_t h = HashKey(k);
+    if (h % buckets != b) continue;
+    ++keys;
+    used.insert(slot(h, heads));
+  }
+  return used.size();
 }
 
-TEST(HashTable, RehashPreservesEntries) {
-  HashTable ht(4);
-  for (int64_t k = 0; k < 1000; ++k) ht.Insert({k % 100, k});
-  for (int64_t k = 0; k < 100; ++k) EXPECT_EQ(ht.MatchCount(k), 10u);
-}
-
-TEST(RelationGen, Deterministic) {
-  auto a = MakeUniformRelation(1000, 100, 7);
-  auto b = MakeUniformRelation(1000, 100, 7);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
+TEST(SlotOf, BucketKeysSpreadOverTheHeads) {
+  for (uint32_t buckets : {16u, 64u, 100u, 128u}) {
+    for (size_t heads : {size_t{16}, size_t{64}, size_t{1024}}) {
+      for (uint32_t b : {0u, buckets / 2, buckets - 1}) {
+        const size_t used = HeadsUsedByBucket(
+            buckets, b, heads,
+            [](uint64_t h, size_t n) { return SlotOf(h, n); });
+        EXPECT_GE(4 * used, 3 * heads)
+            << "B=" << buckets << " heads=" << heads << " bucket=" << b;
+      }
+    }
   }
 }
 
-TEST(RelationGen, ZipfIsSkewed) {
-  auto r = MakeZipfRelation(100000, 1000, 0.99, 7);
-  std::vector<uint64_t> counts(1000, 0);
-  for (const auto& t : r) ++counts[t.key];
-  uint64_t max_count = *std::max_element(counts.begin(), counts.end());
-  // The hottest key should be far above the uniform expectation (100).
-  EXPECT_GT(max_count, 1000u);
+TEST(SlotOf, LowBitSlotsCollapseAPowerOfTwoBucket) {
+  // The rule SlotOf replaces: with B >= heads both powers of two, the
+  // bucket fixes every low bit the slot reads, so one head takes it all.
+  for (uint32_t buckets : {16u, 64u, 128u}) {
+    for (size_t heads : {size_t{16}, size_t{64}}) {
+      if (buckets < heads) continue;
+      EXPECT_EQ(HeadsUsedByBucket(
+                    buckets, 1, heads,
+                    [](uint64_t h, size_t n) { return h & (n - 1); }),
+                1u)
+          << "B=" << buckets << " heads=" << heads;
+    }
+  }
 }
 
-TEST(ReferenceJoin, TinyHandComputed) {
-  Relation fact = {{1, 0}, {2, 1}, {1, 2}};
-  Relation dim = {{1, 10}, {3, 11}};
-  JoinResult r = ReferenceStarJoin(fact, {&dim});
-  EXPECT_EQ(r.count, 2u);  // two fact tuples with key 1 match once each
+TEST(SlotOf, StaysInRange) {
+  for (size_t heads = 2; heads <= (size_t{1} << 20); heads *= 2) {
+    for (int64_t k = -50; k < 50; ++k) {
+      EXPECT_LT(SlotOf(HashKey(k), heads), heads);
+    }
+    EXPECT_EQ(SlotOf(UINT64_MAX, heads), heads - 1);
+    EXPECT_EQ(SlotOf(0, heads), 0u);
+  }
 }
 
-TEST(StarJoinExecutor, MatchesReferenceSingleDim) {
-  auto fact = MakeUniformRelation(50000, 5000, 1);
-  auto dim = MakeUniformRelation(8000, 5000, 2);
-  ExecutorOptions opts;
-  opts.threads = 4;
-  StarJoinExecutor ex(opts);
-  auto got = ex.Execute(fact, {&dim});
-  ASSERT_TRUE(got.ok());
-  JoinResult want = ReferenceStarJoin(fact, {&dim});
-  EXPECT_EQ(got.value().count, want.count);
-  EXPECT_EQ(got.value().checksum, want.checksum);
+TEST(RowTable, MatchesSurviveRehashWithinOneBucket) {
+  // One bucket's rows of a 64-way fragmented build: keys sharing their
+  // low six hash bits, through several rehashes.
+  constexpr uint32_t kBuckets = 64;
+  RowTable t(2, 0);
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; keys.size() < 500; ++k) {
+    if (HashKey(k) % kBuckets != 3) continue;
+    keys.push_back(k);
+    for (int64_t copy = 0; copy < 2; ++copy) {
+      const int64_t row[2] = {k, copy};
+      t.Insert(row);
+    }
+  }
+  ASSERT_EQ(t.rows(), 2 * keys.size());
+  std::vector<uint64_t> hashes;
+  for (int64_t k : keys) {
+    size_t hits = 0;
+    t.ForEachMatch(k, [&](const int64_t* row) {
+      EXPECT_EQ(row[0], k);
+      ++hits;
+    });
+    EXPECT_EQ(hits, 2u) << k;
+    hashes.push_back(HashKey(k));
+  }
+  std::vector<size_t> batch_hits(keys.size(), 0);
+  t.ProbeBatch(keys.data(), hashes.data(), keys.size(),
+               [&](size_t i, const int64_t* row) {
+                 EXPECT_EQ(row[0], keys[i]);
+                 ++batch_hits[i];
+               });
+  for (size_t hits : batch_hits) EXPECT_EQ(hits, 2u);
+  size_t misses = 0;
+  t.ForEachMatch(keys.back() + 1, [&](const int64_t*) { ++misses; });
+  EXPECT_EQ(misses, 0u);
 }
-
-TEST(StarJoinExecutor, MatchesReferenceMultiDim) {
-  auto fact = MakeUniformRelation(40000, 2000, 1);
-  auto d1 = MakeUniformRelation(3000, 2000, 2);
-  auto d2 = MakeUniformRelation(2500, 2000, 3);
-  auto d3 = MakeUniformRelation(1000, 2000, 4);
-  ExecutorOptions opts;
-  opts.threads = 8;
-  StarJoinExecutor ex(opts);
-  auto got = ex.Execute(fact, {&d1, &d2, &d3});
-  ASSERT_TRUE(got.ok());
-  JoinResult want = ReferenceStarJoin(fact, {&d1, &d2, &d3});
-  EXPECT_EQ(got.value().count, want.count);
-  EXPECT_EQ(got.value().checksum, want.checksum);
-}
-
-TEST(StarJoinExecutor, EmptyInputs) {
-  Relation fact, dim;
-  ExecutorOptions opts;
-  opts.threads = 2;
-  StarJoinExecutor ex(opts);
-  auto got = ex.Execute(fact, {&dim});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().count, 0u);
-}
-
-TEST(StarJoinExecutor, NoDims) {
-  auto fact = MakeUniformRelation(1000, 100, 1);
-  ExecutorOptions opts;
-  opts.threads = 2;
-  StarJoinExecutor ex(opts);
-  auto got = ex.Execute(fact, {});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().count, fact.size());
-}
-
-struct SweepParam {
-  uint32_t threads;
-  uint32_t buckets;
-  uint32_t batch;
-  double theta;
-};
-
-class ExecutorSweep : public ::testing::TestWithParam<SweepParam> {};
-
-TEST_P(ExecutorSweep, MatchesReferenceUnderSkewAndGranularity) {
-  const SweepParam p = GetParam();
-  auto fact = MakeZipfRelation(30000, 1500, p.theta, 11);
-  auto d1 = MakeZipfRelation(4000, 1500, p.theta, 12);
-  auto d2 = MakeUniformRelation(2000, 1500, 13);
-  ExecutorOptions opts;
-  opts.threads = p.threads;
-  opts.buckets = p.buckets;
-  opts.batch_tuples = p.batch;
-  StarJoinExecutor ex(opts);
-  ExecutorStats stats;
-  auto got = ex.Execute(fact, {&d1, &d2}, &stats);
-  ASSERT_TRUE(got.ok());
-  JoinResult want = ReferenceStarJoin(fact, {&d1, &d2});
-  EXPECT_EQ(got.value().count, want.count);
-  EXPECT_EQ(got.value().checksum, want.checksum);
-  EXPECT_GT(stats.activations, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ExecutorSweep,
-    ::testing::Values(SweepParam{1, 64, 256, 0.0},
-                      SweepParam{2, 64, 256, 0.0},
-                      SweepParam{4, 256, 512, 0.0},
-                      SweepParam{8, 256, 512, 0.0},
-                      SweepParam{4, 16, 128, 0.5},
-                      SweepParam{4, 256, 64, 0.9},
-                      SweepParam{8, 1024, 1024, 0.9},
-                      SweepParam{3, 7, 33, 0.7}));
 
 }  // namespace
 }  // namespace hierdb::mt

@@ -530,7 +530,8 @@ TEST(Executor, DataActivationsDoNotGrowWithBuckets) {
 
 // Property sweep: all strategies x thread counts x bucket counts x
 // data-activation sizes agree with the reference on a moderately sized
-// star join.
+// star join. 100 buckets is the non-power-of-two case of the chain-slot
+// rule (mt/tuple.h SlotOf).
 class StrategySweep
     : public ::testing::TestWithParam<
           std::tuple<LocalStrategy, uint32_t, uint32_t, uint32_t>> {};
@@ -554,7 +555,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          LocalStrategy::kFP,
                                          LocalStrategy::kSP),
                        ::testing::Values<uint32_t>(1, 2, 4, 8),
-                       ::testing::Values<uint32_t>(1, 64, 512),
+                       ::testing::Values<uint32_t>(1, 64, 100, 512),
                        ::testing::Values<uint32_t>(1, 1024)));
 
 }  // namespace
