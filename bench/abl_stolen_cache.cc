@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q;
+  q.tables = {&fact_parts, &dim_parts};
+  q.plan = mt::MakeRightDeepPlan(0, {1}, {1});  // fact.fk1 = dim.key
   auto ref = ReferenceExecute(q).ValueOrDie();
 
   std::printf("%-10s %9s %12s %10s %12s %12s\n", "cache", "wall(s)",
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   for (bool cache : {true, false}) {
     ClusterOptions o;
     o.nodes = nodes;
-    o.threads_per_node = threads;
+    o.threads = threads;
     o.buckets = 256;
     o.morsel_rows = 2048;
     o.batch_rows = 256;

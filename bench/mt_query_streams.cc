@@ -2,14 +2,8 @@
 // of independent star-join queries submitted together, swept over the
 // admission controller's concurrency limit on the kThreads and kCluster
 // backends, a FIFO vs shortest-cost-first comparison on a mixed
-// (small/large) stream, and the two PR-4 throughput levers:
-//
-//   pool vs spawn    the same oversubscribed stream (max_concurrent x
-//                    threads_per_node >= 2x hardware cores) on the
-//                    session-wide worker pool vs the legacy
-//                    spawn-per-query path, with total threads created;
-//   shared build     the same stream with the build-side reuse cache on
-//                    vs off (hit/miss counts from StreamReport).
+// (small/large) stream, and the same stream with the build-side reuse
+// cache on vs off (hit/miss counts from StreamReport).
 //
 // Reports queries/sec, makespan and latency percentiles via the shared
 // bench_common helpers and drops a machine-readable baseline in
@@ -38,7 +32,6 @@ struct Args {
   uint32_t queries = 8;
   uint64_t rows = 60000;
   uint64_t seed = 42;
-  uint32_t tpn = 0;  ///< pool-vs-spawn threads_per_node; 0 = from hw cores
   std::string out = "BENCH_streams.json";
 };
 
@@ -48,7 +41,6 @@ Args Parse(int argc, char** argv) {
     if (sscanf(argv[i], "--queries=%u", &a.queries) == 1) continue;
     if (sscanf(argv[i], "--rows=%lu", &a.rows) == 1) continue;
     if (sscanf(argv[i], "--seed=%lu", &a.seed) == 1) continue;
-    if (sscanf(argv[i], "--tpn=%u", &a.tpn) == 1) continue;
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       a.out = argv[i] + 6;
       continue;
@@ -90,8 +82,8 @@ std::vector<api::Query> MakeStream(api::Session& db, const Schema& s,
   return qs;
 }
 
-// Uniform heavy stream for the A/B sweeps: every query probes all three
-// dimensions, so the pool and reuse baselines measure one workload.
+// Uniform heavy stream for the reuse A/B: every query probes all three
+// dimensions.
 std::vector<api::Query> MakeUniformStarStream(api::Session& db,
                                               const Schema& s, uint32_t n) {
   return std::vector<api::Query>(n, db.NewQuery()
@@ -187,55 +179,6 @@ void ComparePolicies(const Args& args, bench::JsonBaseline& json) {
   std::printf("\n");
 }
 
-// The PR-4 tentpole A/B: an oversubscribed stream (max_concurrent x
-// threads_per_node chosen >= 2x hardware cores) on the legacy
-// spawn-per-query path vs the session-wide worker pool, same queries,
-// same seed. Reports qps/p95 plus total executor threads created.
-void PoolVsSpawn(const Args& args, bench::JsonBaseline& json) {
-  const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
-  const uint32_t mc = 4;
-  // threads_per_node such that mc * tpn >= 2 * hw cores.
-  const uint32_t tpn =
-      args.tpn != 0 ? args.tpn : std::max(2u, (2 * hw + mc - 1) / mc);
-  std::printf(
-      "--- pool vs spawn (threads backend, %u concurrent x %u threads "
-      "= %u logical workers on %u cores) ---\n",
-      mc, tpn, mc * tpn, hw);
-  bench::PrintThroughputHeader();
-  for (bool pooled : {false, true}) {
-    api::SessionOptions so;
-    so.max_concurrent_queries = mc;
-    api::Session db(so);
-    Schema s = Register(db, args.rows, args.seed);
-    std::vector<api::Query> queries =
-        MakeUniformStarStream(db, s, args.queries);
-    api::ExecOptions opts = Opts(api::Backend::kThreads, args.seed);
-    opts.threads_per_node = tpn;
-    opts.use_shared_pool = pooled;
-    opts.reuse_builds = false;  // isolate the pool effect
-    api::StreamReport rep = db.RunStream(queries, opts);
-    api::PoolStats ps = db.pool_stats();
-    const uint64_t created =
-        pooled ? ps.pool_threads + ps.gang_threads : ps.spawned_threads;
-    bench::ThroughputSummary sum = bench::Summarize(rep);
-    bench::PrintThroughputRow(
-        std::string(pooled ? "shared pool" : "spawn-per-query") +
-            " threads_created=" + std::to_string(created) +
-            (pooled ? " steals=" + std::to_string(ps.foreign_steals) : ""),
-        sum);
-    json.Row()
-        .Str("sweep", "pool_vs_spawn")
-        .Str("mode", pooled ? "pool" : "spawn")
-        .Num("qps", sum.qps)
-        .Num("makespan_ms", sum.makespan_ms)
-        .Num("p95_ms", sum.p95_ms)
-        .Num("p99_ms", sum.p99_ms)
-        .Num("threads_created", created)
-        .Num("foreign_steals", pooled ? ps.foreign_steals : 0);
-  }
-  std::printf("\n");
-}
-
 // The reuse-cache A/B: every query probes the same three dimensions, so
 // with the cache on only the first wave builds hash tables and the rest
 // hit. Reports qps/p95 plus the stream's hit/miss totals.
@@ -287,7 +230,6 @@ int main(int argc, char** argv) {
   SweepConcurrency(api::Backend::kThreads, args, json);
   SweepConcurrency(api::Backend::kCluster, args, json);
   ComparePolicies(args, json);
-  PoolVsSpawn(args, json);
   SharedBuildVsRebuild(args, json);
   if (json.Write(args.out)) {
     std::printf("baseline written to %s\n", args.out.c_str());

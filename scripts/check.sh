@@ -13,13 +13,6 @@ smoke_dir="$(mktemp -d)"
 (cd "$smoke_dir" && "$OLDPWD/observability_trace")
 rm -rf "$smoke_dir"
 
-# Vectorized data-plane smoke: scalar-vs-vectorized A/B on a small
-# workload; --check fails the build if the vectorized path drops below
-# 0.9x scalar rows/sec at high filter selectivity.
-smoke_dir="$(mktemp -d)"
-(cd "$smoke_dir" && "$OLDPWD/mt_vectorized" --quick --check)
-rm -rf "$smoke_dir"
-
 # Admission-core smoke: a 10k-query mixed-tenant burst over all four
 # admission policies, checked for the scheduler invariants (one event-loop
 # thread, deep backlog, exact counter reconciliation) and for the

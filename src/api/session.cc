@@ -114,36 +114,46 @@ std::string SourceName(const catalog::Catalog& cat, const mt::Source& s) {
   return "chain" + std::to_string(s.index);
 }
 
-/// Trace-plan graph matching mt::PipelineExecutor's compiled layout (per
-/// chain of k joins: builds at base..base+k-1, scan at base+k, probes at
-/// base+k+1..base+2k). When `actual` is non-empty each chain's terminal
-/// op is annotated with its measured output rows.
-std::vector<obs::TraceOp> ThreadsTraceOps(
+/// Trace-plan graph matching the real executors' compiled layouts. Per
+/// chain of k joins, mt::PipelineExecutor has builds at base..base+k-1,
+/// the scan at base+k and probes at base+k+1..base+2k;
+/// cluster::ClusterExecutor puts k buildscan triggers first, so its
+/// builds, scan and probes sit k ids later, and aggregated plans append
+/// the distributed-aggregation sentinel op (id = compiled op count) its
+/// agg-phase spans reference. When `actual` is non-empty each chain's
+/// terminal op is annotated with its measured output rows.
+std::vector<obs::TraceOp> RealTraceOps(
     const mt::PipelinePlan& plan, const std::vector<double>& filter_pass,
     const std::vector<const mt::Table*>& tables, const catalog::Catalog& cat,
-    const std::vector<double>& chain_est,
-    const std::vector<uint64_t>& actual) {
+    const std::vector<double>& chain_est, const std::vector<uint64_t>& actual,
+    bool cluster) {
   std::vector<obs::TraceOp> ops;
   std::vector<uint32_t> terminal;  ///< per chain: its last dataflow op
+  const uint32_t build_layers = cluster ? 2 : 1;
   uint32_t base = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const mt::Chain& chain = plan.chains[c];
     const uint32_t k = static_cast<uint32_t>(chain.joins.size());
-    for (uint32_t j = 0; j < k; ++j) {
-      const mt::Source& src = chain.joins[j].build;
-      obs::TraceOp op;
-      op.id = base + j;
-      op.kind = "build";
-      op.label = "build " + SourceName(cat, src);
-      op.chain = static_cast<int32_t>(c);
-      op.est_rows = SourceEst(filter_pass, tables, chain_est, src);
-      if (src.kind == mt::Source::Kind::kChain) {
-        op.inputs.push_back(terminal[src.index]);
+    for (uint32_t layer = 0; layer < build_layers; ++layer) {
+      for (uint32_t j = 0; j < k; ++j) {
+        const mt::Source& src = chain.joins[j].build;
+        obs::TraceOp op;
+        op.id = base + layer * k + j;
+        op.kind = layer + 1 < build_layers ? "buildscan" : "build";
+        op.label = op.kind + " " + SourceName(cat, src);
+        op.chain = static_cast<int32_t>(c);
+        op.est_rows = SourceEst(filter_pass, tables, chain_est, src);
+        if (layer > 0) {
+          op.inputs.push_back(base + j);
+        } else if (src.kind == mt::Source::Kind::kChain) {
+          op.inputs.push_back(terminal[src.index]);
+        }
+        ops.push_back(std::move(op));
       }
-      ops.push_back(std::move(op));
     }
+    const uint32_t builds = base + (build_layers - 1) * k;
     obs::TraceOp scan;
-    scan.id = base + k;
+    scan.id = base + build_layers * k;
     scan.kind = "scan";
     scan.label = "scan " + SourceName(cat, chain.input);
     scan.chain = static_cast<int32_t>(c);
@@ -152,97 +162,26 @@ std::vector<obs::TraceOp> ThreadsTraceOps(
       scan.inputs.push_back(terminal[chain.input.index]);
     }
     double e = scan.est_rows;
+    uint32_t prev = scan.id;
     ops.push_back(std::move(scan));
-    uint32_t prev = base + k;
     for (uint32_t j = 0; j < k; ++j) {
       obs::TraceOp op;
-      op.id = base + k + 1 + j;
+      op.id = prev + 1;
       op.kind = "probe";
       op.label = "probe " + SourceName(cat, chain.joins[j].build);
       op.chain = static_cast<int32_t>(c);
       double b = SourceEst(filter_pass, tables, chain_est, chain.joins[j].build);
       e = e * b * JoinSelD(e, b);
       op.est_rows = e;
-      op.inputs = {prev, base + j};
+      op.inputs = {prev, builds + j};
       prev = op.id;
       ops.push_back(std::move(op));
     }
     terminal.push_back(prev);
     if (c < actual.size()) ops[prev].actual_rows = actual[c];
-    base += 1 + 2 * k;
+    base = prev + 1;
   }
-  return ops;
-}
-
-/// Trace-plan graph matching cluster::ClusterExecutor's compiled layout
-/// (per chain of k joins: buildscan triggers at base..base+k-1, builds at
-/// base+k..base+2k-1, scan trigger at base+2k, probes at base+2k+1..
-/// base+3k). Aggregated plans append the distributed-aggregation sentinel
-/// op (id = compiled op count) the executor's agg-phase spans reference.
-std::vector<obs::TraceOp> ClusterTraceOps(
-    const mt::PipelinePlan& plan, const std::vector<double>& filter_pass,
-    const std::vector<const mt::Table*>& tables, const catalog::Catalog& cat,
-    const std::vector<double>& chain_est,
-    const std::vector<uint64_t>& actual) {
-  std::vector<obs::TraceOp> ops;
-  std::vector<uint32_t> terminal;
-  uint32_t base = 0;
-  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-    const mt::Chain& chain = plan.chains[c];
-    const uint32_t k = static_cast<uint32_t>(chain.joins.size());
-    for (uint32_t j = 0; j < k; ++j) {
-      const mt::Source& src = chain.joins[j].build;
-      obs::TraceOp op;
-      op.id = base + j;
-      op.kind = "buildscan";
-      op.label = "buildscan " + SourceName(cat, src);
-      op.chain = static_cast<int32_t>(c);
-      op.est_rows = SourceEst(filter_pass, tables, chain_est, src);
-      if (src.kind == mt::Source::Kind::kChain) {
-        op.inputs.push_back(terminal[src.index]);
-      }
-      ops.push_back(std::move(op));
-    }
-    for (uint32_t j = 0; j < k; ++j) {
-      obs::TraceOp op;
-      op.id = base + k + j;
-      op.kind = "build";
-      op.label = "build " + SourceName(cat, chain.joins[j].build);
-      op.chain = static_cast<int32_t>(c);
-      op.est_rows = SourceEst(filter_pass, tables, chain_est, chain.joins[j].build);
-      op.inputs.push_back(base + j);
-      ops.push_back(std::move(op));
-    }
-    obs::TraceOp scan;
-    scan.id = base + 2 * k;
-    scan.kind = "scan";
-    scan.label = "scan " + SourceName(cat, chain.input);
-    scan.chain = static_cast<int32_t>(c);
-    scan.est_rows = SourceEst(filter_pass, tables, chain_est, chain.input);
-    if (chain.input.kind == mt::Source::Kind::kChain) {
-      scan.inputs.push_back(terminal[chain.input.index]);
-    }
-    double e = scan.est_rows;
-    ops.push_back(std::move(scan));
-    uint32_t prev = base + 2 * k;
-    for (uint32_t j = 0; j < k; ++j) {
-      obs::TraceOp op;
-      op.id = base + 2 * k + 1 + j;
-      op.kind = "probe";
-      op.label = "probe " + SourceName(cat, chain.joins[j].build);
-      op.chain = static_cast<int32_t>(c);
-      double b = SourceEst(filter_pass, tables, chain_est, chain.joins[j].build);
-      e = e * b * JoinSelD(e, b);
-      op.est_rows = e;
-      op.inputs = {prev, base + k + j};
-      prev = op.id;
-      ops.push_back(std::move(op));
-    }
-    terminal.push_back(prev);
-    if (c < actual.size()) ops[prev].actual_rows = actual[c];
-    base += 3 * k + 1;
-  }
-  if (plan.agg.has_value()) {
+  if (cluster && plan.agg.has_value()) {
     obs::TraceOp op;
     op.id = base;  // the executor's agg-phase sentinel (== compiled ops)
     op.kind = "agg";
@@ -256,6 +195,46 @@ std::vector<obs::TraceOp> ClusterTraceOps(
     ops.push_back(std::move(op));
   }
   return ops;
+}
+
+/// kCluster placement: partitions each base relation by its first use in
+/// plan order. Driving scan inputs are placed round-robin (or with Zipf
+/// placement skew when requested); build relations hash-decluster on
+/// their build column (the paper's assumption). Placement only affects
+/// locality — the bucket routing re-scatters rows regardless — so any
+/// first-use rule is correct. Partitions keep full-width rows; the
+/// executor's scans emit the pruned plan's projected ones.
+std::vector<cluster::PartitionedTable> PlaceTables(
+    const mt::PipelinePlan& plan, const std::vector<const mt::Table*>& tables,
+    const ExecOptions& opts) {
+  std::vector<cluster::PartitionedTable> parts(tables.size());
+  std::vector<char> placed(tables.size(), 0);
+  auto place_input = [&](uint32_t idx) {
+    if (placed[idx]) return;
+    placed[idx] = 1;
+    parts[idx] =
+        opts.placement_theta > 0
+            ? cluster::PartitionWithPlacementSkew(
+                  *tables[idx], opts.nodes, opts.placement_theta, opts.seed)
+            : cluster::PartitionRoundRobin(*tables[idx], opts.nodes);
+  };
+  auto place_build = [&](uint32_t idx, uint32_t col) {
+    if (placed[idx]) return;
+    placed[idx] = 1;
+    parts[idx] = cluster::PartitionByHash(*tables[idx], opts.nodes, col);
+  };
+  for (const mt::Chain& chain : plan.chains) {
+    if (chain.input.kind == mt::Source::Kind::kTable) {
+      place_input(chain.input.index);
+    }
+    for (const mt::JoinStep& j : chain.joins) {
+      if (j.build.kind == mt::Source::Kind::kTable) {
+        place_build(j.build.index, j.build_col);
+      }
+    }
+  }
+  for (uint32_t i = 0; i < parts.size(); ++i) place_input(i);  // leftovers
+  return parts;
 }
 
 /// Trace-plan graph of the simulator's physical plan (operators map 1:1).
@@ -437,7 +416,6 @@ std::string SessionMetrics::ToJson() const {
      << ",\"tasks\":" << pool.pool_tasks
      << ",\"caller_tasks\":" << pool.caller_tasks
      << ",\"foreign_steals\":" << pool.foreign_steals
-     << ",\"spawned_threads\":" << pool.spawned_threads
      << ",\"worker_deaths\":" << pool.worker_deaths
      << "},\"build_cache\":{\"hits\":" << build_cache.hits
      << ",\"misses\":" << build_cache.misses
@@ -765,8 +743,7 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
   // fold predicates before any row is scanned: an always-true predicate is
   // dropped outright, and an always-false one replaces the relation's
   // whole conjunction — one impossible compare rejects every row with no
-  // further predicate evaluation. Semantics-preserving, so it applies to
-  // the scalar and vectorized paths alike.
+  // further predicate evaluation. Semantics-preserving.
   std::vector<char> always_false(rels.size(), 0);
   for (const auto& f : q.filters_) {
     auto it = to_local.find(f.rel);
@@ -1135,7 +1112,7 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
   };
 
   // Build-cache identities are only consumed by the threads backend
-  // (RunThreads wires the cache); other backends skip even the cheap id
+  // (RunReal wires the cache); other backends skip even the cheap id
   // copies and, for synthesized tables, the O(rows) content hashing.
   const bool want_cache =
       opts.reuse_builds && opts.backend == Backend::kThreads;
@@ -1467,13 +1444,8 @@ WorkerPool& Session::EnsurePool() const {
 }
 
 PoolStats Session::pool_stats() const {
-  PoolStats s;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    if (pool_ != nullptr) s = pool_->stats();
-  }
-  s.spawned_threads = spawned_threads_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return pool_ != nullptr ? pool_->stats() : PoolStats{};
 }
 
 mt::BuildCache::Stats Session::build_cache_stats() const {
@@ -1488,18 +1460,10 @@ Result<QueryResult> Session::RunPlanned(const Planned& p,
   switch (opts.backend) {
     case Backend::kSimulated: return RunSimulated(p, opts, stop);
     case Backend::kThreads:
-      return RunThreads(p, opts, queue_wait_ms, stop, fc);
     case Backend::kCluster:
-      return RunCluster(p, opts, queue_wait_ms, stop, fc);
+      return RunReal(p, opts, queue_wait_ms, stop, fc);
   }
   return Status::Internal("unknown backend");
-}
-
-std::unique_ptr<ExecContext> Session::MakeContext(
-    const ExecOptions& opts, const std::atomic<bool>& stop,
-    fault::FaultInjector* injector) const {
-  if (opts.use_shared_pool) return EnsurePool().Rent(&stop, injector);
-  return std::make_unique<ThreadSpawnContext>(&stop, &spawned_threads_);
 }
 
 Result<QueryResult> Session::RunSimulated(
@@ -1626,67 +1590,98 @@ Result<QueryResult> Session::RunSimulated(
   return qr;
 }
 
-Result<QueryResult> Session::RunThreads(const Planned& p,
-                                        const ExecOptions& opts,
-                                        double queue_wait_ms,
-                                        const std::atomic<bool>& stop,
-                                        const FaultCtx& fc) const {
+Result<QueryResult> Session::RunReal(const Planned& p,
+                                     const ExecOptions& opts,
+                                     double queue_wait_ms,
+                                     const std::atomic<bool>& stop,
+                                     const FaultCtx& fc) const {
   if (!p.has_real) return Status::InvalidArgument(p.real_gap);
+  const bool on_cluster = opts.backend == Backend::kCluster;
 
-  // Column pruning rides the vectorized data plane: aggregated plans drop
-  // base-table columns nothing downstream reads (mt/prune.h). The pruned
-  // copy is local to this execution — planner estimates and traces keep
-  // reporting the original plan.
-  mt::PipelinePlan plan = p.mtplan;
-  if (opts.vectorized) {
-    std::vector<uint32_t> widths;
-    widths.reserve(p.tables.size());
-    for (const mt::Table* t : p.tables) widths.push_back(t->width());
-    mt::PruneColumns(&plan, widths);
+  // Column pruning: aggregated plans drop base-table columns nothing
+  // downstream reads (mt/prune.h), so kCluster's repartition wire ships
+  // only the kept columns. The pruned copy is local to this execution —
+  // planner estimates and traces keep reporting the original plan.
+  // kCluster runs the whole (possibly bushy) chain DAG on the nodes over
+  // partitioned tables; kThreads runs query.plan over the whole tables
+  // and leaves query.tables empty.
+  cluster::PlanQuery query;
+  query.plan = p.mtplan;
+  const mt::PipelinePlan& plan = query.plan;
+  std::vector<uint32_t> widths;
+  widths.reserve(p.tables.size());
+  for (const mt::Table* t : p.tables) widths.push_back(t->width());
+  mt::PruneColumns(&query.plan, widths);
+  std::vector<cluster::PartitionedTable> parts;
+  if (on_cluster) {
+    parts = PlaceTables(p.mtplan, p.tables, opts);
+    for (const auto& pt : parts) query.tables.push_back(&pt);
+    HIERDB_RETURN_NOT_OK(query.Validate(opts.nodes));
   }
 
-  std::unique_ptr<ExecContext> ctx = MakeContext(opts, stop, fc.injector);
+  std::unique_ptr<ExecContext> ctx = EnsurePool().Rent(&stop, fc.injector);
   mt::PipelineOptions po;
-  po.threads = opts.threads_per_node;
-  po.strategy = opts.strategy;
-  po.apply_h1 = opts.apply_h1;
-  po.apply_h2 = opts.apply_h2;
-  po.vectorized = opts.vectorized;
-  po.ctx = ctx.get();
-  if (opts.reuse_builds) {
-    po.build_cache = &build_cache_;
-    po.table_cache_ids = p.cache_ids;
-    po.cache_seed_skew = p.cache_seed_skew;
-  }
-  if (opts.buckets) po.buckets = opts.buckets;
-  if (opts.morsel_rows) po.morsel_rows = opts.morsel_rows;
-  if (opts.batch_rows) po.batch_rows = opts.batch_rows;
-  if (opts.queue_capacity) po.queue_capacity = opts.queue_capacity;
-  po.recorder = recorder_.get();
-  po.recorder_query = fc.query_seq;
+  cluster::ClusterOptions co;
+  mt::EngineOptions& eo = on_cluster ? static_cast<mt::EngineOptions&>(co)
+                                     : static_cast<mt::EngineOptions&>(po);
+  eo.threads = opts.threads_per_node;
+  eo.strategy = opts.strategy;
+  eo.ctx = ctx.get();
+  if (opts.buckets) eo.buckets = opts.buckets;
+  if (opts.morsel_rows) eo.morsel_rows = opts.morsel_rows;
+  if (opts.batch_rows) eo.batch_rows = opts.batch_rows;
+  if (opts.queue_capacity) eo.queue_capacity = opts.queue_capacity;
+  eo.recorder = recorder_.get();
+  eo.recorder_query = fc.query_seq;
   std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
   cap_sinks.reserve(p.captures.size());
   for (const auto& cs : p.captures) {
     cap_sinks.push_back(
         std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-    po.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
+    eo.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
   }
   if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
-    uint32_t ops = mt::PipelineExecutor::CompiledOpCount(plan);
+    uint32_t ops = on_cluster
+                       ? cluster::ClusterExecutor::CompiledOpCount(query)
+                       : mt::PipelineExecutor::CompiledOpCount(plan);
     Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
-    po.fp_cost_distortion.resize(ops);
-    for (double& d : po.fp_cost_distortion) {
+    eo.fp_cost_distortion.resize(ops);
+    for (double& d : eo.fp_cost_distortion) {
       d = 1.0 + opts.fp_error_rate * (2.0 * rng.NextDouble() - 1.0);
+    }
+  }
+  if (on_cluster) {
+    co.nodes = opts.nodes;
+    co.global_lb = opts.global_lb;
+    co.cache_stolen_fragments = opts.cache_stolen_fragments;
+    co.serialize_chains = opts.apply_h2;
+    if (opts.steal_batch) co.steal_batch = opts.steal_batch;
+    if (opts.min_steal) co.min_steal = opts.min_steal;
+    if (fc.injector != nullptr) {
+      // Chaos: arm fabric/node-loop injection and the detection tier
+      // (heartbeats, liveness timeouts, the node-0 progress watchdog)
+      // that turns injected failures into typed Unavailable statuses.
+      co.injector = fc.injector;
+      co.detect_faults = true;
+      co.heartbeat_us = opts.heartbeat_us;
+      co.liveness_timeout_ms = opts.liveness_timeout_ms;
+    }
+  } else {
+    po.apply_h1 = opts.apply_h1;
+    po.apply_h2 = opts.apply_h2;
+    if (opts.reuse_builds) {
+      po.build_cache = &build_cache_;
+      po.table_cache_ids = p.cache_ids;
+      po.cache_seed_skew = p.cache_seed_skew;
     }
   }
 
   obs::TraceSink sink;
   if (opts.trace) {
-    po.trace = &sink;
+    eo.trace = &sink;
     obs::TraceEvent rent;
     rent.kind = obs::EventKind::kPoolRent;
     rent.start_ns = rent.end_ns = sink.NowNs();
-    rent.detail = opts.use_shared_pool ? 1 : 0;
     sink.RecordShared(rent);
     obs::TraceEvent sched;
     sched.kind = obs::EventKind::kSchedule;
@@ -1695,74 +1690,103 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
     sink.RecordShared(sched);
   }
 
-  mt::PipelineExecutor executor(po);
-  mt::PipelineStats stats;
+  // The executor outlives the report (as the rented context does), so
+  // its teardown stays out of wall_seconds.
+  std::optional<mt::PipelineExecutor> threads_exec;
+  std::optional<cluster::ClusterExecutor> cluster_exec;
+  mt::PipelineStats tstats;
+  cluster::ClusterStats cstats;
   QueryResult qr;
+  mt::Batch* materialized = opts.materialize ? &qr.rows : nullptr;
   const uint64_t faults_before =
       fc.injector != nullptr ? fc.injector->counters().total() : 0;
   auto t0 = std::chrono::steady_clock::now();
-  auto got = executor.Execute(plan, p.tables, &stats,
-                              opts.materialize ? &qr.rows : nullptr);
+  auto got = on_cluster ? cluster_exec.emplace(co).Execute(query, &cstats,
+                                                            materialized)
+                        : threads_exec.emplace(po).Execute(
+                              plan, p.tables, &tstats, materialized);
   double wall = WallSince(t0);
   if (opts.trace) {
     obs::TraceEvent ret;
     ret.kind = obs::EventKind::kPoolReturn;
     ret.start_ns = ret.end_ns = sink.NowNs();
-    ret.detail = opts.use_shared_pool ? 1 : 0;
     sink.RecordShared(ret);
     RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
                         faults_before);
   }
+  uint64_t activations = tstats.morsels + tstats.data_activations;
+  for (uint64_t b : cstats.busy_per_node) activations += b;
+  const uint64_t rows_filtered =
+      on_cluster ? cstats.rows_filtered : tstats.rows_filtered;
   if (!got.ok()) {
     if (got.status().code() == StatusCode::kCancelled) {
       return Status::Cancelled(
           got.status().message() + " [partial: acts=" +
-          std::to_string(stats.morsels + stats.data_activations) +
-          " filtered=" + std::to_string(stats.rows_filtered) + "]");
+          std::to_string(activations) +
+          " filtered=" + std::to_string(rows_filtered) + "]");
     }
     return got.status();
   }
 
   ExecutionReport rep;
-  rep.backend = Backend::kThreads;
+  rep.backend = opts.backend;
   rep.strategy = opts.strategy;
   rep.wall_seconds = wall;
   rep.response_ms = wall * 1000.0;
-  rep.activations = stats.morsels + stats.data_activations;
+  rep.activations = activations;
   rep.has_result = true;
   rep.result_rows = got.value().count;
   rep.result_checksum = got.value().checksum;
-  rep.idle_waits = stats.idle_waits;
-  rep.stolen_activations = stats.nonprimary;
-  rep.imbalance = stats.Imbalance();
-  rep.build_cache_hits = stats.build_cache_hits;
-  rep.build_cache_misses = stats.build_cache_misses;
-  rep.rows_filtered = stats.rows_filtered;
+  rep.rows_filtered = rows_filtered;
   rep.aggregated = p.has_agg;
-  rep.agg_groups = stats.agg_groups;
-  rep.agg_partials = stats.agg_partials;
-  rep.threads = stats;
   rep.rows_prefiltered = p.prefiltered_rows;
+  if (on_cluster) {
+    rep.pipeline_bytes = cstats.dataflow_bytes;
+    rep.lb_bytes = cstats.lb_bytes;
+    rep.steals = cstats.steals;
+    rep.stolen_activations = cstats.stolen_activations;
+    rep.intermediate_rows = cstats.intermediate_rows;
+    rep.intermediate_bytes = cstats.intermediate_bytes;
+    for (uint64_t w : cstats.idle_waits_per_node) rep.idle_waits += w;
+    rep.imbalance = cstats.NodeImbalance();
+    rep.agg_groups = cstats.agg_groups;
+    rep.agg_partials = cstats.agg_partials;
+    rep.agg_repartition_bytes = cstats.agg_repartition_bytes;
+    rep.cluster = cstats;
+  } else {
+    rep.idle_waits = tstats.idle_waits;
+    rep.stolen_activations = tstats.nonprimary;
+    rep.imbalance = tstats.Imbalance();
+    rep.build_cache_hits = tstats.build_cache_hits;
+    rep.build_cache_misses = tstats.build_cache_misses;
+    rep.agg_groups = tstats.agg_groups;
+    rep.agg_partials = tstats.agg_partials;
+    rep.threads = tstats;
+  }
+  const std::vector<uint64_t>& rows_per_chain =
+      on_cluster ? cstats.rows_per_chain : tstats.rows_per_chain;
   std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &stats.rows_per_chain);
+  rep.chain_cards = MakeChainCards(est, &rows_per_chain);
   for (size_t i = 0; i < cap_sinks.size(); ++i) {
     rep.captures.push_back(cap_sinks[i]->Take(
         p.captures[i].name, p.captures[i].chain, p.captures[i].point));
   }
   if (opts.trace) {
     auto qt = std::make_shared<obs::QueryTrace>();
-    qt->backend = "threads";
+    qt->backend = BackendName(opts.backend);
     qt->strategy = StrategyName(opts.strategy);
     qt->response_ms = rep.response_ms;
-    qt->nodes = 1;
-    qt->workers_per_node = po.threads;
-    qt->ops = ThreadsTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
-                              stats.rows_per_chain);
+    qt->nodes = on_cluster ? co.nodes : 1;
+    qt->workers_per_node = eo.threads;
+    qt->ops = RealTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
+                           rows_per_chain, on_cluster);
     qt->chains = rep.chain_cards;
     qt->events = sink.Drain();
     rep.trace = std::move(qt);
   }
   if (opts.validate) {
+    // One reference for both backends: the pruned plan over the whole
+    // tables (cluster placement only splits rows across nodes).
     std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
     std::vector<mt::CaptureSink> ref_caps;
     ref_sinks.reserve(p.captures.size());
@@ -1772,229 +1796,6 @@ Result<QueryResult> Session::RunThreads(const Planned& p,
       ref_caps.push_back({cs.chain, cs.point, ref_sinks.back().get()});
     }
     auto ref = mt::ReferenceExecute(plan, p.tables, ref_caps);
-    HIERDB_RETURN_NOT_OK(ref.status());
-    rep.validated = true;
-    rep.reference_rows = ref.value().count;
-    rep.reference_match = ref.value() == got.value();
-    rep.captures_match = true;
-    for (size_t i = 0; i < ref_sinks.size(); ++i) {
-      obs::CaptureResult rc = ref_sinks[i]->Take(
-          p.captures[i].name, p.captures[i].chain, p.captures[i].point);
-      if (!rep.captures[i].SameRows(rc)) rep.captures_match = false;
-    }
-  }
-  if (opts.materialize) {
-    qr.materialized = true;
-    rep.materialized = true;
-    rep.materialized_rows = qr.rows.rows();
-    rep.materialized_bytes = qr.rows.bytes();
-  }
-  qr.report = std::move(rep);
-  return qr;
-}
-
-Result<QueryResult> Session::RunCluster(const Planned& p,
-                                        const ExecOptions& opts,
-                                        double queue_wait_ms,
-                                        const std::atomic<bool>& stop,
-                                        const FaultCtx& fc) const {
-  if (!p.has_real) return Status::InvalidArgument(p.real_gap);
-  std::unique_ptr<ExecContext> ctx = MakeContext(opts, stop, fc.injector);
-
-  // Bridge the (possibly bushy, multi-chain) pipeline plan straight onto
-  // the cluster: the chain DAG executes end-to-end on the node/thread
-  // topology; a non-final chain's output stays distributed (each node
-  // keeps the rows its probes produced) and is repartitioned to the
-  // consuming join by tuple-batch shipping. No intermediate ever funnels
-  // through one machine.
-  cluster::PlanQuery query;
-  query.plan = p.mtplan;
-  // Column pruning (vectorized data plane): aggregated plans ship only
-  // the columns referenced downstream over the repartition wire. Tables
-  // are partitioned below with the ORIGINAL plan's columns — partitions
-  // keep full-width rows; the executor's scans emit the projected ones.
-  if (opts.vectorized) {
-    std::vector<uint32_t> widths;
-    widths.reserve(p.tables.size());
-    for (const mt::Table* t : p.tables) widths.push_back(t->width());
-    mt::PruneColumns(&query.plan, widths);
-  }
-
-  // Partition each base relation by its first use in plan order: driving
-  // scan inputs are placed round-robin (or with Zipf placement skew when
-  // requested); build relations hash-decluster on their build column (the
-  // paper's assumption). Placement only affects locality — the bucket
-  // routing re-scatters rows regardless — so any first-use rule is
-  // correct.
-  std::vector<cluster::PartitionedTable> parts(p.tables.size());
-  std::vector<char> placed(p.tables.size(), 0);
-  auto place_input = [&](uint32_t idx) {
-    if (placed[idx]) return;
-    placed[idx] = 1;
-    parts[idx] =
-        opts.placement_theta > 0
-            ? cluster::PartitionWithPlacementSkew(
-                  *p.tables[idx], opts.nodes, opts.placement_theta, opts.seed)
-            : cluster::PartitionRoundRobin(*p.tables[idx], opts.nodes);
-  };
-  auto place_build = [&](uint32_t idx, uint32_t col) {
-    if (placed[idx]) return;
-    placed[idx] = 1;
-    parts[idx] = cluster::PartitionByHash(*p.tables[idx], opts.nodes, col);
-  };
-  for (const mt::Chain& chain : p.mtplan.chains) {
-    if (chain.input.kind == mt::Source::Kind::kTable) {
-      place_input(chain.input.index);
-    }
-    for (const mt::JoinStep& j : chain.joins) {
-      if (j.build.kind == mt::Source::Kind::kTable) {
-        place_build(j.build.index, j.build_col);
-      }
-    }
-  }
-  for (uint32_t i = 0; i < parts.size(); ++i) place_input(i);  // leftovers
-  for (const auto& pt : parts) query.tables.push_back(&pt);
-  HIERDB_RETURN_NOT_OK(query.Validate(opts.nodes));
-
-  cluster::ClusterOptions co;
-  co.nodes = opts.nodes;
-  co.threads_per_node = opts.threads_per_node;
-  co.strategy = opts.strategy;
-  co.ctx = ctx.get();
-  co.global_lb = opts.global_lb;
-  co.cache_stolen_fragments = opts.cache_stolen_fragments;
-  co.serialize_chains = opts.apply_h2;
-  co.vectorized = opts.vectorized;
-  if (fc.injector != nullptr) {
-    // Chaos: arm fabric/node-loop injection and the detection tier
-    // (heartbeats, liveness timeouts, the node-0 progress watchdog) that
-    // turns injected failures into typed Unavailable statuses.
-    co.injector = fc.injector;
-    co.detect_faults = true;
-    co.heartbeat_us = opts.heartbeat_us;
-    co.liveness_timeout_ms = opts.liveness_timeout_ms;
-  }
-  if (opts.buckets) co.buckets = opts.buckets;
-  if (opts.morsel_rows) co.morsel_rows = opts.morsel_rows;
-  if (opts.batch_rows) co.batch_rows = opts.batch_rows;
-  if (opts.queue_capacity) co.queue_capacity = opts.queue_capacity;
-  if (opts.steal_batch) co.steal_batch = opts.steal_batch;
-  if (opts.min_steal) co.min_steal = opts.min_steal;
-  co.recorder = recorder_.get();
-  co.recorder_query = fc.query_seq;
-  std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
-  cap_sinks.reserve(p.captures.size());
-  for (const auto& cs : p.captures) {
-    cap_sinks.push_back(
-        std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-    co.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
-  }
-  if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
-    uint32_t ops = cluster::ClusterExecutor::CompiledOpCount(query);
-    Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
-    co.fp_cost_distortion.resize(ops);
-    for (double& d : co.fp_cost_distortion) {
-      d = 1.0 + opts.fp_error_rate * (2.0 * rng.NextDouble() - 1.0);
-    }
-  }
-
-  obs::TraceSink sink;
-  if (opts.trace) {
-    co.trace = &sink;
-    obs::TraceEvent rent;
-    rent.kind = obs::EventKind::kPoolRent;
-    rent.start_ns = rent.end_ns = sink.NowNs();
-    rent.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(rent);
-    obs::TraceEvent sched;
-    sched.kind = obs::EventKind::kSchedule;
-    sched.start_ns = sched.end_ns = sink.NowNs();
-    sched.detail = static_cast<uint64_t>(queue_wait_ms * 1e6);
-    sink.RecordShared(sched);
-  }
-
-  cluster::ClusterExecutor executor(co);
-  cluster::ClusterStats stats;
-  QueryResult qr;
-  const uint64_t faults_before =
-      fc.injector != nullptr ? fc.injector->counters().total() : 0;
-  auto t0 = std::chrono::steady_clock::now();
-  auto got = executor.Execute(query, &stats,
-                              opts.materialize ? &qr.rows : nullptr);
-  double wall = WallSince(t0);
-  if (opts.trace) {
-    obs::TraceEvent ret;
-    ret.kind = obs::EventKind::kPoolReturn;
-    ret.start_ns = ret.end_ns = sink.NowNs();
-    ret.detail = opts.use_shared_pool ? 1 : 0;
-    sink.RecordShared(ret);
-    RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
-                        faults_before);
-  }
-  if (!got.ok()) {
-    if (got.status().code() == StatusCode::kCancelled) {
-      uint64_t acts = 0;
-      for (uint64_t b : stats.busy_per_node) acts += b;
-      return Status::Cancelled(
-          got.status().message() + " [partial: acts=" + std::to_string(acts) +
-          " filtered=" + std::to_string(stats.rows_filtered) + "]");
-    }
-    return got.status();
-  }
-
-  ExecutionReport rep;
-  rep.backend = Backend::kCluster;
-  rep.strategy = opts.strategy;
-  rep.wall_seconds = wall;
-  rep.response_ms = wall * 1000.0;
-  rep.has_result = true;
-  rep.result_rows = got.value().count;
-  rep.result_checksum = got.value().checksum;
-  rep.pipeline_bytes = stats.dataflow_bytes;
-  rep.lb_bytes = stats.lb_bytes;
-  rep.steals = stats.steals;
-  rep.stolen_activations = stats.stolen_activations;
-  rep.intermediate_rows = stats.intermediate_rows;
-  rep.intermediate_bytes = stats.intermediate_bytes;
-  for (uint64_t w : stats.idle_waits_per_node) rep.idle_waits += w;
-  for (uint64_t b : stats.busy_per_node) rep.activations += b;
-  rep.imbalance = stats.NodeImbalance();
-  rep.rows_filtered = stats.rows_filtered;
-  rep.aggregated = p.has_agg;
-  rep.agg_groups = stats.agg_groups;
-  rep.agg_partials = stats.agg_partials;
-  rep.agg_repartition_bytes = stats.agg_repartition_bytes;
-  rep.cluster = stats;
-  rep.rows_prefiltered = p.prefiltered_rows;
-  std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &stats.rows_per_chain);
-  for (size_t i = 0; i < cap_sinks.size(); ++i) {
-    rep.captures.push_back(cap_sinks[i]->Take(
-        p.captures[i].name, p.captures[i].chain, p.captures[i].point));
-  }
-  if (opts.trace) {
-    auto qt = std::make_shared<obs::QueryTrace>();
-    qt->backend = "cluster";
-    qt->strategy = StrategyName(opts.strategy);
-    qt->response_ms = rep.response_ms;
-    qt->nodes = co.nodes;
-    qt->workers_per_node = co.threads_per_node;
-    qt->ops = ClusterTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
-                              stats.rows_per_chain);
-    qt->chains = rep.chain_cards;
-    qt->events = sink.Drain();
-    rep.trace = std::move(qt);
-  }
-  if (opts.validate) {
-    std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
-    std::vector<mt::CaptureSink> ref_caps;
-    ref_sinks.reserve(p.captures.size());
-    for (const auto& cs : p.captures) {
-      ref_sinks.push_back(
-          std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-      ref_caps.push_back({cs.chain, cs.point, ref_sinks.back().get()});
-    }
-    auto ref = cluster::ReferenceExecute(query, ref_caps);
     HIERDB_RETURN_NOT_OK(ref.status());
     rep.validated = true;
     rep.reference_rows = ref.value().count;
@@ -2072,10 +1873,8 @@ Result<std::string> Session::ExplainDot(const Query& q,
     if (!p.has_real) return Status::InvalidArgument(p.real_gap);
     std::vector<double> est =
         EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-    qt.ops =
-        opts.backend == Backend::kThreads
-            ? ThreadsTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est, {})
-            : ClusterTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est, {});
+    qt.ops = RealTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est, {},
+                          opts.backend == Backend::kCluster);
     qt.chains = MakeChainCards(est, nullptr);
   }
   return obs::PlanDot(qt);
@@ -2181,11 +1980,9 @@ std::string Session::WriteForensicBundle(
     qt.workers_per_node = opts->threads_per_node;
     std::vector<double> est = EstimateChainRows(
         planned->mtplan, planned->filter_pass, planned->tables);
-    qt.ops = opts->backend == Backend::kCluster
-                 ? ClusterTraceOps(planned->mtplan, planned->filter_pass,
-                                   planned->tables, planned->cat, est, {})
-                 : ThreadsTraceOps(planned->mtplan, planned->filter_pass,
-                                   planned->tables, planned->cat, est, {});
+    qt.ops = RealTraceOps(planned->mtplan, planned->filter_pass,
+                          planned->tables, planned->cat, est, {},
+                          opts->backend == Backend::kCluster);
     qt.chains = MakeChainCards(est, nullptr);
     write("plan.json", obs::PlanJson(qt));
   }

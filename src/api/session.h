@@ -37,14 +37,13 @@
 // tuple-batch gather of each node's final rows).
 //
 // Concurrent real-backend queries rent their workers from one
-// session-wide pool sized to the machine (SessionOptions::pool_threads;
-// ExecOptions::use_shared_pool) — total executor threads stay bounded no
-// matter how many queries overlap, and idle workers steal activations
-// across query boundaries, extending the paper's load-balancing
-// hierarchy to the whole stream. Queries over the same tables also share
-// build-side hash tables through the session's build cache
-// (ExecOptions::reuse_builds); QueryHandle::Cancel stops even a running
-// query cooperatively.
+// session-wide pool sized to the machine (SessionOptions::pool_threads):
+// total executor threads stay bounded no matter how many queries
+// overlap, and idle workers steal activations across query boundaries,
+// extending the paper's load-balancing hierarchy to the whole stream.
+// Queries over the same tables also share build-side hash tables
+// through the session's build cache (ExecOptions::reuse_builds);
+// QueryHandle::Cancel stops even a running query cooperatively.
 //
 // A Query is backend-neutral: either a predicate (join) graph with
 // selectivities — optionally with an explicit join tree or a shape
@@ -193,30 +192,12 @@ struct ExecOptions {
   double bind_scale = 0.01;
   uint64_t bind_min_rows = 16;
 
-  /// Real backends: rent workers from the session-wide pool
-  /// (SessionOptions::pool_threads) instead of spawning
-  /// threads_per_node (x nodes) fresh threads for this query. Pooled
-  /// queries park idle workers into cross-query activation stealing;
-  /// false keeps the legacy spawn-per-query path for A/B comparison.
-  /// Ignored by kSimulated.
-  bool use_shared_pool = true;
-
   /// kThreads only: share build-side hash tables across queries through
   /// the session's build cache, keyed on (table contents, build column,
   /// buckets, seed/skew). A query hitting the cache skips that build's
   /// scatter and inserts entirely; a miss publishes the finished tables
   /// for overlapping/later queries. Invalidated by Session::AddTable.
   bool reuse_builds = true;
-
-  /// Real backends: columnar data plane. Where predicates evaluate as
-  /// selection-vector compare loops, scatter/probe/GROUP BY hashing runs
-  /// one pass over a hash column, probes walk the hash chains with a
-  /// prefetch window (RowTable::ProbeBatch), and aggregated plans prune
-  /// base-table columns nothing downstream reads — on kCluster the
-  /// repartition wire ships only the kept columns. Off falls back to the
-  /// row-at-a-time scalar loops; results are digest-identical either way.
-  /// Ignored by kSimulated.
-  bool vectorized = true;
 
   /// Real backends: also run the single-threaded reference execution and
   /// record the comparison in the report.
@@ -473,12 +454,11 @@ struct SessionOptions {
   /// 0 is treated as 1 (every dispatch passes through the queue).
   uint32_t max_queued = 256;
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
-  /// Size of the session-wide worker pool real-backend queries rent from
-  /// (ExecOptions::use_shared_pool); 0 = hardware_concurrency. Where the
-  /// spawn path creates max_concurrent_queries x threads_per_node (x
-  /// nodes) threads, the pool keeps total executor threads at this fixed
-  /// machine-sized count, with idle workers stealing activations across
-  /// query boundaries.
+  /// Size of the session-wide worker pool real-backend queries rent from;
+  /// 0 = hardware_concurrency. However many queries overlap, total
+  /// executor threads stay at this fixed machine-sized count (plus the
+  /// cluster's gang threads), with idle workers stealing activations
+  /// across query boundaries.
   uint32_t pool_threads = 0;
   /// kShortestCostFirst aging bound: a query queued longer than this
   /// outranks cost ordering and dispatches FIFO among its aged peers, so
@@ -896,7 +876,7 @@ class QueryBuilder {
 /// through a per-session scheduler with admission control. Real-backend
 /// queries rent workers from a session-wide pool sized to the machine
 /// (SessionOptions::pool_threads) and share build-side hash tables
-/// through the session build cache; see ExecOptions::use_shared_pool and
+/// through the session build cache; see SessionOptions::pool_threads and
 /// ExecOptions::reuse_builds.
 ///
 /// Thread safety: Submit/Execute/RunStream/Explain may be called from any
@@ -950,8 +930,7 @@ class Session {
   /// Lifetime counters + queue snapshot of this session's scheduler.
   SchedulerStats scheduler_stats() const;
 
-  /// Worker-pool counters (pool size, tasks run, cross-query steals) plus
-  /// the thread count created by legacy spawn-path executions.
+  /// Worker-pool counters (pool size, tasks run, cross-query steals).
   PoolStats pool_stats() const;
 
   /// Build-side reuse cache counters (hits/misses/entries/bytes).
@@ -1012,20 +991,14 @@ class Session {
                                  const FaultCtx& fc) const;
   Result<QueryResult> RunSimulated(const Planned& p, const ExecOptions& opts,
                                    const std::atomic<bool>& stop) const;
-  Result<QueryResult> RunThreads(const Planned& p, const ExecOptions& opts,
-                                 double queue_wait_ms,
-                                 const std::atomic<bool>& stop,
-                                 const FaultCtx& fc) const;
-  Result<QueryResult> RunCluster(const Planned& p, const ExecOptions& opts,
-                                 double queue_wait_ms,
-                                 const std::atomic<bool>& stop,
-                                 const FaultCtx& fc) const;
-  /// The query's worker provider per ExecOptions::use_shared_pool. The
-  /// injector (nullable) arms worker-death injection on pooled rentals;
-  /// the legacy spawn path never injects deaths.
-  std::unique_ptr<ExecContext> MakeContext(
-      const ExecOptions& opts, const std::atomic<bool>& stop,
-      fault::FaultInjector* injector) const;
+  /// The one run path of the real backends (kThreads, kCluster): pool
+  /// rent, executor options, tracing, report, validation and
+  /// materialization, with only placement and the executor call per
+  /// backend.
+  Result<QueryResult> RunReal(const Planned& p, const ExecOptions& opts,
+                              double queue_wait_ms,
+                              const std::atomic<bool>& stop,
+                              const FaultCtx& fc) const;
 
   /// The always-on black box (SessionOptions::flight_recorder). Declared
   /// FIRST: every other subsystem (scheduler, pool, per-query executors)
@@ -1049,17 +1022,15 @@ class Session {
   /// The deterministic simulator runs one query at a time (so concurrent
   /// submissions stay reproducible); real backends overlap freely.
   mutable std::mutex sim_mu_;
-  /// Session-wide worker pool (rented by pooled executions; created
-  /// lazily on first rental so simulated-only or spawn-only sessions
-  /// never pay for pool threads) and the shared build-side cache.
+  /// Session-wide worker pool (created lazily on first rental so
+  /// simulated-only sessions never pay for pool threads) and the shared
+  /// build-side cache.
   /// Declared before the scheduler: in-flight queries use both, so the
   /// scheduler must drain first on destruction.
   WorkerPool& EnsurePool() const;
   uint32_t pool_threads_ = 0;  ///< normalized SessionOptions::pool_threads
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<WorkerPool> pool_;
-  /// Threads created by spawn-path executions (merged into pool_stats()).
-  mutable std::atomic<uint64_t> spawned_threads_{0};
   mutable mt::BuildCache build_cache_;
   /// Continuous latency metrics, recorded at query completion (any
   /// outcome that executed) and read by MetricsSnapshot.

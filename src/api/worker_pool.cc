@@ -3,7 +3,42 @@
 #include <algorithm>
 #include <chrono>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace hierdb::api {
+
+namespace {
+
+/// The CPUs this thread may run on, in id order (empty where unknown).
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  return cpus;
+}
+
+void PinCurrentThread(int cpu) {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  pthread_setaffinity_np(pthread_self(), sizeof set, &set);
+#else
+  (void)cpu;
+#endif
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // The per-execution rented context.
@@ -150,9 +185,19 @@ class WorkerPool::Context final : public ExecContext {
 WorkerPool::WorkerPool(uint32_t threads, obs::FlightRecorder* recorder)
     : recorder_(recorder) {
   if (threads == 0) threads = 1;
+  // A machine-sized pool runs one worker per CPU, pinned. Left to the
+  // kernel, a new process's workers were seen stacked on one CPU for up
+  // to a second (they nap and wake every few hundred microseconds, which
+  // reads as light load), so every query ran at one core's speed.
+  const std::vector<int> cpus = AllowedCpus();
+  const bool pin = cpus.size() == threads;
   threads_.reserve(threads);
   for (uint32_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { ThreadLoop(); });
+    const int cpu = pin ? cpus[i] : -1;
+    threads_.emplace_back([this, cpu] {
+      if (cpu >= 0) PinCurrentThread(cpu);
+      ThreadLoop();
+    });
   }
 }
 

@@ -1,8 +1,10 @@
-// api::WorkerPool — the session-wide worker pool behind
-// ExecOptions::use_shared_pool.
+// api::WorkerPool — the session-wide worker pool every real-backend query
+// rents its workers from.
 //
 // One pool, sized to the machine (SessionOptions::pool_threads, default
-// hardware_concurrency), serves every concurrent query of a session.
+// hardware_concurrency), serves every concurrent query of a session. When
+// its size equals the number of CPUs the process may run on, each pool
+// thread is pinned to its own CPU.
 // Executions *rent* workers instead of spawning threads:
 //
 //   - Rent() returns a per-query ExecContext. Its SpawnWorkers(n, body)
@@ -11,8 +13,7 @@
 //     dispatcher thread) claims its own team's slots too — so every query
 //     always owns at least one thread and progress never depends on pool
 //     capacity. Total OS threads stay ~pool size + dispatchers no matter
-//     how many queries overlap, where the spawn path creates
-//     queries x threads_per_node. Gang teams (SpawnWorkers(..., gang =
+//     how many queries overlap. Gang teams (SpawnWorkers(..., gang =
 //     true): the cluster's mutually dependent node loops) are the
 //     exception — sharing pooled threads one slot at a time could
 //     deadlock them, so they run on dedicated threads (counted in
@@ -50,8 +51,7 @@
 
 namespace hierdb::api {
 
-/// Lifetime counters of a session's worker pool (plus the legacy spawn
-/// path's thread count, for the pool-vs-spawn A/B in benches).
+/// Lifetime counters of a session's worker pool.
 struct PoolStats {
   uint32_t pool_threads = 0;   ///< fixed pool size
   uint64_t pool_tasks = 0;     ///< worker bodies run by pool threads
@@ -60,11 +60,6 @@ struct PoolStats {
   /// Dedicated threads created for gang teams (cluster node loops, whose
   /// mutually dependent bodies cannot share pooled threads safely).
   uint64_t gang_threads = 0;
-  /// Threads created by ThreadSpawnContext executions of the same session
-  /// (ExecOptions::use_shared_pool = false); the pool itself creates
-  /// pool_threads threads once, ever. Maintained by the session (the
-  /// spawn path never touches the pool), merged in Session::pool_stats.
-  uint64_t spawned_threads = 0;
   /// Worker bodies skipped by injected worker death (chaos testing).
   uint64_t worker_deaths = 0;
 };

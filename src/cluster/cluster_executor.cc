@@ -68,28 +68,6 @@ PartitionedTable PartitionWithPlacementSkew(const mt::Table& table,
   return out;
 }
 
-Status ChainQuery::Validate(uint32_t nodes) const {
-  if (input == nullptr) return Status::InvalidArgument("null input");
-  if (input->parts.size() != nodes) {
-    return Status::InvalidArgument("input partition count != nodes");
-  }
-  uint32_t width = input->width;
-  for (const Join& j : joins) {
-    if (j.build == nullptr) return Status::InvalidArgument("null build");
-    if (j.build->parts.size() != nodes) {
-      return Status::InvalidArgument("build partition count != nodes");
-    }
-    if (j.probe_col >= width) {
-      return Status::OutOfRange("probe col out of pipelined width");
-    }
-    if (j.build_col >= j.build->width) {
-      return Status::OutOfRange("build col out of build width");
-    }
-    width += j.build->width;
-  }
-  return Status::OK();
-}
-
 Status PlanQuery::Validate(uint32_t nodes) const {
   std::vector<uint32_t> widths;
   widths.reserve(tables.size());
@@ -133,32 +111,7 @@ mt::Table Gather(const PartitionedTable& pt) {
 
 }  // namespace
 
-Result<ResultDigest> ReferenceExecute(const ChainQuery& query) {
-  HIERDB_RETURN_NOT_OK(
-      query.Validate(static_cast<uint32_t>(query.input->parts.size())));
-  std::vector<mt::Table> tables;
-  tables.push_back(Gather(*query.input));
-  mt::PipelinePlan plan;
-  mt::Chain chain;
-  chain.input = mt::Source::OfTable(0);
-  for (const auto& j : query.joins) {
-    tables.push_back(Gather(*j.build));
-    chain.joins.push_back({mt::Source::OfTable(
-                               static_cast<uint32_t>(tables.size() - 1)),
-                           j.probe_col, j.build_col});
-  }
-  plan.chains.push_back(std::move(chain));
-  std::vector<const mt::Table*> ptrs;
-  for (const auto& t : tables) ptrs.push_back(&t);
-  return mt::ReferenceExecute(plan, ptrs);
-}
-
 Result<ResultDigest> ReferenceExecute(const PlanQuery& query) {
-  return ReferenceExecute(query, {});
-}
-
-Result<ResultDigest> ReferenceExecute(
-    const PlanQuery& query, const std::vector<mt::CaptureSink>& captures) {
   HIERDB_RETURN_NOT_OK(query.Validate(
       query.tables.empty()
           ? 0
@@ -168,7 +121,7 @@ Result<ResultDigest> ReferenceExecute(
   for (const PartitionedTable* pt : query.tables) tables.push_back(Gather(*pt));
   std::vector<const mt::Table*> ptrs;
   for (const auto& t : tables) ptrs.push_back(&t);
-  return mt::ReferenceExecute(query.plan, ptrs, captures);
+  return mt::ReferenceExecute(query.plan, ptrs);
 }
 
 double ClusterStats::NodeImbalance() const {
@@ -297,7 +250,7 @@ struct ClusterExecutor::Impl {
   std::vector<obs::OpSpanAgg> trace_cells;  // [slot * nops + op]
 
   uint32_t slot_of(uint32_t node, uint32_t role) const {
-    return node * (opt.threads_per_node + 1) + role;
+    return node * (opt.threads + 1) + role;
   }
   /// Folds one activation into worker t's span cell. Pre: trace != null.
   void TraceActivation(uint32_t node, uint32_t t, uint32_t op, uint64_t t0,
@@ -309,7 +262,7 @@ struct ClusterExecutor::Impl {
   /// barrier (every exit path, cancelled/failed runs included).
   void EmitTraceCells() {
     if (trace == nullptr) return;
-    const uint32_t per_node = opt.threads_per_node + 1;
+    const uint32_t per_node = opt.threads + 1;
     for (uint32_t s = 0; s < trace_slots; ++s) {
       for (uint32_t op = 0; op < nops; ++op) {
         const obs::OpSpanAgg& cell =
@@ -642,7 +595,7 @@ struct ClusterExecutor::Impl {
     coord_drain.assign(nops, false);
     coord_terminated.assign(nops, false);
 
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     const uint32_t B = opt.buckets;
     node_state.clear();
     for (uint32_t n = 0; n < opt.nodes; ++n) {
@@ -759,7 +712,7 @@ struct ClusterExecutor::Impl {
   // range, so under serialized chains this matches single-chain FP and
   // under concurrent chains a thread may serve several chains' stages.
   void ComputeFpRanges(NodeState& ns, uint32_t n) {
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     ns.fp_range.assign(nops, 0);
     auto distort = [&](uint32_t op, double c) {
       return op < opt.fp_cost_distortion.size()
@@ -943,7 +896,7 @@ struct ClusterExecutor::Impl {
 
   bool RunOne(uint32_t node, uint32_t t) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     // Primary queues.
     for (uint32_t i = 0; i < nops; ++i) {
       uint32_t op = (t + i) % nops;
@@ -1062,32 +1015,21 @@ struct ClusterExecutor::Impl {
         hit.erase(std::find(hit.begin(), hit.end(), bucket));
       }
     };
-    if (opt.vectorized) {
-      // Selection vector + one-pass hash column (mt/column_batch.h).
-      const size_t n = end - begin;
-      size_t m = n;
-      const uint32_t* selp = nullptr;
-      if (preds != nullptr) {
-        m = mt::FilterBatch(src, begin, n, *preds, &sc.sel);
-        ns.filtered.fetch_add(n - m, std::memory_order_relaxed);
-        selp = sc.sel.data();
-      }
-      sc.hashes.resize(m);
-      mt::HashStrided(src.data().data() + begin * src.width() + key_src,
-                      src.width(), selp, m, sc.hashes.data());
-      for (size_t i = 0; i < m; ++i) {
-        scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
-                static_cast<uint32_t>(sc.hashes[i] % B));
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (preds != nullptr && !mt::MatchesAll(*preds, row)) {
-          ns.filtered.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        scatter(row, static_cast<uint32_t>(mt::HashKey(row[key_src]) % B));
-      }
+    // Selection vector + one-pass hash column (mt/column_batch.h).
+    const size_t n = end - begin;
+    size_t m = n;
+    const uint32_t* selp = nullptr;
+    if (preds != nullptr) {
+      m = mt::FilterBatch(src, begin, n, *preds, &sc.sel);
+      ns.filtered.fetch_add(n - m, std::memory_order_relaxed);
+      selp = sc.sel.data();
+    }
+    sc.hashes.resize(m);
+    mt::HashStrided(src.data().data() + begin * src.width() + key_src,
+                    src.width(), selp, m, sc.hashes.data());
+    for (size_t i = 0; i < m; ++i) {
+      scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
+              static_cast<uint32_t>(sc.hashes[i] % B));
     }
     for (uint32_t bucket : hit) {
       flush(bucket, std::move(scratch[bucket]));
@@ -1107,7 +1049,7 @@ struct ClusterExecutor::Impl {
       NodeState& ns = *node_state[node];
       ns.pending[dst_op].fetch_add(1);
       Activation act{dst_op, bucket, std::move(rows)};
-      const uint32_t T = opt.threads_per_node;
+      const uint32_t T = opt.threads;
       if (!ns.queues[dst_op * T + bucket % T]->TryPush(
               std::move(act), opt.queue_capacity)) {
         ns.outbox[t].push_back(std::move(act));
@@ -1232,27 +1174,18 @@ struct ClusterExecutor::Impl {
         hit.erase(std::find(hit.begin(), hit.end(), bucket));
       }
     };
-    if (opt.vectorized && act.rows.rows() > 0) {
-      // Batched probe: gather the key column, hash it in one pass, walk
-      // the chains with a prefetch window (RowTable::ProbeBatch).
-      const size_t n = act.rows.rows();
-      sc.keys.resize(n);
-      sc.hashes.resize(n);
-      mt::GatherStrided(act.rows.data().data() + probe_col, in_w, nullptr, n,
-                        sc.keys.data());
-      mt::HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-      table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                        [&](size_t i, const int64_t* brow) {
-                          on_match(act.rows.row(i), brow);
-                        });
-    } else {
-      for (size_t i = 0; i < act.rows.rows(); ++i) {
-        const int64_t* row = act.rows.row(i);
-        table->ForEachMatch(row[probe_col], [&](const int64_t* brow) {
-          on_match(row, brow);
-        });
-      }
-    }
+    // Batched probe: gather the key column, hash it in one pass, walk
+    // the chains with a prefetch window (RowTable::ProbeBatch).
+    const size_t n = act.rows.rows();
+    sc.keys.resize(n);
+    sc.hashes.resize(n);
+    mt::GatherStrided(act.rows.data().data() + probe_col, in_w, nullptr, n,
+                      sc.keys.data());
+    mt::HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
+    table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
+                      [&](size_t i, const int64_t* brow) {
+                        on_match(act.rows.row(i), brow);
+                      });
     for (uint32_t bucket : hit) {
       Route(node, t, next_op, bucket, std::move(scratch[bucket]));
       scratch[bucket] = Batch();
@@ -1265,7 +1198,7 @@ struct ClusterExecutor::Impl {
                                 local_out.data().begin(),
                                 local_out.data().end());
     }
-    if (last) ns.chain_rows[c * opt.threads_per_node + t] += produced;
+    if (last) ns.chain_rows[c * opt.threads + t] += produced;
     if (trace != nullptr) {
       TraceActivation(node, t, act.op, tr0, rows_in, produced);
     }
@@ -1275,7 +1208,7 @@ struct ClusterExecutor::Impl {
   // Drain a worker's outbox of pushes that found full local queues.
   void FlushOutbox(uint32_t node, uint32_t t) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     auto& outbox = ns.outbox[t];
     uint32_t stalls = 0;
     while (!outbox.empty() && !ns.done.load(std::memory_order_relaxed)) {
@@ -1340,7 +1273,7 @@ struct ClusterExecutor::Impl {
 
   void SchedulerLoop(uint32_t node) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     const bool detect = opt.detect_faults;
     // Node-loop faults only fire where detection can catch them —
     // otherwise an injected stall is a guaranteed hang, not a test.
@@ -1609,7 +1542,7 @@ struct ClusterExecutor::Impl {
 
   void HandleNodeMessage(uint32_t node, Message&& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     switch (m.type) {
       case MsgType::kTupleBatch: {
         auto rows = net::DecodeBatch(m.payload);
@@ -1672,7 +1605,7 @@ struct ClusterExecutor::Impl {
   // conditions ii, iv, v); benefit is the queued activation count.
   void HandleStarving(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     uint32_t best_op = kAnyOp;
     uint64_t best_count = 0;
     for (uint32_t op : probe_ops) {
@@ -1748,7 +1681,7 @@ struct ClusterExecutor::Impl {
 
   void HandleAcquire(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     uint32_t op = m.op;
     uint32_t g = join_of(op);
     std::unordered_set<uint32_t> requester_cached;
@@ -1849,7 +1782,7 @@ struct ClusterExecutor::Impl {
     // Partition count: bounded like the thread backend's merge (every
     // partition re-scans the partial tables), never below the node count.
     const uint32_t P = std::max(
-        N, std::min(opt.buckets, std::max(16u, 4 * opt.threads_per_node)));
+        N, std::min(opt.buckets, std::max(16u, 4 * opt.threads)));
     const uint32_t agg_op = nops;  // sentinel op id for traffic accounting
     std::vector<std::vector<Batch>> kept(N);  // locally homed partitions
     std::atomic<bool> agg_cancelled{false};
@@ -1958,7 +1891,7 @@ struct ClusterExecutor::Impl {
 
   void HandleWork(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads_per_node;
+    const uint32_t T = opt.threads;
     auto bundle = net::DecodeRowWork(m.payload);
     if (!bundle.ok()) {
       ns.failed.store(true);
@@ -2015,7 +1948,7 @@ struct ClusterExecutor::Impl {
 ClusterExecutor::ClusterExecutor(const ClusterOptions& options)
     : options_(options) {
   HIERDB_CHECK(options_.nodes > 0, "need at least one node");
-  HIERDB_CHECK(options_.threads_per_node > 0, "need at least one thread");
+  HIERDB_CHECK(options_.threads > 0, "need at least one thread");
   HIERDB_CHECK(options_.buckets >= options_.nodes,
                "need at least one bucket per node");
   HIERDB_CHECK(options_.strategy != LocalStrategy::kSP,
@@ -2030,27 +1963,6 @@ uint32_t ClusterExecutor::CompiledOpCount(const PlanQuery& query) {
     nops += 3 * static_cast<uint32_t>(c.joins.size()) + 1;
   }
   return nops;
-}
-
-Result<ResultDigest> ClusterExecutor::Execute(const ChainQuery& query,
-                                              ClusterStats* stats,
-                                              mt::Batch* materialized) {
-  HIERDB_RETURN_NOT_OK(query.Validate(options_.nodes));
-  if (query.joins.empty()) {
-    return Status::InvalidArgument("chain query needs at least one join");
-  }
-  PlanQuery pq;
-  pq.tables.push_back(query.input);
-  mt::Chain chain;
-  chain.input = mt::Source::OfTable(0);
-  for (const auto& j : query.joins) {
-    pq.tables.push_back(j.build);
-    chain.joins.push_back(
-        {mt::Source::OfTable(static_cast<uint32_t>(pq.tables.size() - 1)),
-         j.probe_col, j.build_col});
-  }
-  pq.plan.chains.push_back(std::move(chain));
-  return Execute(pq, stats, materialized);
 }
 
 Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
@@ -2068,7 +1980,7 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
   // maps to node k / (T+1), role k % (T+1) (0 = scheduler).
   // Gang mode: the node loops are mutually dependent (no body exits until
   // the query terminates globally), so every body needs its own thread.
-  const uint32_t per_node = options_.threads_per_node + 1;
+  const uint32_t per_node = options_.threads + 1;
   im.ctx->SpawnWorkers(
       options_.nodes * per_node,
       [&im, per_node](uint32_t k) {
@@ -2194,7 +2106,7 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
     const uint32_t C = static_cast<uint32_t>(im.chains.size());
     stats->per_chain.assign(C, {});
     stats->rows_per_chain.assign(C, 0);
-    const uint32_t T = options_.threads_per_node;
+    const uint32_t T = options_.threads;
     for (uint32_t c = 0; c < C; ++c) {
       for (auto& ns : im.node_state) {
         for (uint32_t t = 0; t < T; ++t) {

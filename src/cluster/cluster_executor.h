@@ -94,21 +94,6 @@ PartitionedTable PartitionWithPlacementSkew(const mt::Table& table,
                                             uint32_t nodes, double theta,
                                             uint64_t seed);
 
-/// A single pipeline chain query: input scanned and piped through hash
-/// joins. Kept as the convenience front door for chain-only workloads;
-/// execution wraps it into a one-chain PlanQuery.
-struct ChainQuery {
-  const PartitionedTable* input = nullptr;
-  struct Join {
-    const PartitionedTable* build = nullptr;
-    uint32_t probe_col = 0;
-    uint32_t build_col = 0;
-  };
-  std::vector<Join> joins;
-
-  Status Validate(uint32_t nodes) const;
-};
-
 /// A multi-chain plan query: the cluster mirror of mt::PipelinePlan.
 /// `plan` is a DAG of pipeline chains whose table sources
 /// (mt::Source::OfTable) index `tables` and whose chain sources
@@ -124,21 +109,22 @@ struct PlanQuery {
 };
 
 /// Single-threaded reference (gathers all partitions, runs the joins).
-Result<mt::ResultDigest> ReferenceExecute(const ChainQuery& query);
 Result<mt::ResultDigest> ReferenceExecute(const PlanQuery& query);
-/// Reference execution that also feeds plan-point capture sinks (ground
-/// truth for the cluster backend's CapturePoint samples).
-Result<mt::ResultDigest> ReferenceExecute(
-    const PlanQuery& query, const std::vector<mt::CaptureSink>& captures);
 
-struct ClusterOptions {
+/// The engine fields (mt::EngineOptions) read per node here: `threads`
+/// is threads per node, `buckets` the global fragmentation (bucket home =
+/// b mod nodes). A session-provided `ctx` supplies gang workers (the node
+/// loops are mutually dependent, so each body keeps a dedicated thread),
+/// lends idle beats to other in-flight queries (Park) and carries the
+/// cancellation token; the cluster publishes no steal hook of its own,
+/// since its activations are node-homed. Trace slots are node x (T+1) +
+/// role. Each row crossing a capture point is offered once cluster-wide:
+/// stolen activations offer on the thief, duplicates are suppressed
+/// before delivery.
+struct ClusterOptions : mt::EngineOptions {
+  ClusterOptions() : EngineOptions(2, 128, 8192, 512, 512) {}
+
   uint32_t nodes = 4;
-  uint32_t threads_per_node = 2;
-  uint32_t buckets = 128;        ///< global fragmentation; home = b % nodes
-  uint32_t morsel_rows = 8192;
-  uint32_t batch_rows = 512;
-  uint32_t queue_capacity = 512;
-  mt::LocalStrategy strategy = mt::LocalStrategy::kDP;  ///< kDP or kFP
   bool global_lb = true;         ///< enable inter-node load sharing
   bool cache_stolen_fragments = true;  ///< Section 4 stolen-queue list
   uint32_t steal_batch = 16;     ///< max activations per acquisition
@@ -148,48 +134,6 @@ struct ClusterOptions {
   /// source chains have all terminated run concurrently (triggers of a
   /// chain unblock as soon as its own inputs are complete).
   bool serialize_chains = true;
-  /// Columnar data plane, mirroring mt::PipelineOptions::vectorized:
-  /// selection-vector Where evaluation, one-pass hash columns for the
-  /// scatter/repartition loops, and batched probes through
-  /// RowTable::ProbeBatch. Off falls back to the row-at-a-time loops;
-  /// results are digest-identical either way.
-  bool vectorized = true;
-  /// FP only: multiplicative distortion applied to per-operator cost
-  /// estimates, indexed by compiled cluster op id (see
-  /// ClusterExecutor::CompiledOpCount); empty = exact estimates.
-  std::vector<double> fp_cost_distortion;
-
-  /// Where the nodes' worker/scheduler threads come from: null spawns
-  /// nodes x (threads_per_node + 1) std::threads per Execute (the legacy
-  /// path); a session-provided context supplies gang workers (the node
-  /// loops are mutually dependent, so each body keeps a dedicated
-  /// thread), lends idle beats to other in-flight queries (Park) and
-  /// carries the cooperative cancellation token. The cluster publishes
-  /// no steal hook of its own: its activations are node-homed, so
-  /// foreign threads help through Park rather than one-shot steals.
-  ExecContext* ctx = nullptr;
-
-  /// Per-operator execution tracing: when set, every gang body keeps
-  /// per-(slot, op) span aggregates (slot = node x (T+1) + role) and the
-  /// executor emits them — plus steal, fragment-cache and fabric-send
-  /// instants, all tagged with their node — into the sink at run end,
-  /// cancelled and failed runs included. Null disables the feature down
-  /// to one pointer check per activation.
-  obs::TraceSink* trace = nullptr;
-
-  /// Session flight recorder (obs/recorder.h): fabric send/drop/dup,
-  /// heartbeat-miss verdicts and steal instants are mirrored into the
-  /// always-on black box. Null = one pointer check per site.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Query sequence tag for recorder events (0 = untagged).
-  uint64_t recorder_query = 0;
-
-  /// Plan-point row captures (QueryBuilder::CapturePoint), in the plan's
-  /// (chain, point) coordinates. Each row crossing a bound point is
-  /// offered exactly once cluster-wide — stolen activations offer on the
-  /// thief, duplicates are suppressed before delivery — so the samples
-  /// are comparable with the reference executor's.
-  std::vector<mt::CaptureSink> captures;
 
   /// Optional fault injector (not owned; must outlive Execute). Forwarded
   /// to the fabric for message faults; node stall/crash faults fire in
@@ -285,9 +229,6 @@ class ClusterExecutor {
   /// home node via the same tuple-batch shipping as the join dataflow, and
   /// each node merges and finalizes its disjoint partitions. The digest
   /// (and any materialized rows) are then the aggregate rows.
-  Result<mt::ResultDigest> Execute(const ChainQuery& query,
-                                   ClusterStats* stats = nullptr,
-                                   mt::Batch* materialized = nullptr);
   Result<mt::ResultDigest> Execute(const PlanQuery& query,
                                    ClusterStats* stats = nullptr,
                                    mt::Batch* materialized = nullptr);

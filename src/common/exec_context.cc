@@ -9,9 +9,6 @@ void ThreadSpawnContext::SpawnWorkers(
     uint32_t n, const std::function<void(uint32_t)>& body, bool gang) {
   (void)gang;  // every body gets a dedicated thread either way
   if (n == 0) return;
-  if (spawn_counter_ != nullptr) {
-    spawn_counter_->fetch_add(n, std::memory_order_relaxed);
-  }
   std::vector<std::thread> threads;
   threads.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

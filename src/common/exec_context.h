@@ -8,7 +8,7 @@
 // workers does this execution want" from "which OS threads run them":
 //
 //   SpawnWorkers(n, body)   runs body(0..n-1) to completion and returns
-//                           when every body has returned. The legacy
+//                           when every body has returned. The fallback
 //                           ThreadSpawnContext spawns n threads; the
 //                           session's WorkerPool context *rents* pooled
 //                           threads instead (the renting caller always
@@ -89,18 +89,15 @@ class ExecContext {
   virtual bool StopRequested() const { return false; }
 };
 
-/// The legacy spawn-per-query context: SpawnWorkers starts n dedicated
-/// std::threads and joins them. Kept behind ExecOptions::use_shared_pool =
-/// false for A/B benchmarking, and as the default when an executor is used
-/// white-box with no context at all.
+/// The fallback context: SpawnWorkers starts n dedicated std::threads and
+/// joins them. Executors use it when a white-box caller (a test, a bench)
+/// passes no context; every Session query rents from its WorkerPool
+/// instead.
 class ThreadSpawnContext final : public ExecContext {
  public:
-  /// `stop` (optional) is the cancellation token; `spawn_counter`
-  /// (optional) is bumped once per thread created, so benches can report
-  /// total threads spawned by the legacy path.
-  explicit ThreadSpawnContext(const std::atomic<bool>* stop = nullptr,
-                              std::atomic<uint64_t>* spawn_counter = nullptr)
-      : stop_(stop), spawn_counter_(spawn_counter) {}
+  /// `stop` (optional) is the cancellation token.
+  explicit ThreadSpawnContext(const std::atomic<bool>* stop = nullptr)
+      : stop_(stop) {}
 
   void SpawnWorkers(uint32_t n, const std::function<void(uint32_t)>& body,
                     bool gang = false) override;
@@ -111,7 +108,6 @@ class ThreadSpawnContext final : public ExecContext {
 
  private:
   const std::atomic<bool>* stop_;
-  std::atomic<uint64_t>* spawn_counter_;
 };
 
 }  // namespace hierdb

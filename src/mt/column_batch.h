@@ -1,5 +1,5 @@
 // Columnar data plane: column-major batches, selection vectors and the
-// strided kernels the vectorized execution paths run on.
+// strided kernels the executors' hot loops run on.
 //
 // The executors keep activations row-major (a Batch is what queues,
 // digests and the cluster wire format understand), but the hot loops —
@@ -17,10 +17,10 @@
 //     mixing, benches); ToBatch() is the row-major compatibility shim, so
 //     digests are computed over identical rows either way.
 //
-// Everything here is deterministic and value-identical to the scalar
-// paths: selection preserves row order, hashing is the same HashKey /
-// GroupHash mix — the vectorized executor is an A/B knob
-// (ExecOptions::vectorized), never a semantic fork.
+// Everything here is deterministic and value-identical to the row-at-a-
+// time definitions the reference executor uses (MatchesAll, HashKey,
+// RowTable::ForEachMatch): selection preserves row order and hashing is
+// the same HashKey / GroupHash mix, so digests match the reference.
 
 #ifndef HIERDB_MT_COLUMN_BATCH_H_
 #define HIERDB_MT_COLUMN_BATCH_H_

@@ -1092,12 +1092,7 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
       b.AppendRow(row);
     }
   };
-  auto passes = [&](const int64_t* row) {
-    if (preds == nullptr || MatchesAll(*preds, row)) return true;
-    sh.stat_filtered.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  };
-  // Vectorized front end shared by the branches below: one selection
+  // Front end shared by the branches below: one selection
   // vector over the morsel (per-predicate compare loops), then one hash
   // column over the survivors' key values. Leaves sc.sel/sc.hashes set;
   // returns the survivor count.
@@ -1125,31 +1120,17 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
     auto& sc = sh.AcquireScratch(self, B);
     auto& scratch = sc.bucket;
     auto& hit = sc.hit;
-    if (options_.vectorized) {
-      const size_t m = select_and_hash(sc, src_col(js.build_col), true);
-      const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-      for (size_t i = 0; i < m; ++i) {
-        const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
-        uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
-        Batch& b = scratch[bucket];
-        if (b.width() == 0) b = Batch(out_w);
-        if (b.empty()) hit.push_back(bucket);
-        append(b, row);
-      }
-      rows_out = m;
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (!passes(row)) continue;
-        uint32_t bucket =
-            static_cast<uint32_t>(HashKey(row[src_col(js.build_col)]) % B);
-        Batch& b = scratch[bucket];
-        if (b.width() == 0) b = Batch(out_w);
-        if (b.empty()) hit.push_back(bucket);
-        append(b, row);
-        ++rows_out;
-      }
+    const size_t m = select_and_hash(sc, src_col(js.build_col), true);
+    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+    for (size_t i = 0; i < m; ++i) {
+      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
+      uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
+      Batch& b = scratch[bucket];
+      if (b.width() == 0) b = Batch(out_w);
+      if (b.empty()) hit.push_back(bucket);
+      append(b, row);
     }
+    rows_out = m;
     for (uint32_t bucket : hit) {
       Emit(self, op_id, bucket, std::move(scratch[bucket]));
       scratch[bucket] = Batch();
@@ -1167,71 +1148,24 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
   if (chain.joins.empty()) {
     const bool final_chain = op.chain + 1 == plan.chains.size();
     const bool to_agg = final_chain && sh.agg != nullptr;
-    if (options_.vectorized) {
-      auto& sc = sh.AcquireScratch(self, B);
-      const size_t m = select_and_hash(sc, 0, false);
-      const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-      rows_out = m;
-      if (to_agg) {
-        if (capturing) {
-          // Capture points see the (projected) chain-output rows the
-          // batched accumulate below folds without per-row access.
-          std::vector<int64_t> buf;
-          for (size_t i = 0; i < m; ++i) {
-            const int64_t* row =
-                src.row(begin + (selp != nullptr ? selp[i] : i));
-            if (proj != nullptr) {
-              buf.clear();
-              for (uint32_t cc : *proj) buf.push_back(row[cc]);
-              row = buf.data();
-            }
-            sh.OfferCapture(op.chain, 0, row, out_w);
-          }
-        }
-        // Phase 1 of the two-phase aggregation, batched: one GroupHash
-        // column plus column-at-a-time key gathers; the projection (if
-        // any) maps the spec's pruned coordinates back to source ones.
-        sh.agg_partials[self].AccumulateBatch(
-            src, begin, selp, m, proj != nullptr ? proj->data() : nullptr,
-            &sc.agg);
-      } else {
-        std::vector<int64_t> buf;
-        for (size_t i = 0; i < m; ++i) {
-          const int64_t* row =
-              src.row(begin + (selp != nullptr ? selp[i] : i));
-          if (proj != nullptr) {
-            buf.clear();
-            for (uint32_t cc : *proj) buf.push_back(row[cc]);
-            row = buf.data();
-          }
-          if (capturing) sh.OfferCapture(op.chain, 0, row, out_w);
-          if (final_chain) sh.thread_digests[self].Add(row, out_w);
-          if (sh.materialized[op.chain]) {
-            Batch& part = sh.chain_partials[op.chain][self];
-            if (part.width() == 0) part = Batch(out_w);
-            part.AppendRow(row);
-          }
-        }
-      }
-      sh.ReleaseScratch(self);
-    } else {
+    auto& sc = sh.AcquireScratch(self, B);
+    const size_t m = select_and_hash(sc, 0, false);
+    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+    rows_out = m;
+    // Row pass over the (projected) chain-output rows: capture points
+    // always, digest and materialized partials unless they aggregate.
+    if (capturing || !to_agg) {
       std::vector<int64_t> buf;
-      for (size_t i = begin; i < end; ++i) {
-        const int64_t* row = src.row(i);
-        if (!passes(row)) continue;
-        ++rows_out;
+      for (size_t i = 0; i < m; ++i) {
+        const int64_t* row =
+            src.row(begin + (selp != nullptr ? selp[i] : i));
         if (proj != nullptr) {
-          // The spec/digest reference projected coordinates: hand the
-          // pruned row downstream.
           buf.clear();
           for (uint32_t cc : *proj) buf.push_back(row[cc]);
           row = buf.data();
         }
         if (capturing) sh.OfferCapture(op.chain, 0, row, out_w);
-        if (to_agg) {
-          sh.agg_partials[self].Accumulate(row);
-          continue;
-        }
+        if (to_agg) continue;
         if (final_chain) sh.thread_digests[self].Add(row, out_w);
         if (sh.materialized[op.chain]) {
           Batch& part = sh.chain_partials[op.chain][self];
@@ -1240,6 +1174,15 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
         }
       }
     }
+    if (to_agg) {
+      // Phase 1 of the two-phase aggregation, batched: one GroupHash
+      // column plus column-at-a-time key gathers; the projection (if
+      // any) maps the spec's pruned coordinates back to source ones.
+      sh.agg_partials[self].AccumulateBatch(
+          src, begin, selp, m, proj != nullptr ? proj->data() : nullptr,
+          &sc.agg);
+    }
+    sh.ReleaseScratch(self);
     // A join-less chain's scan is its terminal op: the passing rows are
     // the chain's actual output cardinality.
     sh.chain_rows[op.chain * sh.slots + self] += rows_out;
@@ -1267,23 +1210,14 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
       out = Batch();
     }
   };
-  if (options_.vectorized) {
-    auto& sc = sh.AcquireScratch(self, B);
-    const size_t m = select_and_hash(sc, 0, false);
-    const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-    for (size_t i = 0; i < m; ++i) {
-      forward(src.row(begin + (selp != nullptr ? selp[i] : i)));
-    }
-    sh.ReleaseScratch(self);
-    rows_out = m;
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      const int64_t* row = src.row(i);
-      if (!passes(row)) continue;
-      forward(row);
-      ++rows_out;
-    }
+  auto& sc = sh.AcquireScratch(self, B);
+  const size_t m = select_and_hash(sc, 0, false);
+  const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
+  for (size_t i = 0; i < m; ++i) {
+    forward(src.row(begin + (selp != nullptr ? selp[i] : i)));
   }
+  sh.ReleaseScratch(self);
+  rows_out = m;
   if (!out.empty()) Emit(self, op.consumer, self, std::move(out));
   if (sh.trace != nullptr) {
     TraceActivation(self, op_id, tr0, end - begin, rows_out);
@@ -1328,28 +1262,20 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
   // Runs on_match(probe_row, build_row) for every match of the batch.
   auto probe = [&](auto&& on_match) {
     const size_t n = act.rows.rows();
-    if (options_.vectorized && n > 0) {
-      // Batched probe: gather the key column, hash it in one pass, then
-      // walk the chains with a prefetch window (ProbeBuckets).
-      auto& sc = sh.AcquireScratch(self, B);
-      sc.keys.resize(n);
-      sc.hashes.resize(n);
-      GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
-                    n, sc.keys.data());
-      HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-      ProbeBuckets(tables, B, sc.keys.data(), sc.hashes.data(), n,
-                   [&](size_t i, const int64_t* brow) {
-                     on_match(act.rows.row(i), brow);
-                   });
-      sh.ReleaseScratch(self);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const int64_t* row = act.rows.row(i);
-        const int64_t key = row[js.probe_col];
-        tables[HashKey(key) % B].ForEachMatch(
-            key, [&](const int64_t* brow) { on_match(row, brow); });
-      }
-    }
+    if (n == 0) return;
+    // Batched probe: gather the key column, hash it in one pass, then
+    // walk the chains with a prefetch window (ProbeBuckets).
+    auto& sc = sh.AcquireScratch(self, B);
+    sc.keys.resize(n);
+    sc.hashes.resize(n);
+    GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
+                  n, sc.keys.data());
+    HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
+    ProbeBuckets(tables, B, sc.keys.data(), sc.hashes.data(), n,
+                 [&](size_t i, const int64_t* brow) {
+                   on_match(act.rows.row(i), brow);
+                 });
+    sh.ReleaseScratch(self);
   };
 
   if (last_step) {
@@ -1717,31 +1643,20 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
           if (begin >= build.rows()) break;
           size_t end =
               std::min<size_t>(begin + options_.morsel_rows, build.rows());
-          if (options_.vectorized) {
-            const size_t n = end - begin;
-            size_t m = n;
-            const uint32_t* selp = nullptr;
-            if (build_preds != nullptr) {
-              m = FilterBatch(build, begin, n, *build_preds, &sel);
-              filtered.fetch_add(n - m, std::memory_order_relaxed);
-              selp = sel.data();
-            }
-            hashes.resize(m);
-            HashStrided(build.data().data() + begin * build.width() + key_src,
-                        build.width(), selp, m, hashes.data());
-            for (size_t i = 0; i < m; ++i) {
-              scatter(build.row(begin + (selp != nullptr ? selp[i] : i)),
-                      static_cast<uint32_t>(hashes[i] % B));
-            }
-          } else {
-            for (size_t i = begin; i < end; ++i) {
-              const int64_t* row = build.row(i);
-              if (build_preds != nullptr && !MatchesAll(*build_preds, row)) {
-                filtered.fetch_add(1, std::memory_order_relaxed);
-                continue;
-              }
-              scatter(row, static_cast<uint32_t>(HashKey(row[key_src]) % B));
-            }
+          const size_t n = end - begin;
+          size_t m = n;
+          const uint32_t* selp = nullptr;
+          if (build_preds != nullptr) {
+            m = FilterBatch(build, begin, n, *build_preds, &sel);
+            filtered.fetch_add(n - m, std::memory_order_relaxed);
+            selp = sel.data();
+          }
+          hashes.resize(m);
+          HashStrided(build.data().data() + begin * build.width() + key_src,
+                      build.width(), selp, m, hashes.data());
+          for (size_t i = 0; i < m; ++i) {
+            scatter(build.row(begin + (selp != nullptr ? selp[i] : i)),
+                    static_cast<uint32_t>(hashes[i] % B));
           }
           for (uint32_t bucket : touched) {
             std::lock_guard<std::mutex> lock(*bucket_mu[bucket]);
@@ -1853,18 +1768,13 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         const size_t n = end - begin;
         size_t m = n;
         const uint32_t* selp = nullptr;
-        if (options_.vectorized && input_preds != nullptr) {
+        if (input_preds != nullptr) {
           m = FilterBatch(input, begin, n, *input_preds, &sel);
           filtered.fetch_add(n - m, std::memory_order_relaxed);
           selp = sel.data();
         }
         for (size_t k = 0; k < m; ++k) {
           const int64_t* row = input.row(begin + (selp != nullptr ? selp[k] : k));
-          if (selp == nullptr && input_preds != nullptr &&
-              !MatchesAll(*input_preds, row)) {
-            filtered.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
           if (iproj != nullptr) {
             for (uint32_t cc = 0; cc < in_w; ++cc) {
               row_buf[cc] = row[(*iproj)[cc]];

@@ -64,30 +64,62 @@ inline const char* LocalStrategyName(LocalStrategy s) {
   return StrategyName(s);
 }
 
-struct PipelineOptions {
-  uint32_t threads = 4;
-  uint32_t buckets = 64;        ///< build-table fragmentation per join
-  uint32_t morsel_rows = 16384; ///< trigger-activation granularity
-  uint32_t batch_rows = 1024;   ///< max rows per data activation
-  uint32_t queue_capacity = 256;///< flow control (activations per queue)
+/// The options both real-thread executors take: the intra-node engine's
+/// knobs and the per-query plumbing a session wires in. PipelineOptions
+/// and cluster::ClusterOptions derive from it, each with its own defaults
+/// for the five sizing knobs.
+struct EngineOptions {
+  uint32_t threads;         ///< workers (per node on the cluster)
+  uint32_t buckets;         ///< build-table fragmentation per join
+  uint32_t morsel_rows;     ///< trigger-activation granularity
+  uint32_t batch_rows;      ///< max rows per data activation
+  uint32_t queue_capacity;  ///< flow control (activations per queue)
   LocalStrategy strategy = LocalStrategy::kDP;
-  bool apply_h1 = true;         ///< chain scan waits for its hash tables
-  bool apply_h2 = true;         ///< chains execute one at a time
-  /// Columnar data plane: evaluate Where predicates as selection-vector
-  /// compare loops, batch HashKey/GroupHash computation, and probe build
-  /// tables through RowTable::ProbeBatch (mt/column_batch.h). Off falls
-  /// back to the row-at-a-time scalar loops; results are digest-identical
-  /// either way.
-  bool vectorized = true;
   /// FP only: multiplicative distortion applied to per-operator cost
-  /// estimates, indexed by compiled op id; empty = exact estimates.
+  /// estimates, indexed by compiled op id (see the executors'
+  /// CompiledOpCount); empty = exact estimates.
   std::vector<double> fp_cost_distortion;
 
-  /// Where worker threads come from: null spawns `threads` std::threads
-  /// per Execute (the legacy path); a session-provided context rents
+  /// Where worker threads come from: a session-provided context rents
   /// pooled workers, parks idle ones into cross-query stealing, and
   /// carries the cooperative-cancellation token (common/exec_context.h).
+  /// Null (white-box callers) spawns a ThreadSpawnContext per Execute.
   ExecContext* ctx = nullptr;
+
+  /// Per-operator execution tracing: when set, every worker keeps
+  /// per-(slot, op) span aggregates (two clock reads per activation) and
+  /// the executor emits them — plus cache, steal and (cluster) fabric
+  /// instants — into the sink at run end, cancelled and failed runs
+  /// included. Null reduces the feature to one pointer check.
+  obs::TraceSink* trace = nullptr;
+
+  /// Session flight recorder (obs/recorder.h): steal, build-cache and
+  /// (cluster) fabric/heartbeat instants are mirrored into the always-on
+  /// black box. Null = one pointer check per site.
+  obs::FlightRecorder* recorder = nullptr;
+  /// Query sequence tag for recorder events (0 = untagged).
+  uint64_t recorder_query = 0;
+
+  /// Plan-point row captures (QueryBuilder::CapturePoint): every row
+  /// crossing a bound (chain, point) is offered to its sink exactly once,
+  /// whichever worker (or node) carries it. Empty = no capture work.
+  std::vector<CaptureSink> captures;
+
+ protected:
+  EngineOptions(uint32_t threads, uint32_t buckets, uint32_t morsel_rows,
+                uint32_t batch_rows, uint32_t queue_capacity)
+      : threads(threads),
+        buckets(buckets),
+        morsel_rows(morsel_rows),
+        batch_rows(batch_rows),
+        queue_capacity(queue_capacity) {}
+};
+
+struct PipelineOptions : EngineOptions {
+  PipelineOptions() : EngineOptions(4, 64, 16384, 1024, 256) {}
+
+  bool apply_h1 = true;         ///< chain scan waits for its hash tables
+  bool apply_h2 = true;         ///< chains execute one at a time
 
   /// Shared build-side reuse: when set, builds whose source is a base
   /// table with a nonzero entry in `table_cache_ids` (aligned with
@@ -97,25 +129,6 @@ struct PipelineOptions {
   BuildCache* build_cache = nullptr;
   std::vector<uint64_t> table_cache_ids;
   uint64_t cache_seed_skew = 0;
-
-  /// Per-operator execution tracing: when set, every worker keeps
-  /// per-(slot, op) span aggregates (two clock reads per activation) and
-  /// the executor emits them — plus cache and steal instants — into the
-  /// sink at run end, cancelled and failed runs included. Null (the
-  /// default) reduces the entire feature to one pointer check.
-  obs::TraceSink* trace = nullptr;
-
-  /// Session flight recorder (obs/recorder.h): when set, steal and
-  /// build-cache instants are mirrored into the always-on black box (the
-  /// per-query sink above is opt-in and query-scoped). Null = one check.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Query sequence tag for recorder events (0 = untagged).
-  uint64_t recorder_query = 0;
-
-  /// Plan-point row captures (QueryBuilder::CapturePoint): every row
-  /// crossing a bound (chain, point) is offered to its sink exactly once,
-  /// whichever worker carries it. Empty = no capture work at all.
-  std::vector<CaptureSink> captures;
 };
 
 struct PipelineStats {

@@ -284,7 +284,6 @@ TEST(AggStreams, RunStreamWithSharedPool) {
   Query q = fx.Reporting();
   ExecOptions o = Opts(Backend::kThreads, Strategy::kDP, 1, 4);
   o.validate = false;
-  o.use_shared_pool = true;
   std::vector<Query> queries(6, q);
   StreamReport sr = fx.db.RunStream(queries, o);
   EXPECT_EQ(sr.submitted, 6u);

@@ -426,10 +426,10 @@ TEST(StreamAdmission, AgingStopsCheapTrafficFromStarvingExpensiveQuery) {
 }
 
 // The acceptance check for the pooled path: a concurrent stream with the
-// shared worker pool and the build-reuse cache enabled (the defaults)
-// produces digests identical to serial spawn-path execution, and later
-// queries actually hit the cache.
-TEST(StreamConsistency, PooledStreamWithReuseMatchesSpawnSerial) {
+// build-reuse cache enabled (the default) produces digests identical to
+// serial execution without reuse (itself checked against the reference),
+// and later queries actually hit the cache.
+TEST(StreamConsistency, PooledStreamWithReuseMatchesSerial) {
   SessionOptions so;
   so.max_concurrent_queries = 3;
   StreamFixture fx(so);
@@ -437,19 +437,19 @@ TEST(StreamConsistency, PooledStreamWithReuseMatchesSpawnSerial) {
   std::vector<Query> queries;
   for (uint32_t i = 0; i < 9; ++i) queries.push_back(fx.ChainQuery(i % 3 + 1));
 
-  ExecOptions spawn = Opts(Backend::kThreads);
-  spawn.use_shared_pool = false;
-  spawn.reuse_builds = false;
+  ExecOptions one_by_one = Opts(Backend::kThreads);
+  one_by_one.reuse_builds = false;
+  one_by_one.validate = true;
   std::vector<std::pair<uint64_t, uint64_t>> serial;
   for (const Query& q : queries) {
-    auto r = fx.db.Execute(q, spawn);
+    auto r = fx.db.Execute(q, one_by_one);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(r.value().reference_match);
     serial.emplace_back(r.value().result_rows, r.value().result_checksum);
   }
 
   ExecOptions pooled = Opts(Backend::kThreads);
-  ASSERT_TRUE(pooled.use_shared_pool);  // the defaults are the point
-  ASSERT_TRUE(pooled.reuse_builds);
+  ASSERT_TRUE(pooled.reuse_builds);  // the default is the point
   StreamReport sr = fx.db.RunStream(queries, pooled);
   ASSERT_EQ(sr.succeeded, 9u);
   for (size_t i = 0; i < queries.size(); ++i) {

@@ -8,6 +8,7 @@
 #include "fault/fault.h"
 #include "gtest/gtest.h"
 #include "net/message.h"
+#include "tests/test_util.h"
 
 namespace hierdb::cluster {
 namespace {
@@ -16,6 +17,7 @@ using mt::LocalStrategy;
 using mt::LocalStrategyName;
 using mt::MakeSkewedTable;
 using mt::MakeTable;
+using test::OneChainQuery;
 
 // Chain fixture: fact(key, fk1..fkJ) joined against J dims on column 0.
 struct ChainFixture {
@@ -37,24 +39,25 @@ struct ChainFixture {
     for (uint32_t j = 0; j < joins; ++j) {
       dim_parts.push_back(PartitionByHash(dims[j], nodes, 0));
     }
-    query.input = &fact_parts;
+    std::vector<test::ChainJoin> probes;
     for (uint32_t j = 0; j < joins; ++j) {
-      query.joins.push_back({&dim_parts[j], j + 1, 0});
+      probes.push_back({&dim_parts[j], j + 1, 0});
     }
+    query = OneChainQuery(&fact_parts, probes);
   }
 
   mt::Table fact;
   std::vector<mt::Table> dims;
   PartitionedTable fact_parts;
   std::vector<PartitionedTable> dim_parts;
-  ChainQuery query;
+  PlanQuery query;
 };
 
 ClusterOptions Opts(uint32_t nodes, uint32_t threads,
                     LocalStrategy s = LocalStrategy::kDP) {
   ClusterOptions o;
   o.nodes = nodes;
-  o.threads_per_node = threads;
+  o.threads = threads;
   o.buckets = 64;
   o.morsel_rows = 1000;
   o.batch_rows = 128;
@@ -96,12 +99,23 @@ TEST(Partitioning, ValidateRejectsWrongPartCount) {
 
 TEST(Partitioning, ValidateRejectsBadColumns) {
   ChainFixture fx(2, 1, 100, 50);
-  ChainQuery bad = fx.query;
-  bad.joins[0].probe_col = 99;
+  PlanQuery bad = fx.query;
+  bad.plan.chains[0].joins[0].probe_col = 99;
   EXPECT_FALSE(bad.Validate(2).ok());
   bad = fx.query;
-  bad.joins[0].build_col = 99;
+  bad.plan.chains[0].joins[0].build_col = 99;
   EXPECT_FALSE(bad.Validate(2).ok());
+}
+
+TEST(Partitioning, ValidateRejectsNullTableAndZeroJoins) {
+  ChainFixture fx(2, 1, 100, 50);
+  PlanQuery null_build = fx.query;
+  null_build.tables[1] = nullptr;
+  EXPECT_FALSE(null_build.Validate(2).ok());
+  PlanQuery null_input = fx.query;
+  null_input.tables[0] = nullptr;
+  EXPECT_FALSE(null_input.Validate(2).ok());
+  EXPECT_FALSE(OneChainQuery(&fx.fact_parts, {}).Validate(2).ok());
 }
 
 // ------------------------------------------------------- correctness -----
@@ -162,9 +176,7 @@ TEST(Cluster, AttributeValueSkewStillCorrect) {
   mt::Table dim = MakeTable("dim", 300, 2, 10, 22);
   PartitionedTable fact_parts = PartitionRoundRobin(fact, nodes);
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
   auto ref = ReferenceExecute(q).ValueOrDie();
   for (LocalStrategy s : {LocalStrategy::kDP, LocalStrategy::kFP}) {
     ClusterExecutor exec(Opts(nodes, 2, s));
@@ -185,8 +197,8 @@ TEST(Cluster, EmptyFactPartitionsHandled) {
   for (size_t i = 0; i < fact2.rows(); ++i) {
     all_at_zero.parts[0].AppendRow(fact2.batch.row(i));
   }
-  ChainQuery q = fx.query;
-  q.input = &all_at_zero;
+  PlanQuery q = fx.query;
+  q.tables[0] = &all_at_zero;
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterExecutor exec(Opts(4, 2));
   auto got = exec.Execute(q);
@@ -196,10 +208,8 @@ TEST(Cluster, EmptyFactPartitionsHandled) {
 
 TEST(Cluster, RejectsEmptyJoinList) {
   ChainFixture fx(2, 1, 100, 50);
-  ChainQuery q;
-  q.input = fx.query.input;
   ClusterExecutor exec(Opts(2, 1));
-  EXPECT_FALSE(exec.Execute(q).ok());
+  EXPECT_FALSE(exec.Execute(OneChainQuery(&fx.fact_parts, {})).ok());
 }
 
 TEST(Cluster, SelectiveAndNToMJoinsCorrect) {
@@ -216,9 +226,7 @@ TEST(Cluster, SelectiveAndNToMJoinsCorrect) {
   }
   PartitionedTable fact_parts = PartitionRoundRobin(fact, nodes);
   PartitionedTable dim_parts = PartitionByHash(dim, nodes, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
   auto ref = ReferenceExecute(q).ValueOrDie();
   EXPECT_GT(ref.count, 8000u);
   EXPECT_LT(ref.count, 12000u);
@@ -241,9 +249,7 @@ TEST(Cluster, GlobalLBFiresUnderPlacementSkew) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterOptions o = Opts(4, 2);
   o.queue_capacity = 128;  // deep queues: plenty to steal
@@ -282,9 +288,7 @@ TEST(Cluster, StolenWorkIsAccounted) {
     fact_parts.parts[0].AppendRow(fact.batch.row(i));
   }
   PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
-  ChainQuery q;
-  q.input = &fact_parts;
-  q.joins.push_back({&dim_parts, 1, 0});
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
   auto ref = ReferenceExecute(q).ValueOrDie();
   ClusterOptions o = Opts(4, 2);
   o.queue_capacity = 256;

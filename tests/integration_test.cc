@@ -9,6 +9,7 @@
 #include "mt/pipeline_executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/table.h"
+#include "tests/test_util.h"
 
 namespace hierdb {
 namespace {
@@ -102,20 +103,20 @@ TEST_P(EndDetectionSweep, WireCountMatchesFormula) {
   std::vector<cluster::PartitionedTable> dim_parts;
   cluster::PartitionedTable fact_parts =
       cluster::PartitionRoundRobin(fact, nodes);
-  cluster::ChainQuery q;
-  q.input = &fact_parts;
   for (uint32_t j = 0; j < joins; ++j) {
     dims.push_back(mt::MakeTable("dim", 200, 2, 10, 11 + j));
   }
   for (uint32_t j = 0; j < joins; ++j) {
     dim_parts.push_back(cluster::PartitionByHash(dims[j], nodes, 0));
   }
+  std::vector<test::ChainJoin> probes;
   for (uint32_t j = 0; j < joins; ++j) {
-    q.joins.push_back({&dim_parts[j], j + 1, 0});
+    probes.push_back({&dim_parts[j], j + 1, 0});
   }
+  cluster::PlanQuery q = test::OneChainQuery(&fact_parts, probes);
   cluster::ClusterOptions o;
   o.nodes = nodes;
-  o.threads_per_node = 2;
+  o.threads = 2;
   o.buckets = std::max(32u, nodes);
   o.global_lb = false;
   cluster::ClusterExecutor exec(o);
@@ -156,7 +157,10 @@ TEST(Integration, PipelineAndClusterAgree) {
     cols.push_back(j + 1);
   }
   mt::PipelinePlan plan = mt::MakeRightDeepPlan(0, dim_ids, cols);
-  mt::PipelineExecutor pipe({.threads = 3, .buckets = 64});
+  mt::PipelineOptions po;
+  po.threads = 3;
+  po.buckets = 64;
+  mt::PipelineExecutor pipe(po);
   auto a = pipe.Execute(plan, tables);
   ASSERT_TRUE(a.ok());
 
@@ -167,13 +171,15 @@ TEST(Integration, PipelineAndClusterAgree) {
   for (uint32_t j = 0; j < joins; ++j) {
     dim_parts.push_back(cluster::PartitionByHash(dims[j], 3, 0));
   }
-  cluster::ChainQuery q;
-  q.input = &fact_parts;
+  std::vector<test::ChainJoin> probes;
   for (uint32_t j = 0; j < joins; ++j) {
-    q.joins.push_back({&dim_parts[j], j + 1, 0});
+    probes.push_back({&dim_parts[j], j + 1, 0});
   }
-  cluster::ClusterExecutor clus({.nodes = 3, .threads_per_node = 2});
-  auto b = clus.Execute(q);
+  cluster::ClusterOptions co;
+  co.nodes = 3;
+  co.threads = 2;
+  cluster::ClusterExecutor clus(co);
+  auto b = clus.Execute(test::OneChainQuery(&fact_parts, probes));
   ASSERT_TRUE(b.ok());
 
   EXPECT_EQ(a.value(), b.value());

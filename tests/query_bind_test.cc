@@ -105,7 +105,10 @@ TEST(QueryBind, ShapedTreesExecuteCorrectly) {
       EXPECT_EQ(ref.value().count, first.count)
           << opt::TreeShapeName(shape);
     }
-    PipelineExecutor exec({.threads = 2, .buckets = 32});
+    PipelineOptions po;
+    po.threads = 2;
+    po.buckets = 32;
+    PipelineExecutor exec(po);
     auto got = exec.Execute(bound.value().plan, tables);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got.value(), ref.value()) << opt::TreeShapeName(shape);

@@ -86,4 +86,20 @@ double DeadlineInsideRun(api::Session& db, const api::Query& q,
   return best / 8;
 }
 
+cluster::PlanQuery OneChainQuery(const cluster::PartitionedTable* input,
+                                 const std::vector<ChainJoin>& joins) {
+  cluster::PlanQuery q;
+  q.tables.push_back(input);
+  mt::Chain chain;
+  chain.input = mt::Source::OfTable(0);
+  for (const ChainJoin& j : joins) {
+    q.tables.push_back(j.build);
+    chain.joins.push_back(
+        {mt::Source::OfTable(static_cast<uint32_t>(q.tables.size() - 1)),
+         j.probe_col, j.build_col});
+  }
+  q.plan.chains.push_back(std::move(chain));
+  return q;
+}
+
 }  // namespace hierdb::test

@@ -8,6 +8,7 @@
 
 #include "api/session.h"
 #include "catalog/catalog.h"
+#include "cluster/cluster_executor.h"
 #include "exec/engine.h"
 #include "opt/workload.h"
 #include "plan/join_graph.h"
@@ -52,6 +53,18 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
 /// ticks (the fixture is too small).
 double DeadlineInsideRun(api::Session& db, const api::Query& q,
                          const api::ExecOptions& opts);
+
+/// One probe of a single-chain cluster query.
+struct ChainJoin {
+  const cluster::PartitionedTable* build = nullptr;
+  uint32_t probe_col = 0;
+  uint32_t build_col = 0;
+};
+
+/// A one-chain cluster query: `input` (table 0) scanned and piped through
+/// `joins` in order (join j's build side is table j + 1).
+cluster::PlanQuery OneChainQuery(const cluster::PartitionedTable* input,
+                                 const std::vector<ChainJoin>& joins);
 
 }  // namespace hierdb::test
 

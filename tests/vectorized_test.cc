@@ -1,9 +1,9 @@
-// Columnar data plane tests: the vectorized kernels against their scalar
-// definitions, and end-to-end digest parity between ExecOptions::vectorized
-// on and off across every backend and strategy — the invariant that the
-// vectorized executor is an A/B knob, never a semantic fork. Also covers
-// column-pruned cluster shipping: the same aggregated query must move
-// strictly fewer kTupleBatch bytes with pruning active.
+// Columnar data plane tests: the kernels against their row-at-a-time
+// definitions, and end-to-end agreement with the single-threaded reference
+// executor (digest and capture samples) across every backend and strategy
+// over filters, aggregation, skew and empty/all-pass selections. Also
+// covers column-pruned cluster shipping: an aggregated query that reads
+// fewer columns must move strictly fewer kTupleBatch bytes.
 
 #include <algorithm>
 #include <cstdint>
@@ -388,7 +388,7 @@ TEST(ClusterPrune, BushyAggPlanShipsFewerRepartitionBytes) {
 
   ClusterOptions opts;
   opts.nodes = nodes;
-  opts.threads_per_node = 2;
+  opts.threads = 2;
   // Keep activation placement deterministic: with stealing off, every probe
   // runs on its bucket's home node, so both runs repartition the exact same
   // intermediate rows and only the row width differs.
@@ -426,7 +426,7 @@ TEST(ClusterPrune, BushyAggPlanShipsFewerRepartitionBytes) {
 }  // namespace hierdb::cluster
 
 // ---------------------------------------------------------------------------
-// Session-level: digest parity vectorized on/off on every backend.
+// Session-level: every backend and strategy against the reference.
 
 namespace hierdb::api {
 namespace {
@@ -444,14 +444,20 @@ struct StarFixture {
     d3 = db.AddTable(mt::MakeTable("d3", 500, 2, 50, seed + 3));
   }
 
+  // fact ⋈ d1 ⋈ d2 ⋈ d3, sampled at the scan and after the first probe.
   QueryBuilder Joined() const {
-    return db.NewQuery().Scan(fact).Probe(d1, 1, 0).Probe(d2, 2, 0).Probe(
-        d3, 3, 0);
+    return db.NewQuery()
+        .Scan(fact)
+        .CapturePoint("scan")
+        .Probe(d1, 1, 0)
+        .CapturePoint("after_d1")
+        .Probe(d2, 2, 0)
+        .Probe(d3, 3, 0);
   }
 };
 
 ExecOptions VOpts(Backend backend, Strategy strategy, uint32_t nodes,
-                  uint32_t threads, bool vectorized) {
+                  uint32_t threads) {
   ExecOptions o;
   o.backend = backend;
   o.strategy = strategy;
@@ -459,40 +465,73 @@ ExecOptions VOpts(Backend backend, Strategy strategy, uint32_t nodes,
   o.threads_per_node = threads;
   o.seed = 3;
   o.validate = true;
-  o.vectorized = vectorized;
   // Keep runs independent: a cached build skips its scatter, which would
   // legitimately zero rows_filtered for build-side predicates on reruns.
   o.reuse_builds = false;
   return o;
 }
 
-// Runs `q` with the columnar plane on and off and asserts both match the
-// single-threaded reference and each other (rows, checksum, filter counts).
-void ExpectParity(Session& db, const Query& q, Backend backend,
-                  Strategy strategy, uint32_t nodes, uint32_t threads) {
-  auto on = db.Execute(q, VOpts(backend, strategy, nodes, threads, true));
-  auto off = db.Execute(q, VOpts(backend, strategy, nodes, threads, false));
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_TRUE(on.value().reference_match);
-  EXPECT_TRUE(off.value().reference_match);
-  EXPECT_EQ(on.value().result_rows, off.value().result_rows);
-  EXPECT_EQ(on.value().result_checksum, off.value().result_checksum);
-  EXPECT_EQ(on.value().rows_filtered, off.value().rows_filtered);
+struct Placement {
+  Backend backend;
+  Strategy strategy;
+  uint32_t nodes;
+  uint32_t threads;
+};
+
+// Every backend x strategy the real executors run.
+const std::vector<Placement> kEveryPlacement = {
+    {Backend::kThreads, Strategy::kDP, 1, 4},
+    {Backend::kThreads, Strategy::kFP, 1, 4},
+    {Backend::kThreads, Strategy::kSP, 1, 4},
+    {Backend::kCluster, Strategy::kDP, 3, 2},
+    {Backend::kCluster, Strategy::kFP, 3, 2},
+};
+
+// Runs `q` on each placement and asserts every run matches the
+// single-threaded reference (digest and every capture sample) and that
+// all runs drop the same rows at their scan-level filters. Returns the
+// first run's report.
+ExecutionReport ExpectReferenceMatch(Session& db, const Query& q,
+                                     const std::vector<Placement>& where) {
+  ExecutionReport first;
+  for (size_t i = 0; i < where.size(); ++i) {
+    const Placement& pl = where[i];
+    SCOPED_TRACE(std::string(BackendName(pl.backend)) + " " +
+                 StrategyName(pl.strategy));
+    auto r = db.Execute(
+        q, VOpts(pl.backend, pl.strategy, pl.nodes, pl.threads));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) continue;
+    EXPECT_TRUE(r.value().validated);
+    EXPECT_TRUE(r.value().reference_match);
+    EXPECT_TRUE(r.value().captures_match);
+    EXPECT_EQ(r.value().result_rows, r.value().reference_rows);
+    if (r.value().cluster.has_value()) {
+      EXPECT_EQ(r.value().cluster->late_steals, 0u);
+    }
+    if (i == 0) {
+      first = r.value();
+    } else {
+      EXPECT_EQ(r.value().rows_filtered, first.rows_filtered);
+    }
+  }
+  return first;
 }
 
 TEST(VectorizedParity, FilteredJoinsOnEveryBackendAndStrategy) {
   StarFixture fx;
   Query filtered = fx.Joined().Where(fx.fact, 1, CmpOp::kLt, 250).Build();
-  Query two_join =
-      fx.db.NewQuery().Scan(fx.fact).Probe(fx.d1, 1, 0).Probe(fx.d2, 2, 0)
-          .Where(fx.d1, 1, CmpOp::kGe, 10)
-          .Build();
+  Query two_join = fx.db.NewQuery()
+                       .Scan(fx.fact)
+                       .Probe(fx.d1, 1, 0)
+                       .CapturePoint("after_d1")
+                       .Probe(fx.d2, 2, 0)
+                       .Where(fx.d1, 1, CmpOp::kGe, 10)
+                       .Build();
   for (const Query& q : {filtered, two_join}) {
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kFP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kSP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kCluster, Strategy::kDP, 3, 2);
+    ExecutionReport r = ExpectReferenceMatch(fx.db, q, kEveryPlacement);
+    EXPECT_GT(r.rows_filtered, 0u);
+    EXPECT_GT(r.result_rows, 0u);
   }
 }
 
@@ -510,10 +549,9 @@ TEST(VectorizedParity, GroupByHavingAndGlobalAggregate) {
                         .Build();
   Query global = fx.Joined().Count().Agg(AggFn::kSum, fx.d2, 1).Build();
   for (const Query& q : {reporting, global}) {
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kFP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kThreads, Strategy::kSP, 1, 4);
-    ExpectParity(fx.db, q, Backend::kCluster, Strategy::kDP, 3, 2);
+    ExecutionReport r = ExpectReferenceMatch(fx.db, q, kEveryPlacement);
+    EXPECT_TRUE(r.aggregated);
+    EXPECT_GT(r.result_rows, 0u);
   }
 }
 
@@ -523,7 +561,11 @@ TEST(VectorizedParity, SkewedKeysKeepDigestParity) {
       mt::MakeSkewedTable("sfact", 15000, 3, 400, /*skew_col=*/1,
                           /*theta=*/1.0, 19));
   RelId dim = db.AddTable(mt::MakeTable("sdim", 400, 2, 50, 20));
-  Query join = db.NewQuery().Scan(fact).Probe(dim, 1, 0).Build();
+  Query join = db.NewQuery()
+                   .Scan(fact)
+                   .Probe(dim, 1, 0)
+                   .CapturePoint("joined")
+                   .Build();
   Query agg = db.NewQuery()
                   .Scan(fact)
                   .Probe(dim, 1, 0)
@@ -532,37 +574,31 @@ TEST(VectorizedParity, SkewedKeysKeepDigestParity) {
                   .Agg(AggFn::kSum, fact, 0)
                   .Build();
   for (const Query& q : {join, agg}) {
-    ExpectParity(db, q, Backend::kThreads, Strategy::kDP, 1, 4);
-    ExpectParity(db, q, Backend::kCluster, Strategy::kDP, 2, 2);
+    ExpectReferenceMatch(db, q,
+                         {{Backend::kThreads, Strategy::kDP, 1, 4},
+                          {Backend::kCluster, Strategy::kDP, 2, 2}});
   }
 }
 
 TEST(VectorizedParity, EmptyAndAllPassSelections) {
   StarFixture fx(5000);
+  const std::vector<Placement> dp = {{Backend::kThreads, Strategy::kDP, 1, 4},
+                                     {Backend::kCluster, Strategy::kDP, 2, 2}};
   // Always-false predicate: the planner's min/max fold keeps one residual
   // predicate, the scan's selection vectors come out empty, and every
   // backend agrees on zero rows.
   Query none = fx.Joined().Where(fx.fact, 0, CmpOp::kLt, 0).Build();
-  ExpectParity(fx.db, none, Backend::kThreads, Strategy::kDP, 1, 4);
-  ExpectParity(fx.db, none, Backend::kCluster, Strategy::kDP, 2, 2);
-  auto r = fx.db.Execute(none, VOpts(Backend::kThreads, Strategy::kDP, 1, 4,
-                                     true));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().result_rows, 0u);
-  EXPECT_EQ(r.value().rows_filtered, 5000u);
+  ExecutionReport r = ExpectReferenceMatch(fx.db, none, dp);
+  EXPECT_EQ(r.result_rows, 0u);
+  EXPECT_EQ(r.rows_filtered, 5000u);
 
   // Always-true predicate: folded away pre-scan — nothing is filtered and
   // the digest matches the unfiltered query.
   Query all = fx.Joined().Where(fx.fact, 1, CmpOp::kGe, 0).Build();
-  ExpectParity(fx.db, all, Backend::kThreads, Strategy::kDP, 1, 4);
-  auto a =
-      fx.db.Execute(all, VOpts(Backend::kThreads, Strategy::kDP, 1, 4, true));
-  auto plain = fx.db.Execute(
-      fx.Joined().Build(), VOpts(Backend::kThreads, Strategy::kDP, 1, 4, true));
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(a.value().rows_filtered, 0u);
-  EXPECT_EQ(a.value().result_checksum, plain.value().result_checksum);
+  ExecutionReport a = ExpectReferenceMatch(fx.db, all, dp);
+  ExecutionReport plain = ExpectReferenceMatch(fx.db, fx.Joined().Build(), dp);
+  EXPECT_EQ(a.rows_filtered, 0u);
+  EXPECT_EQ(a.result_checksum, plain.result_checksum);
 }
 
 TEST(PlannerStats, TableStatsExposedAtAddTable) {
@@ -583,42 +619,38 @@ TEST(PlannerStats, TableStatsExposedAtAddTable) {
 }
 
 TEST(ClusterShipping, ColumnPrunedRepartitionShipsFewerBytes) {
-  // GROUP BY d1.attr COUNT over fact ⋈ d1: only fact col 1 is referenced
-  // downstream, so the vectorized run ships 1-wide fact rows where the
-  // scalar run ships all 4 columns.
+  // GROUP BY d1.attr COUNT over fact ⋈ d1 reads only fact col 1 downstream,
+  // so pruning ships 1-wide fact rows; the same grouping with SUMs over
+  // fact cols 0, 2 and 3 keeps all 4 columns on the wire. Same join rows,
+  // same groups — only the shipped width differs.
   StarFixture fx(20000);
-  Query q = fx.db.NewQuery()
-                .Scan(fx.fact)
-                .Probe(fx.d1, 1, 0)
-                .GroupBy(fx.d1, 1)
-                .Count()
-                .Build();
-  auto on =
-      fx.db.Execute(q, VOpts(Backend::kCluster, Strategy::kDP, 3, 2, true));
-  auto off =
-      fx.db.Execute(q, VOpts(Backend::kCluster, Strategy::kDP, 3, 2, false));
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_TRUE(on.value().reference_match);
-  EXPECT_TRUE(off.value().reference_match);
-  EXPECT_EQ(on.value().result_rows, off.value().result_rows);
-  EXPECT_EQ(on.value().result_checksum, off.value().result_checksum);
-  EXPECT_GT(on.value().pipeline_bytes, 0u);
-  EXPECT_LT(on.value().pipeline_bytes, off.value().pipeline_bytes);
-}
-
-TEST(SimulatedBackend, VectorizedFlagIsIgnored) {
-  StarFixture fx(2000);
-  Query q = fx.Joined().Build();
-  ExecOptions on = VOpts(Backend::kSimulated, Strategy::kDP, 2, 2, true);
-  ExecOptions off = VOpts(Backend::kSimulated, Strategy::kDP, 2, 2, false);
-  on.validate = off.validate = false;
-  auto a = fx.db.Execute(q, on);
-  auto b = fx.db.Execute(q, off);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  // The simulation is deterministic; the knob must not perturb it.
-  EXPECT_EQ(a.value().response_ms, b.value().response_ms);
+  auto grouped = [&] {
+    return fx.db.NewQuery().Scan(fx.fact).Probe(fx.d1, 1, 0).GroupBy(fx.d1, 1)
+        .Count();
+  };
+  Query narrow = grouped().Build();
+  Query wide = grouped()
+                   .Agg(AggFn::kSum, fx.fact, 0)
+                   .Agg(AggFn::kSum, fx.fact, 2)
+                   .Agg(AggFn::kSum, fx.fact, 3)
+                   .Build();
+  ExecOptions o = VOpts(Backend::kCluster, Strategy::kDP, 3, 2);
+  // With stealing off every probe runs on its bucket's home node, so both
+  // runs ship the exact same rows.
+  o.global_lb = false;
+  auto n = fx.db.Execute(narrow, o);
+  auto w = fx.db.Execute(wide, o);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  EXPECT_TRUE(n.value().reference_match);
+  EXPECT_TRUE(w.value().reference_match);
+  EXPECT_EQ(n.value().result_rows, w.value().result_rows);
+  // The join dataflow, without the (differently wide) aggregate partials.
+  auto join_bytes = [](const ExecutionReport& r) {
+    return r.pipeline_bytes - r.agg_repartition_bytes;
+  };
+  EXPECT_GT(join_bytes(n.value()), 0u);
+  EXPECT_LT(join_bytes(n.value()), join_bytes(w.value()));
 }
 
 }  // namespace
