@@ -170,8 +170,8 @@ struct ExecOptions {
   bool apply_h2 = true;
 
   /// kCluster steal knobs; 0 = backend default.
-  uint32_t steal_batch = 0;  ///< max activations per acquisition
-  uint32_t min_steal = 0;    ///< provider offers only above this depth
+  uint32_t steal_batch = 0;  ///< max queued activations per acquisition
+  uint32_t min_steal = 0;    ///< queued activations a provider needs to offer
 
   /// kCluster only: cache hash-table fragments shipped by steals (the
   /// Section 4 stolen-queue list) so repeated starving reuses them.
@@ -305,9 +305,9 @@ struct ExecutionReport {
 
   uint64_t steals = 0;              ///< successful global acquisitions
   /// Activations run away from their home queue: global steals on
-  /// kCluster and kSimulated; on kThreads, consumptions from another
-  /// thread's queue (mt::PipelineStats::nonprimary, which under FP counts
-  /// most probe activations).
+  /// kCluster (queued activations taken) and kSimulated; on kThreads,
+  /// consumptions from another thread's queue
+  /// (mt::PipelineStats::nonprimary).
   uint64_t stolen_activations = 0;
 
   /// Load imbalance: max over threads (kThreads) or nodes (kCluster) of

@@ -141,9 +141,16 @@ double ClusterStats::NodeImbalance() const {
 
 namespace {
 
+// A probe activation's bucket when its rows may span buckets: any of the
+// home buckets of the node that queues it (each row finds its own).
+constexpr uint32_t kMixed = UINT32_MAX;
+
 struct Activation {
   uint32_t op = 0;
+  // Build: the bucket the rows insert into. Probe: kMixed, or the one
+  // bucket of a piece acquired by global load balancing.
   uint32_t bucket = 0;
+  uint32_t column = 0;  // the thread whose queue holds it
   Batch rows;
 };
 
@@ -455,6 +462,8 @@ struct ClusterExecutor::Impl {
 
     // Scheduler overflow buffer for routing into full queues.
     std::deque<Activation> route_overflow;
+    // Hint for the column of the next mixed batch received (round robin).
+    uint32_t rx_hint = 0;
 
     // Per-sender message sequence numbers already handled (consumed only
     // by this node's receive loops; populated only when duplication
@@ -494,8 +503,9 @@ struct ClusterExecutor::Impl {
     // Per-worker scatter scratch, pooled by re-entrancy depth (FlushOutbox
     // may nest another activation while an outer frame scatters).
     struct Scratch {
-      std::vector<Batch> bucket;
+      std::vector<Batch> bucket;  // build inserts, per bucket
       std::vector<uint32_t> hit;
+      std::vector<Batch> node;    // mixed probe batches, per home node
       // Vectorized data plane: selection vector, hash column and gathered
       // key column reused across activations (mt/column_batch.h kernels).
       mt::SelVec sel;
@@ -787,6 +797,7 @@ struct ClusterExecutor::Impl {
     if (d == ns.scratch_pool[t].size()) {
       auto sc = std::make_unique<NodeState::Scratch>();
       sc->bucket.resize(opt.buckets);
+      sc->node.resize(opt.nodes);
       ns.scratch_pool[t].push_back(std::move(sc));
     }
     return *ns.scratch_pool[t][d];
@@ -799,6 +810,36 @@ struct ClusterExecutor::Impl {
     uint32_t lo = static_cast<uint32_t>(packed >> 32);
     uint32_t hi = static_cast<uint32_t>(packed);
     return lo <= t && t < hi;
+  }
+
+  /// Queue column of a data activation: a build insert's or a stolen
+  /// piece's bucket mod T, a mixed batch's `hint` mod T (its producer's
+  /// thread, or a round-robin count for a batch from another node). Under
+  /// FP a probe activation goes to one of the probe's own threads instead,
+  /// so that it is not taken by a steal from a thread that may not run
+  /// the probe.
+  uint32_t QueueColumn(const NodeState& ns, uint32_t op, uint32_t bucket,
+                       uint32_t hint) const {
+    const uint32_t h = bucket == kMixed ? hint : bucket;
+    if (opt.strategy == LocalStrategy::kFP && !is_build(op)) {
+      uint64_t packed = ns.fp_range[op];
+      uint32_t lo = static_cast<uint32_t>(packed >> 32);
+      uint32_t hi = static_cast<uint32_t>(packed);
+      if (hi > lo) return lo + h % (hi - lo);
+    }
+    return h % opt.threads;
+  }
+
+  /// Queues `act` on its column; returns false, staging it in `overflow`,
+  /// when the queue is full.
+  bool Enqueue(NodeState& ns, Activation&& act,
+               std::deque<Activation>* overflow) {
+    if (ns.queues[act.op * opt.threads + act.column]->TryPush(
+            std::move(act), opt.queue_capacity)) {
+      return true;
+    }
+    overflow->push_back(std::move(act));
+    return false;
   }
 
   bool Consumable(const NodeState& ns, uint32_t op) const {
@@ -943,18 +984,20 @@ struct ClusterExecutor::Impl {
     return true;
   }
 
-  // Scatter a trigger morsel into per-bucket batches and route them.
+  // Runs a trigger morsel. A buildscan scatters its rows into per-bucket
+  // insert batches. A scan splits them by the first join key's home node,
+  // one mixed probe batch per destination node.
   void ExecuteMorsel(uint32_t node, uint32_t t, uint32_t op,
                      const Batch& src, size_t begin, size_t end) {
     const uint32_t c = op_chain[op];
     const ChainInfo& ci = chains[c];
     const uint32_t rel = op - ci.op_base;
+    const bool scan = rel == 2 * ci.k;
     uint32_t dst_op, col;
     int32_t src_chain = -1;  // repartitioning a chain intermediate?
-    const mt::Source& trigger_src = rel == 2 * ci.k
-                                        ? query->plan.chains[c].input
-                                        : jn_build_src[ci.join_base + rel];
-    if (rel == 2 * ci.k) {
+    const mt::Source& trigger_src = scan ? query->plan.chains[c].input
+                                         : jn_build_src[ci.join_base + rel];
+    if (scan) {
       dst_op = probe_op(c, 0);
       col = jn_probe_col[ci.join_base];
     } else {
@@ -983,26 +1026,28 @@ struct ClusterExecutor::Impl {
     const uint32_t B = opt.buckets;
     NodeState& ns = *node_state[node];
     const uint64_t tr0 = trace != nullptr ? trace->NowNs() : 0;
-    uint64_t kept = 0;
     auto& sc = AcquireScratch(ns, t);
-    auto& scratch = sc.bucket;
+    // Output slots: destination nodes (scan) or buckets (buildscan).
+    std::vector<Batch>& out = scan ? sc.node : sc.bucket;
     auto& hit = sc.hit;
-    auto flush = [&](uint32_t bucket, Batch&& rows) {
-      if (src_chain >= 0 && home_of(bucket) != node) {
-        ns.repart_rows[src_chain].fetch_add(rows.rows(),
+    auto flush = [&](uint32_t slot) {
+      const uint32_t dest = scan ? slot : home_of(slot);
+      if (src_chain >= 0 && dest != node) {
+        ns.repart_rows[src_chain].fetch_add(out[slot].rows(),
                                             std::memory_order_relaxed);
       }
-      Route(node, t, dst_op, bucket, std::move(rows));
+      Route(node, t, dest, dst_op, scan ? kMixed : slot,
+            std::move(out[slot]));
+      out[slot] = Batch();
     };
     // Scan output = capture point 0, offered where rows enter the chain
     // (each source row is scanned by exactly one node, so once apiece).
     // Build triggers are not plan points.
-    const bool cap = !opt.captures.empty() && rel == 2 * ci.k;
-    auto scatter = [&](const int64_t* row, uint32_t bucket) {
-      ++kept;
-      Batch& b = scratch[bucket];
+    const bool cap = !opt.captures.empty() && scan;
+    auto append = [&](const int64_t* row, uint32_t slot) {
+      Batch& b = out[slot];
       if (b.width() == 0) b = Batch(out_w);
-      if (b.empty()) hit.push_back(bucket);
+      if (b.empty()) hit.push_back(slot);
       if (proj != nullptr) {
         b.AppendRowProjected(row, *proj);
       } else {
@@ -1010,9 +1055,8 @@ struct ClusterExecutor::Impl {
       }
       if (cap) OfferCapture(c, 0, b.row(b.rows() - 1), out_w);
       if (b.rows() >= opt.batch_rows) {
-        flush(bucket, std::move(b));
-        scratch[bucket] = Batch();
-        hit.erase(std::find(hit.begin(), hit.end(), bucket));
+        flush(slot);
+        hit.erase(std::find(hit.begin(), hit.end(), slot));
       }
     };
     // Selection vector + one-pass hash column (mt/column_batch.h).
@@ -1028,32 +1072,28 @@ struct ClusterExecutor::Impl {
     mt::HashStrided(src.data().data() + begin * src.width() + key_src,
                     src.width(), selp, m, sc.hashes.data());
     for (size_t i = 0; i < m; ++i) {
-      scatter(src.row(begin + (selp != nullptr ? selp[i] : i)),
-              static_cast<uint32_t>(sc.hashes[i] % B));
+      const uint32_t bucket = static_cast<uint32_t>(sc.hashes[i] % B);
+      append(src.row(begin + (selp != nullptr ? selp[i] : i)),
+             scan ? home_of(bucket) : bucket);
     }
-    for (uint32_t bucket : hit) {
-      flush(bucket, std::move(scratch[bucket]));
-      scratch[bucket] = Batch();
-    }
+    for (uint32_t slot : hit) flush(slot);
     hit.clear();
     ReleaseScratch(ns, t);
-    if (trace != nullptr) TraceActivation(node, t, op, tr0, end - begin, kept);
+    if (trace != nullptr) TraceActivation(node, t, op, tr0, n, m);
   }
 
-  // Routes one data activation to the bucket's home node: local queue via
-  // shared memory, remote via the fabric.
-  void Route(uint32_t node, uint32_t t, uint32_t dst_op, uint32_t bucket,
-             Batch&& rows) {
-    uint32_t home = home_of(bucket);
-    if (home == node) {
+  // Routes one data activation to node `dest`: a local queue through
+  // shared memory, a remote node as one kTupleBatch message.
+  void Route(uint32_t node, uint32_t t, uint32_t dest, uint32_t dst_op,
+             uint32_t bucket, Batch&& rows) {
+    if (dest == node) {
       NodeState& ns = *node_state[node];
       ns.pending[dst_op].fetch_add(1);
-      Activation act{dst_op, bucket, std::move(rows)};
-      const uint32_t T = opt.threads;
-      if (!ns.queues[dst_op * T + bucket % T]->TryPush(
-              std::move(act), opt.queue_capacity)) {
-        ns.outbox[t].push_back(std::move(act));
-      } else {
+      if (Enqueue(ns,
+                  Activation{dst_op, bucket,
+                             QueueColumn(ns, dst_op, bucket, t),
+                             std::move(rows)},
+                  &ns.outbox[t])) {
         ns.wake_cv.notify_one();
       }
       return;
@@ -1073,12 +1113,8 @@ struct ClusterExecutor::Impl {
       ev.detail = rows.rows();
       trace->Record(slot_of(node, t + 1), ev);
     }
-    fabric.Send(node, home, std::move(m)).ok();
+    fabric.Send(node, dest, std::move(m)).ok();
   }
-
-  // Probe-output routing differs: a *stolen* activation's bucket is not
-  // homed here, yet its outputs scatter normally by the next join's
-  // bucket. Handled uniformly by Route.
 
   void ExecuteData(uint32_t node, uint32_t t, Activation&& act) {
     NodeState& ns = *node_state[node];
@@ -1099,19 +1135,23 @@ struct ClusterExecutor::Impl {
       ns.pending[act.op].fetch_sub(1);
       return;
     }
-    // Probe.
+    // Probe. A mixed batch looks each row up in its own bucket's home
+    // table; a stolen piece uses the one table of its bucket (home here,
+    // or a fragment acquired with it).
     const RowTable* table = nullptr;
-    if (home_of(act.bucket) == node) {
-      table = &ns.tables[g][act.bucket];
-    } else {
-      std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
-      auto it = ns.stolen[g].find(act.bucket);
-      if (it != ns.stolen[g].end()) table = it->second.get();
-    }
-    if (table == nullptr) {
-      ns.failed.store(true);
-      ns.pending[act.op].fetch_sub(1);
-      return;
+    if (act.bucket != kMixed) {
+      if (home_of(act.bucket) == node) {
+        table = &ns.tables[g][act.bucket];
+      } else {
+        std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
+        auto it = ns.stolen[g].find(act.bucket);
+        if (it != ns.stolen[g].end()) table = it->second.get();
+      }
+      if (table == nullptr) {
+        ns.failed.store(true);
+        ns.pending[act.op].fetch_sub(1);
+        return;
+      }
     }
     const uint32_t probe_col = jn_probe_col[g];
     const uint32_t build_w = jn_build_width[g];
@@ -1120,17 +1160,14 @@ struct ClusterExecutor::Impl {
     const uint32_t j = act.op - ci.op_base - 2 * ci.k - 1;
     const bool last = j + 1 == ci.k;
     const bool final_chain = c + 1 == chains.size();
-    std::vector<int64_t> out_row(out_w);
     const uint32_t B = opt.buckets;
     auto& sc = AcquireScratch(ns, t);
-    auto& scratch = sc.bucket;
-    auto& hit = sc.hit;
-    uint32_t next_col = 0;
-    uint32_t next_op = 0;
-    if (!last) {
-      next_col = jn_probe_col[g + 1];
-      next_op = act.op + 1;
-    }
+    // A non-final probe appends its matches to one mixed batch per home
+    // node of the next join key (a stolen piece's output included, so it
+    // returns to the buckets' homes) and routes it every batch_rows rows.
+    std::vector<Batch>& out = sc.node;
+    const uint32_t next_col = last ? 0 : jn_probe_col[g + 1];
+    const uint32_t next_op = act.op + 1;
     // A non-final chain's terminal probe materializes into this node's
     // share of the distributed intermediate (batched per activation); the
     // final chain's does the same when the result is being materialized.
@@ -1144,53 +1181,61 @@ struct ClusterExecutor::Impl {
     if (last && keep_rows) local_out = Batch(out_w);
     mt::AggTable* agg_part =
         last && to_agg ? &ns.agg_partials[t] : nullptr;
+    std::vector<int64_t> out_row(last ? out_w : 0);
     uint64_t produced = 0;
     // Output of probe step j (0-based) = capture point j + 1; the last
     // probe's output is the chain output (point k).
     const bool cap = !opt.captures.empty();
     auto on_match = [&](const int64_t* row, const int64_t* brow) {
       ++produced;
+      if (!last) {
+        const int64_t key =
+            next_col < in_w ? row[next_col] : brow[next_col - in_w];
+        const uint32_t dest =
+            home_of(static_cast<uint32_t>(mt::HashKey(key) % B));
+        Batch& b = out[dest];
+        if (b.width() == 0) b = Batch(out_w);
+        b.AppendConcat(row, in_w, brow, build_w);
+        if (cap) OfferCapture(c, j + 1, b.row(b.rows() - 1), out_w);
+        if (b.rows() >= opt.batch_rows) {
+          Route(node, t, dest, next_op, kMixed, std::move(b));
+          b = Batch();
+        }
+        return;
+      }
       std::copy(row, row + in_w, out_row.begin());
       std::copy(brow, brow + build_w, out_row.begin() + in_w);
       if (cap) OfferCapture(c, j + 1, out_row.data(), out_w);
-      if (last) {
-        if (agg_part != nullptr) {
-          agg_part->Accumulate(out_row.data());
-          return;
-        }
-        if (final_chain) ns.digests[t].Add(out_row.data(), out_w);
-        if (keep_rows) local_out.AppendRow(out_row.data());
+      if (agg_part != nullptr) {
+        agg_part->Accumulate(out_row.data());
         return;
       }
-      uint32_t bucket =
-          static_cast<uint32_t>(mt::HashKey(out_row[next_col]) % B);
-      Batch& b = scratch[bucket];
-      if (b.width() == 0) b = Batch(out_w);
-      if (b.empty()) hit.push_back(bucket);
-      b.AppendRow(out_row.data());
-      if (b.rows() >= opt.batch_rows) {
-        Route(node, t, next_op, bucket, std::move(b));
-        scratch[bucket] = Batch();
-        hit.erase(std::find(hit.begin(), hit.end(), bucket));
-      }
+      if (final_chain) ns.digests[t].Add(out_row.data(), out_w);
+      if (keep_rows) local_out.AppendRow(out_row.data());
     };
     // Batched probe: gather the key column, hash it in one pass, walk
-    // the chains with a prefetch window (RowTable::ProbeBatch).
+    // the chains with a prefetch window (RowTable::ProbeBatch, or
+    // ProbeBuckets across the home tables for a mixed batch).
     const size_t n = act.rows.rows();
     sc.keys.resize(n);
     sc.hashes.resize(n);
     mt::GatherStrided(act.rows.data().data() + probe_col, in_w, nullptr, n,
                       sc.keys.data());
     mt::HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-    table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n,
-                      [&](size_t i, const int64_t* brow) {
-                        on_match(act.rows.row(i), brow);
-                      });
-    for (uint32_t bucket : hit) {
-      Route(node, t, next_op, bucket, std::move(scratch[bucket]));
-      scratch[bucket] = Batch();
+    auto match = [&](size_t i, const int64_t* brow) {
+      on_match(act.rows.row(i), brow);
+    };
+    if (table != nullptr) {
+      table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n, match);
+    } else {
+      ProbeBuckets(ns.tables[g], B, sc.keys.data(), sc.hashes.data(), n,
+                   match);
     }
-    hit.clear();
+    for (uint32_t dest = 0; dest < out.size(); ++dest) {
+      if (out[dest].empty()) continue;
+      Route(node, t, dest, next_op, kMixed, std::move(out[dest]));
+      out[dest] = Batch();
+    }
     ReleaseScratch(ns, t);
     if (last && keep_rows && !local_out.empty()) {
       std::lock_guard<std::mutex> lock(*ns.inter_mu[c]);
@@ -1216,7 +1261,7 @@ struct ClusterExecutor::Impl {
       bool progressed = false;
       for (size_t i = 0; i < n;) {
         Activation& act = outbox[i];
-        if (ns.queues[act.op * T + act.bucket % T]->TryPush(
+        if (ns.queues[act.op * T + act.column]->TryPush(
                 std::move(act), opt.queue_capacity)) {
           outbox.erase(outbox.begin() + static_cast<long>(i));
           --n;
@@ -1329,7 +1374,7 @@ struct ClusterExecutor::Impl {
       // 1. Route queued overflow from earlier messages.
       for (size_t i = 0; i < ns.route_overflow.size();) {
         Activation& act = ns.route_overflow[i];
-        if (ns.queues[act.op * T + act.bucket % T]->TryPush(
+        if (ns.queues[act.op * T + act.column]->TryPush(
                 std::move(act), opt.queue_capacity)) {
           ns.route_overflow.erase(ns.route_overflow.begin() +
                                   static_cast<long>(i));
@@ -1542,7 +1587,6 @@ struct ClusterExecutor::Impl {
 
   void HandleNodeMessage(uint32_t node, Message&& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads;
     switch (m.type) {
       case MsgType::kTupleBatch: {
         auto rows = net::DecodeBatch(m.payload);
@@ -1551,11 +1595,11 @@ struct ClusterExecutor::Impl {
           return;
         }
         ns.pending[m.op].fetch_add(1);
-        Activation act{m.op, m.bucket, std::move(rows).value()};
-        if (!ns.queues[m.op * T + m.bucket % T]->TryPush(
-                std::move(act), opt.queue_capacity)) {
-          ns.route_overflow.push_back(std::move(act));
-        }
+        Enqueue(ns,
+                Activation{m.op, m.bucket,
+                           QueueColumn(ns, m.op, m.bucket, ns.rx_hint++),
+                           std::move(rows).value()},
+                &ns.route_overflow);
         break;
       }
       case MsgType::kDrainConfirm:
@@ -1602,7 +1646,8 @@ struct ClusterExecutor::Impl {
 
   // A remote node is starving: offer our best candidate queue. Candidates
   // are unblocked probe operators with enough queued work (Section 3.2
-  // conditions ii, iv, v); benefit is the queued activation count.
+  // conditions ii, iv, v); benefit is the queued activation count (a
+  // mixed batch counts once, whatever buckets its rows span).
   void HandleStarving(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
     const uint32_t T = opt.threads;
@@ -1679,6 +1724,11 @@ struct ClusterExecutor::Impl {
     }
   }
 
+  // Gives the requester up to steal_batch queued activations of `op`. The
+  // rows travel split by bucket, merged across the activations taken, so
+  // the bundle and the thief's probe stay per bucket; each bucket's build
+  // fragment goes along unless the requester cached it. `pending` drops by
+  // the activations taken, which the thief counts as stolen.
   void HandleAcquire(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
     const uint32_t T = opt.threads;
@@ -1690,72 +1740,88 @@ struct ClusterExecutor::Impl {
       uint32_t b;
       while (r.GetU32(&b)) requester_cached.insert(b);
     }
-    net::RowWorkBundle bundle;
-    bundle.op = op;
-    std::unordered_set<uint32_t> shipped;
-    uint64_t popped = 0;
-    for (uint32_t t = 0; t < T && popped < opt.steal_batch; ++t) {
+    // The taken rows regrouped by bucket (a stolen piece's rows all fall
+    // in its one bucket).
+    std::vector<Batch> pieces(opt.buckets);
+    std::vector<uint32_t> hit;
+    const uint32_t probe_col = jn_probe_col[g];
+    int64_t taken = 0;
+    for (uint32_t t = 0; t < T && taken < opt.steal_batch; ++t) {
       Activation act;
-      while (popped < opt.steal_batch &&
+      while (taken < opt.steal_batch &&
              ns.queues[op * T + t]->TryPopBack(&act)) {
-        if (!requester_cached.count(act.bucket) &&
-            !shipped.count(act.bucket)) {
-          // Locate the bucket's build rows: the local table when the
-          // bucket is homed here, or our own stolen-fragment cache when
-          // this activation was itself acquired earlier.
-          const RowTable* table = nullptr;
-          if (home_of(act.bucket) == node) {
-            table = &ns.tables[g][act.bucket];
-          } else {
-            std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
-            auto it = ns.stolen[g].find(act.bucket);
-            if (it != ns.stolen[g].end()) table = it->second.get();
+        ++taken;
+        for (size_t i = 0; i < act.rows.rows(); ++i) {
+          const int64_t* row = act.rows.row(i);
+          const uint32_t bucket = static_cast<uint32_t>(
+              mt::HashKey(row[probe_col]) % opt.buckets);
+          Batch& p = pieces[bucket];
+          if (p.width() == 0) {
+            p = Batch(act.rows.width());
+            hit.push_back(bucket);
           }
-          if (table == nullptr) {
-            // Cannot supply the hash table: keep the activation local.
-            if (!ns.queues[op * T + t]->TryPush(std::move(act),
-                                                opt.queue_capacity)) {
-              ns.route_overflow.push_back(std::move(act));
-            }
-            continue;
-          }
-          shipped.insert(act.bucket);
-          net::RowFragment frag;
-          frag.bucket = act.bucket;
-          frag.build_rows = Batch(table->width());
-          frag.build_rows.data() = table->pool();
-          ns.shipped_rows.fetch_add(table->rows());
-          bundle.fragments.push_back(std::move(frag));
-        } else if (requester_cached.count(act.bucket)) {
-          ns.cache_hits.fetch_add(1, std::memory_order_relaxed);
-          if (trace != nullptr) {
-            obs::TraceEvent ev;
-            ev.kind = obs::EventKind::kCacheHit;
-            ev.node = static_cast<int32_t>(node);
-            ev.op = static_cast<int32_t>(op);
-            ev.start_ns = ev.end_ns = trace->NowNs();
-            ev.detail = act.bucket;
-            trace->Record(slot_of(node, 0), ev);
-          }
+          p.AppendRow(row);
         }
-        ++popped;
-        net::RowActivation ra;
-        ra.bucket = act.bucket;
-        ra.rows = std::move(act.rows);
-        bundle.activations.push_back(std::move(ra));
       }
     }
+    net::RowWorkBundle bundle;
+    bundle.op = op;
+    for (uint32_t bucket : hit) {
+      // Locate the bucket's build rows: the local table when the bucket
+      // is homed here, or our own stolen-fragment cache when the rows
+      // were themselves acquired earlier.
+      const RowTable* table = nullptr;
+      if (home_of(bucket) == node) {
+        table = &ns.tables[g][bucket];
+      } else {
+        std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
+        auto it = ns.stolen[g].find(bucket);
+        if (it != ns.stolen[g].end()) table = it->second.get();
+      }
+      if (table == nullptr) {
+        // Cannot supply the hash table: keep the rows local.
+        ns.pending[op].fetch_add(1);
+        Enqueue(ns,
+                Activation{op, bucket, QueueColumn(ns, op, bucket, 0),
+                           std::move(pieces[bucket])},
+                &ns.route_overflow);
+        continue;
+      }
+      if (requester_cached.count(bucket)) {
+        ns.cache_hits.fetch_add(1, std::memory_order_relaxed);
+        if (trace != nullptr) {
+          obs::TraceEvent ev;
+          ev.kind = obs::EventKind::kCacheHit;
+          ev.node = static_cast<int32_t>(node);
+          ev.op = static_cast<int32_t>(op);
+          ev.start_ns = ev.end_ns = trace->NowNs();
+          ev.detail = bucket;
+          trace->Record(slot_of(node, 0), ev);
+        }
+      } else {
+        net::RowFragment frag;
+        frag.bucket = bucket;
+        frag.build_rows = Batch(table->width());
+        frag.build_rows.data() = table->pool();
+        ns.shipped_rows.fetch_add(table->rows());
+        bundle.fragments.push_back(std::move(frag));
+      }
+      net::RowActivation ra;
+      ra.bucket = bucket;
+      ra.rows = std::move(pieces[bucket]);
+      bundle.activations.push_back(std::move(ra));
+    }
+    ns.pending[op].fetch_sub(taken);
+    Message reply;
     if (bundle.activations.empty()) {
-      Message reply;
       reply.type = MsgType::kNoWork;
       reply.arg = 1;  // acquire stage
       fabric.Send(node, m.from, std::move(reply)).ok();
       return;
     }
-    ns.pending[op].fetch_sub(static_cast<int64_t>(bundle.activations.size()));
-    Message reply;
     reply.type = MsgType::kWork;
     reply.op = op;
+    reply.arg = static_cast<uint64_t>(taken);
     reply.payload = net::EncodeRowWork(bundle);
     fabric.Send(node, m.from, std::move(reply)).ok();
   }
@@ -1891,7 +1957,6 @@ struct ClusterExecutor::Impl {
 
   void HandleWork(uint32_t node, const Message& m) {
     NodeState& ns = *node_state[node];
-    const uint32_t T = opt.threads;
     auto bundle = net::DecodeRowWork(m.payload);
     if (!bundle.ok()) {
       ns.failed.store(true);
@@ -1915,30 +1980,28 @@ struct ClusterExecutor::Impl {
         ns.cached_buckets[g].insert(frag.bucket);
       }
     }
+    // m.arg: the provider's queued activations this bundle carries.
     ns.steals.fetch_add(1, std::memory_order_relaxed);
-    ns.stolen_acts.fetch_add(bundle.value().activations.size(),
-                             std::memory_order_relaxed);
+    ns.stolen_acts.fetch_add(m.arg, std::memory_order_relaxed);
     if (trace != nullptr) {
       obs::TraceEvent ev;
       ev.kind = obs::EventKind::kSteal;
       ev.node = static_cast<int32_t>(node);
       ev.op = static_cast<int32_t>(op);
       ev.start_ns = ev.end_ns = trace->NowNs();
-      ev.detail = bundle.value().activations.size();
+      ev.detail = m.arg;
       trace->Record(slot_of(node, 0), ev);
     }
     if (opt.recorder != nullptr) {
       opt.recorder->Instant(obs::EventKind::kSteal, opt.recorder_query,
-                            bundle.value().activations.size(),
-                            static_cast<int32_t>(node));
+                            m.arg, static_cast<int32_t>(node));
     }
     for (auto& ra : bundle.value().activations) {
       ns.pending[op].fetch_add(1);
-      Activation act{op, ra.bucket, std::move(ra.rows)};
-      if (!ns.queues[op * T + ra.bucket % T]->TryPush(std::move(act),
-                                                      opt.queue_capacity)) {
-        ns.route_overflow.push_back(std::move(act));
-      }
+      Enqueue(ns,
+              Activation{op, ra.bucket, QueueColumn(ns, op, ra.bucket, 0),
+                         std::move(ra.rows)},
+              &ns.route_overflow);
     }
     ns.steal_inflight.fetch_sub(1);
     ns.steal_in_progress = false;

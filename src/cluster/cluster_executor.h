@@ -12,19 +12,25 @@
 //                  under FP threads are statically allocated to operators
 //                  in proportion to estimated cost;
 //
-//   dataflow       scans scatter rows by join-key bucket; activations for
-//                  remotely-homed buckets travel as kTupleBatch messages
-//                  (the inter-node pipelined redistribution);
+//   dataflow       a scan or non-final probe splits its output by the
+//                  next join key's home node: a probe activation carries
+//                  up to batch_rows rows of any of its node's home
+//                  buckets, and each row finds its own bucket's table. A
+//                  local batch queues on the producer's column (under FP
+//                  on a thread of the probe); a remote one travels as one
+//                  kTupleBatch message (the inter-node pipelined
+//                  redistribution). Build inputs scatter by bucket;
 //
 //   global level   a starving node broadcasts kStarving; every provider
 //                  answers with its best candidate queue (kOffer, benefit
 //                  = queued probe activations) or kNoWork; the requester
 //                  acquires from the most loaded provider (kAcquire) and
-//                  receives probe activations plus the hash-table
-//                  fragments of the referenced buckets (kWork). Only
-//                  probe activations are stealable (Section 3.2 rule iv).
-//                  Acquired fragments are cached so repeated starving
-//                  reuses already-copied tables (Section 4 optimization);
+//                  receives the taken activations' rows split by bucket,
+//                  plus the hash-table fragments of those buckets (kWork).
+//                  Only probe activations are stealable (Section 3.2
+//                  rule iv). Acquired fragments are cached so repeated
+//                  starving reuses already-copied tables (Section 4
+//                  optimization);
 //
 //   end detection  the coordinator protocol of Section 4: each node
 //                  reports EndOfQueuesAtNode per operator; after all
@@ -127,8 +133,12 @@ struct ClusterOptions : mt::EngineOptions {
   uint32_t nodes = 4;
   bool global_lb = true;         ///< enable inter-node load sharing
   bool cache_stolen_fragments = true;  ///< Section 4 stolen-queue list
-  uint32_t steal_batch = 16;     ///< max activations per acquisition
-  uint32_t min_steal = 2;        ///< provider offers only above this depth
+  /// Max queued activations taken per acquisition (a mixed batch counts
+  /// once; its rows travel as per-bucket pieces).
+  uint32_t steal_batch = 16;
+  /// A provider offers an op only with at least this many activations
+  /// queued (the offer's benefit is that count).
+  uint32_t min_steal = 2;
   /// Chain scheduling (multi-chain plans): true applies the paper's H2 —
   /// chains execute back-to-back in plan order; false lets chains whose
   /// source chains have all terminated run concurrently (triggers of a
@@ -162,6 +172,8 @@ struct ClusterStats {
   /// kWork bundles received for an op after acking its drain: breaks of
   /// the steal protocol's invariant, so always 0.
   uint64_t late_steals = 0;
+  /// Queued activations the providers gave up, counted once each however
+  /// many per-bucket pieces their rows travelled in.
   uint64_t stolen_activations = 0;
   uint64_t shipped_fragment_rows = 0;
   uint64_t fragment_cache_hits = 0;  ///< fragments skipped thanks to cache

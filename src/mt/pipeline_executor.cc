@@ -944,6 +944,22 @@ void PipelineExecutor::RecomputeFpAssignment() {
   }
 }
 
+uint32_t PipelineExecutor::QueueColumn(uint32_t dst_op,
+                                       uint32_t bucket) const {
+  const uint32_t T = options_.threads;
+  if (options_.strategy == LocalStrategy::kFP &&
+      shared_->ops[dst_op]->kind == COp::kProbe) {
+    // The producer's column may belong to a thread that never runs the
+    // probe: queue on one of the probe's own threads instead.
+    uint64_t packed =
+        shared_->fp_range[dst_op].load(std::memory_order_relaxed);
+    uint32_t lo = static_cast<uint32_t>(packed >> 32);
+    uint32_t hi = static_cast<uint32_t>(packed);
+    if (hi > lo) return lo + bucket % (hi - lo);
+  }
+  return bucket % T;
+}
+
 bool PipelineExecutor::ThreadMayRun(uint32_t self, uint32_t op_id) const {
   if (options_.strategy != LocalStrategy::kFP) return true;
   uint64_t packed =
@@ -1352,10 +1368,11 @@ void PipelineExecutor::FinishActivation(uint32_t op_id) {
   }
 }
 
-// Emits one data activation toward `dst_op`, queued on column `bucket % T`.
-// A build insert passes its bucket; a probe batch, whose rows may span
+// Emits one data activation toward `dst_op`, queued on QueueColumn. A
+// build insert passes its bucket; a probe batch, whose rows may span
 // buckets, passes the producer's slot, so it lands on the producer's own
-// column, where idle threads steal it. Operator bodies never block:
+// column (under FP, on one of the probe's threads), where idle threads
+// steal it. Operator bodies never block:
 // if the destination queue is full, the activation is staged in the
 // producing thread's outbox and FlushOutbox drains it at the top level —
 // the iterative equivalent of the paper's procedure-call suspension
@@ -1374,7 +1391,7 @@ void PipelineExecutor::Emit(uint32_t self, uint32_t dst_op, uint32_t bucket,
   act.op = dst_op;
   act.bucket = bucket;
   act.rows = std::move(rows);
-  uint32_t target = bucket % T;
+  uint32_t target = QueueColumn(dst_op, bucket);
   if (!sh.queues[dst_op * T + target]->TryPush(std::move(act),
                                                options_.queue_capacity)) {
     sh.stat_escapes.fetch_add(1, std::memory_order_relaxed);
@@ -1408,7 +1425,7 @@ void PipelineExecutor::FlushOutbox(uint32_t self) {
     bool progressed = false;
     for (size_t i = 0; i < n;) {
       Activation& act = outbox[i];
-      uint32_t target = act.bucket % T;
+      uint32_t target = QueueColumn(act.op, act.bucket);
       if (sh.queues[act.op * T + target]->TryPush(std::move(act),
                                                   options_.queue_capacity)) {
         outbox.erase(outbox.begin() + static_cast<long>(i));

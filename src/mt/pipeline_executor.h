@@ -136,9 +136,10 @@ struct PipelineStats {
   uint64_t data_activations = 0;  ///< batch activations executed
   uint64_t batches_emitted = 0;
   uint64_t escapes = 0;           ///< full-queue procedure-call escapes
-  /// Consumptions from non-primary queues. Under FP this counts most probe
-  /// activations: a probe batch queues on its producer's column, and FP
-  /// never gives a probe's threads the producing operator's threads.
+  /// Consumptions from non-primary queues: work that migrated between
+  /// threads. (Under FP a probe batch queues on one of the probe's own
+  /// threads, not on its producer's, so it counts only when another of the
+  /// probe's threads takes it.)
   uint64_t nonprimary = 0;
   uint64_t idle_waits = 0;        ///< waits with no runnable work
   uint64_t fp_safety_escapes = 0; ///< FP deadlock valve firings (should be 0)
@@ -205,10 +206,13 @@ class PipelineExecutor {
   bool ClaimMorsel(uint32_t self, uint32_t op_id);
   void ExecuteData(uint32_t self, Activation&& act);
   void ExecuteMorsel(uint32_t self, uint32_t op_id, size_t begin, size_t end);
-  /// Queues `rows` for `dst_op` on column `bucket % threads`: `bucket` is
-  /// the bucket for a build insert and the producer's slot for a probe
-  /// batch (its rows may span buckets).
+  /// Queues `rows` for `dst_op` on column QueueColumn(dst_op, bucket):
+  /// `bucket` is the bucket for a build insert and the producer's slot for
+  /// a probe batch (its rows may span buckets).
   void Emit(uint32_t self, uint32_t dst_op, uint32_t bucket, Batch&& rows);
+  /// `bucket % threads`, except that under FP a probe batch goes to one of
+  /// the probe's threads, `lo + bucket % (hi - lo)` of its range.
+  uint32_t QueueColumn(uint32_t dst_op, uint32_t bucket) const;
   void FlushOutbox(uint32_t self);
   bool RunAllowedWhileStuck(uint32_t self, bool unrestricted);
   void FinishActivation(uint32_t op_id);

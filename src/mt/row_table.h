@@ -88,9 +88,10 @@ class RowTable {
 
   /// ProbeBatch across one join's fragmented build: row i is looked up in
   /// the table of its own bucket, tables[hashes[i] % buckets] (where the
-  /// build scattered that key), so one probe batch may mix buckets. A loop
-  /// of its own: routing ProbeBatch through a shared one slowed the cluster
-  /// executor's probe path.
+  /// build scattered that key), so one probe batch may mix buckets. The
+  /// threads backend probes every batch this way; the cluster probes its
+  /// node's mixed batches over its home tables (the others stay empty),
+  /// and a stolen single-bucket piece through ProbeBatch on its fragment.
   template <typename Fn>
   friend void ProbeBuckets(const std::vector<RowTable>& tables,
                            uint32_t buckets, const int64_t* keys,

@@ -33,7 +33,10 @@
 //                        carries inter-chain repartition traffic: when a
 //                        chain scans a prior chain's distributed
 //                        intermediate, the rows rehash by the consuming
-//                        join's key and remotely-homed buckets ship here.
+//                        join's key and rows homed on other nodes ship
+//                        here. `bucket` is a build batch's bucket, or
+//                        UINT32_MAX for a probe batch whose rows may fall
+//                        in any of the destination's home buckets.
 //
 // Payloads are flat byte buffers with explicit little-endian encoding; the
 // envelope counts bytes so experiments can report transfer volumes
@@ -153,9 +156,10 @@ struct RowFragment {
   mt::Batch build_rows;
 };
 
-/// Work acquired through global load balancing (Section 3.2/4): probe
-/// activations from the provider's queues plus the hash-table fragments
-/// of every referenced bucket the requester does not already cache.
+/// Work acquired through global load balancing (Section 3.2/4): the rows
+/// of probe activations taken from the provider's queues, one activation
+/// per bucket, plus the hash-table fragments of every referenced bucket
+/// the requester does not already cache.
 struct RowWorkBundle {
   uint32_t op = 0;
   std::vector<RowFragment> fragments;

@@ -236,29 +236,83 @@ TEST(Cluster, SelectiveAndNToMJoinsCorrect) {
   EXPECT_EQ(got.value(), ref);
 }
 
+TEST(Cluster, ProbeActivationsDoNotGrowWithBuckets) {
+  // A probe activation carries up to batch_rows rows of any of its node's
+  // home buckets, so the probe ops' activation count depends on the rows
+  // and the node count, not on the bucket count. Global LB is off: a
+  // stolen batch travels split by bucket.
+  ChainFixture fx(2, 2, 60000, 300);
+  auto ref = ReferenceExecute(fx.query).ValueOrDie();
+  const uint32_t buckets[2] = {16, 256};
+  uint64_t acts[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    ClusterOptions o = Opts(2, 2);
+    o.buckets = buckets[i];
+    o.batch_rows = 64;
+    o.global_lb = false;
+    obs::TraceSink sink;
+    o.trace = &sink;
+    ClusterExecutor exec(o);
+    auto got = exec.Execute(fx.query);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "buckets=" << buckets[i];
+    // Ops of a 2-join chain: buildscans 0-1, builds 2-3, scan 4, probes
+    // 5-6.
+    for (const obs::TraceEvent& ev : sink.Drain()) {
+      if (ev.kind == obs::EventKind::kSpan && (ev.op == 5 || ev.op == 6)) {
+        acts[i] += ev.activations;
+      }
+    }
+  }
+  EXPECT_GT(acts[0], 0u);
+  const uint64_t lo = std::min(acts[0], acts[1]);
+  const uint64_t hi = std::max(acts[0], acts[1]);
+  EXPECT_LE(static_cast<double>(hi), 1.1 * static_cast<double>(lo))
+      << "buckets=16: " << acts[0] << ", buckets=256: " << acts[1];
+}
+
 // -------------------------------------------------- load sharing ---------
 
 TEST(Cluster, GlobalLBFiresUnderPlacementSkew) {
-  // Everything at node 0 forces the other nodes to starve and steal.
-  mt::Table fact = MakeTable("fact", 60000, 2, 400, 41);
-  mt::Table dim = MakeTable("dim", 400, 2, 10, 42);
+  // Every fact row sits at node 0 and every probe key is homed at node 1,
+  // with 16 dim matches per key: node 1's probe queue backs up while the
+  // other nodes idle, so they must steal from it. (A probe activation
+  // carries up to batch_rows rows, so a probe that only keeps pace with
+  // the scans rarely leaves min_steal activations queued.)
+  ClusterOptions o = Opts(4, 2);
+  o.queue_capacity = 128;  // deep queues: plenty to steal
+  std::vector<int64_t> hot;
+  for (int64_t key = 0; key < 400; ++key) {
+    if (mt::HashKey(key) % o.buckets % o.nodes == 1) hot.push_back(key);
+  }
+  ASSERT_FALSE(hot.empty());
   PartitionedTable fact_parts;
   fact_parts.width = 2;
   fact_parts.parts.assign(4, mt::Batch(2));
-  for (size_t i = 0; i < fact.rows(); ++i) {
-    fact_parts.parts[0].AppendRow(fact.batch.row(i));
+  for (int64_t i = 0; i < 60000; ++i) {
+    const int64_t row[] = {i, hot[static_cast<size_t>(i) % hot.size()]};
+    fact_parts.parts[0].AppendRow(row);
+  }
+  mt::Table dim{"dim", mt::Batch(2)};
+  for (int64_t key = 0; key < 400; ++key) {
+    for (int64_t rep = 0; rep < 16; ++rep) {
+      const int64_t row[] = {key, rep};
+      dim.batch.AppendRow(row);
+    }
   }
   PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
   PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
   auto ref = ReferenceExecute(q).ValueOrDie();
-  ClusterOptions o = Opts(4, 2);
-  o.queue_capacity = 128;  // deep queues: plenty to steal
+  EXPECT_EQ(ref.count, 60000u * 16);
   ClusterExecutor exec(o);
   ClusterStats stats;
   auto got = exec.Execute(q, &stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), ref);
   EXPECT_GT(stats.steal_requests, 0u);
+  EXPECT_GT(stats.steals, 0u);
+  EXPECT_GT(stats.stolen_activations, 0u);
+  EXPECT_GT(stats.lb_bytes, 0u);
   EXPECT_EQ(stats.late_steals, 0u);
 }
 
@@ -561,17 +615,20 @@ TEST(MultiChain, ValidateRejectsMalformedPlans) {
 
 // --------------------------------------------------------- sweeps --------
 
+// Strategies x nodes x threads x placement skew x data-activation sizes.
 class ClusterSweep
     : public ::testing::TestWithParam<
-          std::tuple<LocalStrategy, uint32_t, uint32_t, double>> {};
+          std::tuple<LocalStrategy, uint32_t, uint32_t, double, uint32_t>> {};
 
 TEST_P(ClusterSweep, MatchesReference) {
-  auto [strategy, nodes, threads, skew] = GetParam();
+  auto [strategy, nodes, threads, skew, batch_rows] = GetParam();
   ChainFixture fx(nodes, 2, 12000, 250, skew,
                   /*seed=*/nodes * 1000 + threads * 10 +
                       static_cast<uint64_t>(skew * 10));
   auto ref = ReferenceExecute(fx.query).ValueOrDie();
-  ClusterExecutor exec(Opts(nodes, threads, strategy));
+  ClusterOptions o = Opts(nodes, threads, strategy);
+  o.batch_rows = batch_rows;
+  ClusterExecutor exec(o);
   ClusterStats stats;
   auto got = exec.Execute(fx.query, &stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -585,7 +642,8 @@ INSTANTIATE_TEST_SUITE_P(
                                          LocalStrategy::kFP),
                        ::testing::Values<uint32_t>(1, 2, 4),
                        ::testing::Values<uint32_t>(1, 3),
-                       ::testing::Values(0.0, 0.8)));
+                       ::testing::Values(0.0, 0.8),
+                       ::testing::Values<uint32_t>(1, 512)));
 
 }  // namespace
 }  // namespace hierdb::cluster

@@ -341,7 +341,7 @@ TEST(SchedDeadline, MissesMidExecutionOnThreads) {
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnCluster) {
-  SchedFixture fx{SessionOptions{}, 60000};
+  SchedFixture fx{SessionOptions{}, 240000};
   ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3),
                          Opts(Backend::kCluster, 2, 2));
 }
