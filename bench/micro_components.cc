@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): simulation kernel event
 // throughput, Zipf generation, emission ledgers, activation queues, the
-// bushy optimizer and a small end-to-end engine run.
+// bushy optimizer, a small end-to-end engine run and the real backends'
+// batched probe kernel with each of its consumers.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,10 @@
 #include "exec/engine.h"
 #include "exec/ledger.h"
 #include "exec/queue.h"
+#include "mt/agg.h"
+#include "mt/column_batch.h"
+#include "mt/row.h"
+#include "mt/row_table.h"
 #include "opt/bushy_optimizer.h"
 #include "opt/query_gen.h"
 #include "opt/workload.h"
@@ -113,6 +118,101 @@ void BM_EngineSmallPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineSmallPlan);
+
+// The batched probe kernel as the executors run it: a 200k-row fact with a
+// Zipf(0.8) foreign key, in 1024-row probe batches, against a bucketed
+// build. Build shapes (range(1)): 0 = 1k unique keys at B = 64, 1 = 8k
+// unique keys at B = 128, 2 = 1k rows over 250 keys (four matches per
+// key) at B = 64. Consumers (range(0)): 0 = probe only, 1 = non-final
+// (joined batch_rows batches handed on), 2 = final digest, 3 = final
+// GROUP BY. Reports ns per probe row.
+struct ProbeFixture {
+  std::vector<mt::RowTable> tables;
+  uint32_t buckets = 0;
+  std::vector<mt::Batch> batches;
+};
+
+ProbeFixture MakeProbeFixture(int64_t shape) {
+  constexpr size_t kFactRows = 200'000;
+  constexpr size_t kBatchRows = 1024;
+  const size_t build_rows = shape == 1 ? 8192 : 1024;
+  const int64_t keys = shape == 2 ? 256 : static_cast<int64_t>(build_rows);
+  ProbeFixture f;
+  f.buckets = shape == 1 ? 128 : 64;
+  f.tables.assign(f.buckets, mt::RowTable(2, 0));
+  for (size_t r = 0; r < build_rows; ++r) {
+    const int64_t row[2] = {static_cast<int64_t>(r) % keys,
+                            static_cast<int64_t>(r)};
+    f.tables[mt::HashKey(row[0]) % f.buckets].Insert(row);
+  }
+  mt::Table fact = mt::MakeSkewedTable("fact", kFactRows, 3, keys, 1, 0.8, 5);
+  for (size_t at = 0; at < kFactRows; at += kBatchRows) {
+    mt::Batch b(3);
+    b.AppendRows(fact.batch.row(at), std::min(kBatchRows, kFactRows - at));
+    f.batches.push_back(std::move(b));
+  }
+  return f;
+}
+
+void BM_ProbeKernel(benchmark::State& state) {
+  const int64_t consumer = state.range(0);
+  const ProbeFixture f = MakeProbeFixture(state.range(1));
+  constexpr uint32_t kProbeCol = 1, kBuildWidth = 2, kOutWidth = 5;
+  constexpr size_t kBatchRows = 1024;
+  mt::AggSpec spec;
+  spec.group_cols = {4};
+  spec.aggs = {{mt::AggFn::kCount, 0}, {mt::AggFn::kSum, 2}};
+  mt::AggTable agg(&spec);
+  mt::AggTable::BatchScratch agg_scratch;
+  std::vector<int64_t> keys;
+  std::vector<uint64_t> hashes;
+  mt::ProbeScratch scratch;
+  mt::Matches matches;
+  mt::Batch joined;
+  size_t rows = 0;
+  for (auto _ : state) {
+    mt::ResultDigest digest;
+    uint64_t out_rows = 0;
+    for (const mt::Batch& b : f.batches) {
+      const size_t n = b.rows();
+      keys.resize(n);
+      hashes.resize(n);
+      mt::GatherStrided(b.data().data() + kProbeCol, b.width(), nullptr, n,
+                        keys.data());
+      mt::HashStrided(keys.data(), 1, nullptr, n, hashes.data());
+      mt::ProbeMatches(f.tables.data(), f.buckets, keys.data(),
+                       hashes.data(), n, &scratch, &matches);
+      rows += n;
+      if (consumer == 0) {
+        out_rows += matches.size();
+        continue;
+      }
+      mt::ForEachJoinedChunk(
+          b, matches, 0, matches.size(), kBuildWidth, kBatchRows, &joined,
+          [&](mt::Batch& chunk) {
+            out_rows += chunk.rows();
+            if (consumer == 1) {
+              mt::Batch handed_on = std::move(chunk);
+              benchmark::DoNotOptimize(handed_on.data().data());
+            } else if (consumer == 2) {
+              digest.AddRows(chunk.data().data(), chunk.rows(), kOutWidth);
+            } else {
+              agg.AccumulateBatch(chunk, 0, nullptr, chunk.rows(), nullptr,
+                                  &agg_scratch);
+            }
+          });
+    }
+    benchmark::DoNotOptimize(out_rows);
+    benchmark::DoNotOptimize(digest);
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ProbeKernel)
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -505,12 +505,23 @@ struct ClusterExecutor::Impl {
     struct Scratch {
       std::vector<Batch> bucket;  // build inserts, per bucket
       std::vector<uint32_t> hit;
-      std::vector<Batch> node;    // mixed probe batches, per home node
+      std::vector<Batch> node;    // mixed scan batches, per home node
       // Vectorized data plane: selection vector, hash column and gathered
       // key column reused across activations (mt/column_batch.h kernels).
       mt::SelVec sel;
       std::vector<uint64_t> hashes;
       std::vector<int64_t> keys;
+      mt::AggTable::BatchScratch agg;
+      // Probe kernel: active-row lists, the match list, its copy sorted
+      // by destination node (with each match's node and each node's run
+      // bounds), and the joined rows of one chunk (at most batch_rows).
+      mt::ProbeScratch probe;
+      mt::Matches matches;
+      mt::Matches routed;
+      std::vector<uint32_t> dest;
+      std::vector<size_t> node_start;
+      std::vector<size_t> node_at;
+      Batch joined;
     };
     std::vector<std::vector<std::unique_ptr<Scratch>>> scratch_pool;
     std::vector<size_t> scratch_depth;
@@ -1162,88 +1173,110 @@ struct ClusterExecutor::Impl {
     const bool final_chain = c + 1 == chains.size();
     const uint32_t B = opt.buckets;
     auto& sc = AcquireScratch(ns, t);
-    // A non-final probe appends its matches to one mixed batch per home
-    // node of the next join key (a stolen piece's output included, so it
-    // returns to the buckets' homes) and routes it every batch_rows rows.
-    std::vector<Batch>& out = sc.node;
-    const uint32_t next_col = last ? 0 : jn_probe_col[g + 1];
-    const uint32_t next_op = act.op + 1;
-    // A non-final chain's terminal probe materializes into this node's
-    // share of the distributed intermediate (batched per activation); the
-    // final chain's does the same when the result is being materialized.
-    // Under aggregation the final rows fold straight into this thread's
-    // partial table (phase 1 of the distributed aggregation) — never
-    // buffered — and the digest comes from the merged aggregate rows.
-    const bool to_agg = final_chain && agg != nullptr;
-    const bool keep_rows =
-        !final_chain || (materialize_final && agg == nullptr);
-    Batch local_out;
-    if (last && keep_rows) local_out = Batch(out_w);
-    mt::AggTable* agg_part =
-        last && to_agg ? &ns.agg_partials[t] : nullptr;
-    std::vector<int64_t> out_row(last ? out_w : 0);
-    uint64_t produced = 0;
-    // Output of probe step j (0-based) = capture point j + 1; the last
-    // probe's output is the chain output (point k).
-    const bool cap = !opt.captures.empty();
-    auto on_match = [&](const int64_t* row, const int64_t* brow) {
-      ++produced;
-      if (!last) {
-        const int64_t key =
-            next_col < in_w ? row[next_col] : brow[next_col - in_w];
-        const uint32_t dest =
-            home_of(static_cast<uint32_t>(mt::HashKey(key) % B));
-        Batch& b = out[dest];
-        if (b.width() == 0) b = Batch(out_w);
-        b.AppendConcat(row, in_w, brow, build_w);
-        if (cap) OfferCapture(c, j + 1, b.row(b.rows() - 1), out_w);
-        if (b.rows() >= opt.batch_rows) {
-          Route(node, t, dest, next_op, kMixed, std::move(b));
-          b = Batch();
-        }
-        return;
-      }
-      std::copy(row, row + in_w, out_row.begin());
-      std::copy(brow, brow + build_w, out_row.begin() + in_w);
-      if (cap) OfferCapture(c, j + 1, out_row.data(), out_w);
-      if (agg_part != nullptr) {
-        agg_part->Accumulate(out_row.data());
-        return;
-      }
-      if (final_chain) ns.digests[t].Add(out_row.data(), out_w);
-      if (keep_rows) local_out.AppendRow(out_row.data());
-    };
-    // Batched probe: gather the key column, hash it in one pass, walk
-    // the chains with a prefetch window (RowTable::ProbeBatch, or
-    // ProbeBuckets across the home tables for a mixed batch).
+    // Gather the key column, hash it in one pass, and turn the whole
+    // batch into one match list (mt::ProbeMatches): a mixed batch across
+    // the home tables, a stolen piece over its one table.
     const size_t n = act.rows.rows();
     sc.keys.resize(n);
     sc.hashes.resize(n);
     mt::GatherStrided(act.rows.data().data() + probe_col, in_w, nullptr, n,
                       sc.keys.data());
     mt::HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-    auto match = [&](size_t i, const int64_t* brow) {
-      on_match(act.rows.row(i), brow);
-    };
     if (table != nullptr) {
-      table->ProbeBatch(sc.keys.data(), sc.hashes.data(), n, match);
+      mt::ProbeMatches(table, 1, sc.keys.data(), sc.hashes.data(), n,
+                       &sc.probe, &sc.matches);
     } else {
-      ProbeBuckets(ns.tables[g], B, sc.keys.data(), sc.hashes.data(), n,
-                   match);
+      mt::ProbeMatches(ns.tables[g].data(), B, sc.keys.data(),
+                       sc.hashes.data(), n, &sc.probe, &sc.matches);
     }
-    for (uint32_t dest = 0; dest < out.size(); ++dest) {
-      if (out[dest].empty()) continue;
-      Route(node, t, dest, next_op, kMixed, std::move(out[dest]));
-      out[dest] = Batch();
+    const mt::Matches& matches = sc.matches;
+    const uint64_t produced = matches.size();
+    // Output of probe step j (0-based) = capture point j + 1; the last
+    // probe's output is the chain output (point k).
+    auto offer = [&](const Batch& rows) {
+      if (opt.captures.empty()) return;
+      for (size_t r = 0; r < rows.rows(); ++r) {
+        OfferCapture(c, j + 1, rows.row(r), out_w);
+      }
+    };
+    if (!last) {
+      // A non-final probe sends each match to the home node of the next
+      // join key (a stolen piece's output included, so it returns to the
+      // buckets' homes): a stable sort of the match list by that node,
+      // then each node's run in mixed batches of at most batch_rows rows.
+      const uint32_t next_col = jn_probe_col[g + 1];
+      const uint32_t next_op = act.op + 1;
+      std::vector<size_t>& start = sc.node_start;
+      start.assign(opt.nodes + 1, 0);
+      sc.dest.resize(matches.size());
+      for (size_t m = 0; m < matches.size(); ++m) {
+        const int64_t key =
+            next_col < in_w ? act.rows.at(matches.probe[m], next_col)
+                            : matches.build[m][next_col - in_w];
+        sc.dest[m] = home_of(static_cast<uint32_t>(mt::HashKey(key) % B));
+        ++start[sc.dest[m] + 1];
+      }
+      for (uint32_t d = 0; d < opt.nodes; ++d) start[d + 1] += start[d];
+      mt::Matches& routed = sc.routed;
+      routed.probe.resize(matches.size());
+      routed.build.resize(matches.size());
+      routed.count = matches.size();
+      std::vector<size_t>& at = sc.node_at;
+      at.assign(start.begin(), start.end() - 1);
+      for (size_t m = 0; m < matches.size(); ++m) {
+        const size_t pos = at[sc.dest[m]]++;
+        routed.probe[pos] = matches.probe[m];
+        routed.build[pos] = matches.build[m];
+      }
+      for (uint32_t d = 0; d < opt.nodes; ++d) {
+        mt::ForEachJoinedChunk(act.rows, routed, start[d], start[d + 1],
+                               build_w, opt.batch_rows, &sc.joined,
+                               [&](Batch& chunk) {
+                                 offer(chunk);
+                                 Route(node, t, d, next_op, kMixed,
+                                       std::move(chunk));
+                               });
+      }
+    } else {
+      // The terminal probe joins its matches batch_rows rows at a time.
+      // Under aggregation each chunk folds into this thread's partial
+      // table (phase 1 of the distributed aggregation) and the digest
+      // comes from the merged aggregate rows. Otherwise the final chain
+      // digests its rows, and a non-final chain (or a materialized final
+      // one) keeps them in this node's share of the distributed
+      // intermediate.
+      const bool to_agg = final_chain && agg != nullptr;
+      const bool keep_rows =
+          !final_chain || (materialize_final && agg == nullptr);
+      Batch local_out(out_w);
+      ResultDigest digest;
+      mt::ForEachJoinedChunk(
+          act.rows, matches, 0, matches.size(), build_w, opt.batch_rows,
+          &sc.joined, [&](Batch& chunk) {
+            offer(chunk);
+            if (to_agg) {
+              ns.agg_partials[t].AccumulateBatch(chunk, 0, nullptr,
+                                                 chunk.rows(), nullptr,
+                                                 &sc.agg);
+              return;
+            }
+            if (final_chain) {
+              digest.AddRows(chunk.data().data(), chunk.rows(), out_w);
+            }
+            if (keep_rows) {
+              local_out.AppendRows(chunk.data().data(), chunk.rows());
+            }
+          });
+      ns.digests[t].Merge(digest);
+      if (!local_out.empty()) {
+        std::lock_guard<std::mutex> lock(*ns.inter_mu[c]);
+        ns.inter[c].data().insert(ns.inter[c].data().end(),
+                                  local_out.data().begin(),
+                                  local_out.data().end());
+      }
+      ns.chain_rows[c * opt.threads + t] += produced;
     }
     ReleaseScratch(ns, t);
-    if (last && keep_rows && !local_out.empty()) {
-      std::lock_guard<std::mutex> lock(*ns.inter_mu[c]);
-      ns.inter[c].data().insert(ns.inter[c].data().end(),
-                                local_out.data().begin(),
-                                local_out.data().end());
-    }
-    if (last) ns.chain_rows[c * opt.threads + t] += produced;
     if (trace != nullptr) {
       TraceActivation(node, t, act.op, tr0, rows_in, produced);
     }

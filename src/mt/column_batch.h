@@ -10,8 +10,8 @@
 //     loop per predicate, producing a selection vector (morsel-local row
 //     indexes) instead of a per-row MatchesAll branch.
 //   * HashStrided fills a hash column for the survivors in one pass; the
-//     scatter loop and RowTable::ProbeBatch consume it instead of calling
-//     HashKey row-at-a-time.
+//     scatter loop and the probe kernel (ProbeMatches) consume it instead
+//     of calling HashKey row-at-a-time.
 //   * ColumnBatch gathers selected rows into per-column vectors when a
 //     downstream pass genuinely wants contiguous columns (aggregation key
 //     mixing, benches); ToBatch() is the row-major compatibility shim, so
@@ -107,7 +107,7 @@ size_t FilterBatch(const Batch& rows, size_t begin, size_t n,
                    const std::vector<Predicate>& preds, SelVec* sel);
 
 /// Batched HashKey: out[i] = HashKey(base[sel[i] * stride]) — one pass
-/// filling a hash column for scatter bucketing and ProbeBatch lookups.
+/// filling a hash column for scatter bucketing and ProbeMatches lookups.
 /// sel == nullptr hashes rows 0..n-1 densely.
 void HashStrided(const int64_t* base, size_t stride, const uint32_t* sel,
                  size_t n, uint64_t* out);

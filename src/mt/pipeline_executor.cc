@@ -260,6 +260,11 @@ struct PipelineExecutor::Shared {
     std::vector<uint64_t> hashes;
     std::vector<int64_t> keys;
     AggTable::BatchScratch agg;
+    // Probe kernel: active-row lists, the match list, and the joined
+    // rows of one chunk of it (at most batch_rows rows).
+    ProbeScratch probe;
+    Matches matches;
+    Batch joined;
   };
   std::vector<std::vector<std::unique_ptr<Scratch>>> scratch_pool;
   std::vector<size_t> scratch_depth;
@@ -1207,34 +1212,37 @@ void PipelineExecutor::ExecuteMorsel(uint32_t self, uint32_t op_id,
     }
     return;
   }
-  // Scan feeding a probe: forward the selected (projected) rows in chunks
-  // of at most batch_rows rows; the probe finds each row's bucket itself.
-  Batch out;
-  auto forward = [&](const int64_t* row) {
-    if (out.width() == 0) {
-      out = Batch(out_w);
-      out.Reserve(std::min<size_t>(options_.batch_rows, end - begin));
-    }
-    append(out, row);
-    // Scan output = capture point 0 (offer the appended — projected —
-    // row, which is what the reference executor's scan batch holds).
-    if (capturing) {
-      sh.OfferCapture(op.chain, 0, out.row(out.rows() - 1), out_w);
-    }
-    if (out.rows() >= options_.batch_rows) {
-      Emit(self, op.consumer, self, std::move(out));
-      out = Batch();
-    }
-  };
+  // Scan feeding a probe: gather the selected (projected) rows into
+  // pre-sized chunks of at most batch_rows rows and forward each; the
+  // probe finds each row's bucket itself.
   auto& sc = sh.AcquireScratch(self, B);
   const size_t m = select_and_hash(sc, 0, false);
   const uint32_t* selp = preds != nullptr ? sc.sel.data() : nullptr;
-  for (size_t i = 0; i < m; ++i) {
-    forward(src.row(begin + (selp != nullptr ? selp[i] : i)));
+  const uint32_t src_w = src.width();
+  for (size_t at = 0; at < m; at += options_.batch_rows) {
+    const size_t rows = std::min<size_t>(options_.batch_rows, m - at);
+    Batch out(out_w);
+    out.data().resize(rows * out_w);
+    int64_t* dst = out.data().data();
+    for (size_t i = at; i < at + rows; ++i, dst += out_w) {
+      const int64_t* row = src.row(begin + (selp != nullptr ? selp[i] : i));
+      if (proj != nullptr) {
+        for (uint32_t c = 0; c < out_w; ++c) dst[c] = row[(*proj)[c]];
+      } else {
+        std::copy(row, row + src_w, dst);
+      }
+    }
+    // Scan output = capture point 0 (the projected rows, which is what
+    // the reference executor's scan batch holds).
+    if (capturing) {
+      for (size_t r = 0; r < rows; ++r) {
+        sh.OfferCapture(op.chain, 0, out.row(r), out_w);
+      }
+    }
+    Emit(self, op.consumer, self, std::move(out));
   }
   sh.ReleaseScratch(self);
   rows_out = m;
-  if (!out.empty()) Emit(self, op.consumer, self, std::move(out));
   if (sh.trace != nullptr) {
     TraceActivation(self, op_id, tr0, end - begin, rows_out);
   }
@@ -1267,6 +1275,9 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
 
   // Probe step: each row looks up its own bucket's table,
   // JoinTables(join)[hash % B] (shared cached tables or locally built).
+  // Gather the key column, hash it in one pass, and turn the whole batch
+  // into one match list (ProbeMatches); the consumers below work on that
+  // list in bulk.
   const JoinStep& js = chain.joins[op.step];
   const BucketTables& tables = sh.JoinTables(op.join);
   const uint32_t in_width = act.rows.width();
@@ -1274,82 +1285,69 @@ void PipelineExecutor::ExecuteData(uint32_t self, Activation&& act) {
   const uint32_t build_width = out_width - in_width;
   const bool last_step = op.step + 1 == chain.joins.size();
   const bool final_chain = op.chain + 1 == plan.chains.size();
-  uint64_t produced = 0;
-  // Runs on_match(probe_row, build_row) for every match of the batch.
-  auto probe = [&](auto&& on_match) {
-    const size_t n = act.rows.rows();
-    if (n == 0) return;
-    // Batched probe: gather the key column, hash it in one pass, then
-    // walk the chains with a prefetch window (ProbeBuckets).
-    auto& sc = sh.AcquireScratch(self, B);
-    sc.keys.resize(n);
-    sc.hashes.resize(n);
-    GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr,
-                  n, sc.keys.data());
-    HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-    ProbeBuckets(tables, B, sc.keys.data(), sc.hashes.data(), n,
-                 [&](size_t i, const int64_t* brow) {
-                   on_match(act.rows.row(i), brow);
-                 });
-    sh.ReleaseScratch(self);
+  auto& sc = sh.AcquireScratch(self, B);
+  const size_t n = act.rows.rows();
+  sc.keys.resize(n);
+  sc.hashes.resize(n);
+  GatherStrided(act.rows.data().data() + js.probe_col, in_width, nullptr, n,
+                sc.keys.data());
+  HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
+  ProbeMatches(tables.data(), B, sc.keys.data(), sc.hashes.data(), n,
+               &sc.probe, &sc.matches);
+  const Matches& matches = sc.matches;
+  const uint64_t produced = matches.size();
+  // Output of probe step s (0-based) = capture point s + 1; the last
+  // probe's output is the chain output (point J).
+  auto offer = [&](const Batch& rows) {
+    if (!capturing) return;
+    for (size_t r = 0; r < rows.rows(); ++r) {
+      sh.OfferCapture(op.chain, op.step + 1, rows.row(r), out_width);
+    }
   };
 
   if (last_step) {
-    const bool to_agg = final_chain && sh.agg != nullptr;
+    // Join the matches into this slot's scratch batch, batch_rows rows
+    // at a time, and fold each chunk into the slot's aggregate partial,
+    // or into the digest and the materialized partial.
+    AggTable* agg_part =
+        final_chain && sh.agg != nullptr ? &sh.agg_partials[self] : nullptr;
     Batch* part = nullptr;
-    if (sh.materialized[op.chain]) {
+    if (agg_part == nullptr && sh.materialized[op.chain]) {
       part = &sh.chain_partials[op.chain][self];
       if (part->width() == 0) *part = Batch(out_width);
     }
-    AggTable* agg_part = to_agg ? &sh.agg_partials[self] : nullptr;
-    std::vector<int64_t> out_row(out_width);
-    probe([&](const int64_t* row, const int64_t* brow) {
-      std::copy(row, row + in_width, out_row.begin());
-      std::copy(brow, brow + build_width, out_row.begin() + in_width);
-      ++produced;
-      // Last probe output = chain output = capture point J.
-      if (capturing) {
-        sh.OfferCapture(op.chain,
-                        static_cast<uint32_t>(chain.joins.size()),
-                        out_row.data(), out_width);
-      }
-      if (agg_part != nullptr) {
-        // Phase 1 of the two-phase aggregation: fold the result row
-        // into this slot's private partial table.
-        agg_part->Accumulate(out_row.data());
-        return;
-      }
-      if (final_chain) {
-        sh.thread_digests[self].Add(out_row.data(), out_width);
-      }
-      if (part != nullptr) part->AppendRow(out_row.data());
-    });
+    ResultDigest digest;
+    ForEachJoinedChunk(
+        act.rows, matches, 0, matches.size(), build_width,
+        options_.batch_rows, &sc.joined, [&](Batch& chunk) {
+          offer(chunk);
+          if (agg_part != nullptr) {
+            // Phase 1 of the two-phase aggregation.
+            agg_part->AccumulateBatch(chunk, 0, nullptr, chunk.rows(),
+                                      nullptr, &sc.agg);
+            return;
+          }
+          if (final_chain) {
+            digest.AddRows(chunk.data().data(), chunk.rows(), out_width);
+          }
+          if (part != nullptr) {
+            part->AppendRows(chunk.data().data(), chunk.rows());
+          }
+        });
+    sh.thread_digests[self].Merge(digest);
     // The last probe is its chain's terminal op: its output rows are the
     // chain's actual cardinality (pre-aggregation on agg plans).
     sh.chain_rows[op.chain * sh.slots + self] += produced;
   } else {
-    // A non-final probe appends its matches to one output batch and
-    // forwards it to the next probe every batch_rows rows.
-    Batch out;
-    probe([&](const int64_t* row, const int64_t* brow) {
-      if (out.width() == 0) {
-        out = Batch(out_width);
-        out.Reserve(std::min<size_t>(options_.batch_rows, act.rows.rows()));
-      }
-      out.AppendConcat(row, in_width, brow, build_width);
-      ++produced;
-      // Output of probe step s (0-based) = capture point s + 1.
-      if (capturing) {
-        sh.OfferCapture(op.chain, op.step + 1, out.row(out.rows() - 1),
-                        out_width);
-      }
-      if (out.rows() >= options_.batch_rows) {
-        Emit(self, op.consumer, self, std::move(out));
-        out = Batch();
-      }
-    });
-    if (!out.empty()) Emit(self, op.consumer, self, std::move(out));
+    // A non-final probe forwards its matches to the next probe in
+    // batches of at most batch_rows rows.
+    ForEachJoinedChunk(act.rows, matches, 0, matches.size(), build_width,
+                       options_.batch_rows, &sc.joined, [&](Batch& chunk) {
+                         offer(chunk);
+                         Emit(self, op.consumer, self, std::move(chunk));
+                       });
   }
+  sh.ReleaseScratch(self);
   if (sh.trace != nullptr) {
     TraceActivation(self, act.op, tr0, rows_in, produced);
   }

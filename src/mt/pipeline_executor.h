@@ -32,7 +32,11 @@
 // count spreads a skewed key across many build locks (Section 3.1). Data
 // activations are chunks of at most `batch_rows` rows, whatever buckets
 // their rows fall in, routed to the producer's own queue (other threads
-// steal from it); a probe looks each row up in its bucket's table.
+// steal from it). A probe looks each row up in its bucket's table through
+// one batched kernel that returns the batch's match list (ProbeMatches,
+// mt/row_table.h); it then joins that list in chunks of at most
+// `batch_rows` rows, which it forwards, aggregates, digests or
+// materializes in bulk.
 
 #ifndef HIERDB_MT_PIPELINE_EXECUTOR_H_
 #define HIERDB_MT_PIPELINE_EXECUTOR_H_

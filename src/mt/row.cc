@@ -1,5 +1,7 @@
 #include "mt/row.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 
 namespace hierdb::mt {
@@ -14,6 +16,30 @@ uint64_t RowDigest(const int64_t* row, uint32_t width) {
     h *= 0x100000001b3ULL;
   }
   return HashKey(static_cast<int64_t>(h));
+}
+
+void ResultDigest::AddRows(const int64_t* rows, size_t n, uint32_t width) {
+  // RowDigest tile by tile: each column's mix step runs across the tile's
+  // rows, so independent rows overlap instead of waiting on one row's
+  // chain of multiplies.
+  constexpr size_t kTile = 256;
+  uint64_t h[kTile];
+  for (size_t at = 0; at < n; at += kTile) {
+    const size_t m = std::min(kTile, n - at);
+    const int64_t* tile = rows + at * width;
+    for (size_t r = 0; r < m; ++r) h[r] = 0x9e3779b97f4a7c15ULL;
+    for (uint32_t c = 0; c < width; ++c) {
+      const int64_t salt = static_cast<int64_t>(c) * 0x1000193;
+      for (size_t r = 0; r < m; ++r) {
+        h[r] ^= HashKey(tile[r * width + c] + salt);
+        h[r] *= 0x100000001b3ULL;
+      }
+    }
+    for (size_t r = 0; r < m; ++r) {
+      checksum += HashKey(static_cast<int64_t>(h[r]));
+    }
+  }
+  count += n;
 }
 
 Table MakeTable(std::string name, size_t rows, uint32_t width,

@@ -96,6 +96,8 @@ struct ResultDigest {
     ++count;
     checksum += RowDigest(row, width);
   }
+  /// Add over `n` contiguous rows, column-at-a-time (same sums).
+  void AddRows(const int64_t* rows, size_t n, uint32_t width);
   void Merge(const ResultDigest& o) {
     count += o.count;
     checksum += o.checksum;

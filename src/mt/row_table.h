@@ -1,5 +1,6 @@
 // Chained hash table over one column of fixed-width rows — the per-bucket
-// build table of the general pipeline executor.
+// build table of the general pipeline executor — and the batched probe
+// kernel both real backends run over it.
 //
 // It is the one build layout of the real backends: DP/FP bucket tables,
 // SP, the build cache and the cluster's bucket fragments (shipped and
@@ -12,16 +13,43 @@
 // are index-linked. One bucket's table is written under the executor's
 // per-bucket exclusivity and probed read-only afterwards, so no internal
 // synchronization is needed.
+//
+// Probing: ProbeMatches turns a whole probe batch into one match list
+// without a data-dependent branch, and JoinMatches / ForEachJoinedChunk
+// turn a range of that list into joined rows in bulk. SP and the tests
+// look keys up one at a time through ForEachMatch.
 
 #ifndef HIERDB_MT_ROW_TABLE_H_
 #define HIERDB_MT_ROW_TABLE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "mt/row.h"
 
 namespace hierdb::mt {
+
+class RowTable;
+
+/// The batched probe's output: match m pairs probe row probe[m] with build
+/// row build[m]. The arrays are reused storage; only the first size()
+/// entries are valid.
+struct Matches {
+  std::vector<uint32_t> probe;
+  std::vector<const int64_t*> build;
+  size_t count = 0;
+
+  size_t size() const { return count; }
+};
+
+/// ProbeMatches's active-row lists, reused across probe batches.
+struct ProbeScratch {
+  std::vector<uint32_t> row;           ///< probe row index
+  std::vector<uint32_t> entry;         ///< chain link to visit next
+  std::vector<const RowTable*> table;  ///< table that chain belongs to
+};
 
 class RowTable {
  public:
@@ -61,62 +89,9 @@ class RowTable {
     }
   }
 
-  /// Batched probe over precomputed (key, hash) columns: invokes
-  /// fn(i, build_row) for every build row matching keys[i], i in [0, n).
-  /// hashes[i] must be HashKey(keys[i]) — computed once by the caller's
-  /// vectorized hash pass and reused here. A small prefetch window hides
-  /// the head-array cache misses of independent lookups.
-  template <typename Fn>
-  void ProbeBatch(const int64_t* keys, const uint64_t* hashes, size_t n,
-                  Fn&& fn) const {
-    if (heads_.empty()) return;
-    const size_t heads = heads_.size();
-    constexpr size_t kPrefetch = 8;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kPrefetch < n) {
-        __builtin_prefetch(&heads_[SlotOf(hashes[i + kPrefetch], heads)], 0,
-                           1);
-      }
-      const int64_t key = keys[i];
-      for (uint32_t e = heads_[SlotOf(hashes[i], heads)]; e != kNoEntry;
-           e = next_[e]) {
-        const int64_t* row = pool_.data() + static_cast<size_t>(e) * width_;
-        if (row[key_col_] == key) fn(i, row);
-      }
-    }
-  }
-
-  /// ProbeBatch across one join's fragmented build: row i is looked up in
-  /// the table of its own bucket, tables[hashes[i] % buckets] (where the
-  /// build scattered that key), so one probe batch may mix buckets. The
-  /// threads backend probes every batch this way; the cluster probes its
-  /// node's mixed batches over its home tables (the others stay empty),
-  /// and a stolen single-bucket piece through ProbeBatch on its fragment.
-  template <typename Fn>
-  friend void ProbeBuckets(const std::vector<RowTable>& tables,
-                           uint32_t buckets, const int64_t* keys,
-                           const uint64_t* hashes, size_t n, Fn&& fn) {
-    constexpr size_t kPrefetch = 8;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kPrefetch < n) {
-        const RowTable& ahead = tables[hashes[i + kPrefetch] % buckets];
-        if (!ahead.heads_.empty()) {
-          __builtin_prefetch(
-              &ahead.heads_[SlotOf(hashes[i + kPrefetch], ahead.heads_.size())],
-              0, 1);
-        }
-      }
-      const RowTable& t = tables[hashes[i] % buckets];
-      if (t.heads_.empty()) continue;
-      const int64_t key = keys[i];
-      for (uint32_t e = t.heads_[SlotOf(hashes[i], t.heads_.size())];
-           e != kNoEntry; e = t.next_[e]) {
-        const int64_t* row =
-            t.pool_.data() + static_cast<size_t>(e) * t.width_;
-        if (row[t.key_col_] == key) fn(i, row);
-      }
-    }
-  }
+  friend void ProbeMatches(const RowTable* tables, uint32_t buckets,
+                           const int64_t* keys, const uint64_t* hashes,
+                           size_t n, ProbeScratch* scratch, Matches* out);
 
   size_t rows() const { return width_ == 0 ? 0 : pool_.size() / width_; }
   uint32_t width() const { return width_; }
@@ -148,6 +123,109 @@ class RowTable {
   std::vector<uint32_t> next_;
   std::vector<uint32_t> heads_;
 };
+
+/// The batched probe of the real backends: fills `out` with every (i,
+/// build row) such that the build row's key equals keys[i], i in [0, n).
+/// Row i is looked up in its own bucket's table, tables[hashes[i] %
+/// buckets] (where the build scattered that key), so one probe batch may
+/// mix buckets; a single table is `buckets` = 1. hashes[i] must be
+/// HashKey(keys[i]).
+///
+/// Pass 1 finds every row's chain head and lists the rows whose head is
+/// not empty. Each round then advances every listed row one chain link:
+/// it writes (i, row) at the match cursor unconditionally and advances
+/// the cursor by the key comparison, then keeps the row listed iff its
+/// chain goes on. No step branches on the data, and the loads of one
+/// round are independent of each other, so their cache misses overlap.
+/// Matches come out round-major (first links of every row, then second
+/// links, ...); every consumer is order-independent.
+inline void ProbeMatches(const RowTable* tables, uint32_t buckets,
+                         const int64_t* keys, const uint64_t* hashes,
+                         size_t n, ProbeScratch* scratch, Matches* out) {
+  out->count = 0;
+  if (scratch->row.size() < n) {
+    scratch->row.resize(n);
+    scratch->entry.resize(n);
+    scratch->table.resize(n);
+  }
+  uint32_t* row = scratch->row.data();
+  uint32_t* entry = scratch->entry.data();
+  const RowTable** table = scratch->table.data();
+  const bool pow2 = (buckets & (buckets - 1)) == 0;
+  size_t active = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t h = hashes[i];
+    const RowTable* t = tables + (pow2 ? h & (buckets - 1) : h % buckets);
+    const size_t heads = t->heads_.size();
+    const uint32_t head =
+        heads == 0 ? RowTable::kNoEntry : t->heads_[SlotOf(h, heads)];
+    row[active] = static_cast<uint32_t>(i);
+    entry[active] = head;
+    table[active] = t;
+    active += head != RowTable::kNoEntry;
+  }
+  size_t m = 0;
+  while (active > 0) {
+    if (out->probe.size() < m + active) {
+      const size_t cap = std::max(2 * out->probe.size(), m + active);
+      out->probe.resize(cap);
+      out->build.resize(cap);
+    }
+    uint32_t* probe = out->probe.data();
+    const int64_t** build = out->build.data();
+    size_t next = 0;
+    for (size_t k = 0; k < active; ++k) {
+      const RowTable* t = table[k];
+      const uint32_t e = entry[k];
+      const uint32_t i = row[k];
+      const int64_t* brow =
+          t->pool_.data() + static_cast<size_t>(e) * t->width_;
+      probe[m] = i;
+      build[m] = brow;
+      m += brow[t->key_col_] == keys[i];
+      const uint32_t link = t->next_[e];
+      row[next] = i;
+      entry[next] = link;
+      table[next] = t;
+      next += link != RowTable::kNoEntry;
+    }
+    active = next;
+  }
+  out->count = m;
+}
+
+/// Writes the joined rows of matches [from, to) into `out`, exactly to -
+/// from rows of the probe row's columns followed by `build_width` build
+/// columns (its storage is reused when the width already fits).
+inline void JoinMatches(const Batch& probe, const Matches& matches,
+                        size_t from, size_t to, uint32_t build_width,
+                        Batch* out) {
+  const uint32_t in_w = probe.width();
+  const uint32_t w = in_w + build_width;
+  if (out->width() != w) *out = Batch(w);
+  out->data().resize((to - from) * w);
+  int64_t* dst = out->data().data();
+  for (size_t m = from; m < to; ++m, dst += w) {
+    const int64_t* p = probe.row(matches.probe[m]);
+    const int64_t* b = matches.build[m];
+    for (uint32_t c = 0; c < in_w; ++c) dst[c] = p[c];
+    for (uint32_t c = 0; c < build_width; ++c) dst[in_w + c] = b[c];
+  }
+}
+
+/// JoinMatches over matches [from, to) in chunks of at most `chunk_rows`
+/// rows, each joined into `*chunk` and handed to fn(Batch&) (which may
+/// move it away).
+template <typename Fn>
+void ForEachJoinedChunk(const Batch& probe, const Matches& matches,
+                        size_t from, size_t to, uint32_t build_width,
+                        size_t chunk_rows, Batch* chunk, Fn&& fn) {
+  for (size_t at = from; at < to; at += chunk_rows) {
+    JoinMatches(probe, matches, at, std::min(at + chunk_rows, to),
+                build_width, chunk);
+    fn(*chunk);
+  }
+}
 
 }  // namespace hierdb::mt
 

@@ -95,11 +95,14 @@ TEST(RowTable, MatchesSurviveRehashWithinOneBucket) {
     hashes.push_back(HashKey(k));
   }
   std::vector<size_t> batch_hits(keys.size(), 0);
-  t.ProbeBatch(keys.data(), hashes.data(), keys.size(),
-               [&](size_t i, const int64_t* row) {
-                 EXPECT_EQ(row[0], keys[i]);
-                 ++batch_hits[i];
-               });
+  ProbeScratch scratch;
+  Matches matches;
+  ProbeMatches(&t, 1, keys.data(), hashes.data(), keys.size(), &scratch,
+               &matches);
+  for (size_t m = 0; m < matches.size(); ++m) {
+    EXPECT_EQ(matches.build[m][0], keys[matches.probe[m]]);
+    ++batch_hits[matches.probe[m]];
+  }
   for (size_t hits : batch_hits) EXPECT_EQ(hits, 2u);
   size_t misses = 0;
   t.ForEachMatch(keys.back() + 1, [&](const int64_t*) { ++misses; });

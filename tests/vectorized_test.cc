@@ -208,44 +208,190 @@ TEST(BatchAppend, AppendRowsMatchesRowAtATime) {
   EXPECT_EQ(bulk.data(), single.data());
 }
 
-TEST(ProbeBatchEquiv, MatchesForEachMatchWithDuplicates) {
-  // Build rows with duplicate keys so chains have length > 1.
-  RowTable table(2, 0);
-  // The same rows fragmented the way a build scatters them.
-  constexpr uint32_t kBuckets = 16;
-  std::vector<RowTable> buckets(kBuckets, RowTable(2, 0));
-  std::mt19937_64 rng(29);
-  for (int i = 0; i < 3000; ++i) {
-    int64_t row[2] = {static_cast<int64_t>(rng() % 200), i};
-    table.Insert(row);
-    buckets[HashKey(row[0]) % kBuckets].Insert(row);
+TEST(BatchAppend, DigestAddRowsMatchesRowAtATime) {
+  // 777 rows span several 256-row tiles and a partial one.
+  Batch src = RandomBatch(777, 5, 1000, 67);
+  ResultDigest bulk, single;
+  bulk.AddRows(src.data().data(), src.rows(), 5);
+  for (size_t i = 0; i < src.rows(); ++i) single.Add(src.row(i), 5);
+  EXPECT_EQ(bulk, single);
+  ResultDigest none;
+  none.AddRows(nullptr, 0, 5);
+  EXPECT_EQ(none, ResultDigest{});
+}
+
+// ProbeMatches against ForEachMatch, as multisets of (probe row, build
+// row): the kernel emits matches round-major, so only the multiset is
+// defined. Row i is looked up in tables[HashKey(keys[i]) % tables.size()].
+using MatchSet = std::vector<std::pair<uint32_t, const int64_t*>>;
+
+MatchSet KernelMatches(const std::vector<RowTable>& tables,
+                       const std::vector<int64_t>& keys,
+                       ProbeScratch* scratch) {
+  std::vector<uint64_t> hashes(keys.size());
+  HashStrided(keys.data(), 1, nullptr, keys.size(), hashes.data());
+  Matches m;
+  ProbeMatches(tables.data(), static_cast<uint32_t>(tables.size()),
+               keys.data(), hashes.data(), keys.size(), scratch, &m);
+  MatchSet out;
+  for (size_t k = 0; k < m.size(); ++k) {
+    EXPECT_EQ(m.build[k][0], keys[m.probe[k]]);
+    out.emplace_back(m.probe[k], m.build[k]);
   }
-  Batch probes = RandomBatch(1000, 2, 260, 31);  // some keys miss entirely
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
-  std::vector<int64_t> keys(probes.rows());
-  std::vector<uint64_t> hashes(probes.rows());
-  GatherStrided(probes.data().data(), 2, nullptr, probes.rows(), keys.data());
-  HashStrided(probes.data().data(), 2, nullptr, probes.rows(), hashes.data());
+MatchSet KernelMatches(const std::vector<RowTable>& tables,
+                       const std::vector<int64_t>& keys) {
+  ProbeScratch scratch;
+  return KernelMatches(tables, keys, &scratch);
+}
 
-  std::vector<std::pair<size_t, int64_t>> batched, scalar;
-  table.ProbeBatch(keys.data(), hashes.data(), probes.rows(),
-                   [&](size_t i, const int64_t* brow) {
-                     batched.emplace_back(i, brow[1]);
-                   });
-  for (size_t i = 0; i < probes.rows(); ++i) {
-    table.ForEachMatch(probes.at(i, 0), [&](const int64_t* brow) {
-      scalar.emplace_back(i, brow[1]);
-    });
+MatchSet ReferenceMatches(const std::vector<RowTable>& tables,
+                          const std::vector<int64_t>& keys) {
+  MatchSet out;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    tables[HashKey(keys[i]) % tables.size()].ForEachMatch(
+        keys[i], [&](const int64_t* brow) {
+          out.emplace_back(static_cast<uint32_t>(i), brow);
+        });
   }
-  EXPECT_EQ(batched, scalar);
-  EXPECT_GT(batched.size(), 0u);
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
-  std::vector<std::pair<size_t, int64_t>> bucketed;
-  ProbeBuckets(buckets, kBuckets, keys.data(), hashes.data(), probes.rows(),
-               [&](size_t i, const int64_t* brow) {
-                 bucketed.emplace_back(i, brow[1]);
-               });
-  EXPECT_EQ(bucketed, scalar);
+// Inserts {key, i} for every key into tables[HashKey(key) % size].
+void Fill(std::vector<RowTable>* tables, const std::vector<int64_t>& keys) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const int64_t row[2] = {keys[i], static_cast<int64_t>(i)};
+    (*tables)[HashKey(keys[i]) % tables->size()].Insert(row);
+  }
+}
+
+std::vector<int64_t> RandomKeys(size_t n, int64_t range, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<int64_t> keys(n);
+  for (int64_t& k : keys) k = static_cast<int64_t>(rng() % range);
+  return keys;
+}
+
+TEST(ProbeMatchesEquiv, DuplicateKeysFragmentedAndSingleTable) {
+  // 3000 build rows over 200 keys: about 15 matches per hit key, and
+  // probe keys up to 260 so some miss entirely.
+  const std::vector<int64_t> build = RandomKeys(3000, 200, 29);
+  const std::vector<int64_t> probe = RandomKeys(1000, 260, 31);
+  for (uint32_t buckets : {1u, 16u, 100u}) {
+    std::vector<RowTable> tables(buckets, RowTable(2, 0));
+    Fill(&tables, build);
+    const MatchSet got = KernelMatches(tables, probe);
+    EXPECT_EQ(got, ReferenceMatches(tables, probe)) << buckets;
+    EXPECT_GT(got.size(), probe.size()) << buckets;
+  }
+}
+
+TEST(ProbeMatchesEquiv, KeysSharingOneChain) {
+  // Six keys on one chain of a 16-head table (slot 5), probed with those
+  // keys and with absent keys whose lookups walk that same chain.
+  std::vector<int64_t> on_chain, absent;
+  for (int64_t k = 0; on_chain.size() < 6 || absent.size() < 4; ++k) {
+    if (SlotOf(HashKey(k), 16) != 5) continue;
+    (on_chain.size() < 6 ? on_chain : absent).push_back(k);
+  }
+  std::vector<RowTable> tables(1, RowTable(2, 0));
+  Fill(&tables, on_chain);
+  std::vector<int64_t> probe = on_chain;
+  probe.insert(probe.end(), absent.begin(), absent.end());
+  probe.insert(probe.end(), on_chain.rbegin(), on_chain.rend());
+  const MatchSet got = KernelMatches(tables, probe);
+  EXPECT_EQ(got, ReferenceMatches(tables, probe));
+  EXPECT_EQ(got.size(), 2 * on_chain.size());
+}
+
+TEST(ProbeMatchesEquiv, EmptyBucketTables) {
+  const std::vector<int64_t> probe = RandomKeys(500, 100, 41);
+  // No build rows at all.
+  std::vector<RowTable> empty(8, RowTable(2, 0));
+  EXPECT_TRUE(KernelMatches(empty, probe).empty());
+  // Only the keys of buckets 0 and 3 built: the other six tables stay
+  // empty, as a cluster node's non-home tables do.
+  std::vector<int64_t> build;
+  for (int64_t k = 0; k < 100; ++k) {
+    const uint64_t b = HashKey(k) % 8;
+    if (b == 0 || b == 3) build.push_back(k);
+  }
+  std::vector<RowTable> sparse(8, RowTable(2, 0));
+  Fill(&sparse, build);
+  const MatchSet got = KernelMatches(sparse, probe);
+  EXPECT_EQ(got, ReferenceMatches(sparse, probe));
+  EXPECT_GT(got.size(), 0u);
+  EXPECT_LT(got.size(), probe.size());
+}
+
+TEST(ProbeMatchesEquiv, EmptyBatchAndAllMisses) {
+  std::vector<RowTable> tables(64, RowTable(2, 0));
+  Fill(&tables, RandomKeys(1000, 1000, 43));
+  ProbeScratch scratch;
+  EXPECT_TRUE(KernelMatches(tables, {}, &scratch).empty());
+  // Keys outside the build range, after a batch that filled the scratch
+  // (stale entries past the new batch must not leak into it).
+  const std::vector<int64_t> hits = RandomKeys(1000, 1000, 47);
+  EXPECT_EQ(KernelMatches(tables, hits, &scratch),
+            ReferenceMatches(tables, hits));
+  std::vector<int64_t> misses = RandomKeys(300, 1000, 53);
+  for (int64_t& k : misses) k += 1000;
+  EXPECT_TRUE(KernelMatches(tables, misses, &scratch).empty());
+  EXPECT_TRUE(KernelMatches(tables, {}, &scratch).empty());
+}
+
+TEST(ProbeMatchesEquiv, OneSlotHoldsEveryKey) {
+  // 100 keys, three rows each, whose hashes share their top 8 bits: one
+  // table of 300 rows has 256 heads, so every row sits on one chain of
+  // 300 links that mixes every key.
+  std::vector<int64_t> keys;
+  const uint64_t slot = SlotOf(HashKey(0), 256);
+  for (int64_t k = 0; keys.size() < 100; ++k) {
+    if (SlotOf(HashKey(k), 256) == slot) keys.push_back(k);
+  }
+  std::vector<int64_t> build;
+  for (int copy = 0; copy < 3; ++copy) {
+    build.insert(build.end(), keys.begin(), keys.end());
+  }
+  std::vector<RowTable> tables(1, RowTable(2, 0));
+  Fill(&tables, build);
+  std::vector<int64_t> probe = keys;
+  probe.push_back(keys.back() + 1);
+  const MatchSet got = KernelMatches(tables, probe);
+  EXPECT_EQ(got, ReferenceMatches(tables, probe));
+  EXPECT_EQ(got.size(), 3 * keys.size());
+}
+
+TEST(ProbeMatchesEquiv, JoinedChunksConcatenateEveryMatch) {
+  std::vector<RowTable> tables(16, RowTable(2, 0));
+  Fill(&tables, RandomKeys(400, 50, 59));
+  Batch probe = RandomBatch(300, 3, 60, 61);
+  std::vector<int64_t> keys(probe.rows());
+  std::vector<uint64_t> hashes(probe.rows());
+  GatherStrided(probe.data().data() + 1, 3, nullptr, probe.rows(),
+                keys.data());
+  HashStrided(keys.data(), 1, nullptr, keys.size(), hashes.data());
+  ProbeScratch scratch;
+  Matches m;
+  ProbeMatches(tables.data(), 16, keys.data(), hashes.data(), keys.size(),
+               &scratch, &m);
+  ASSERT_GT(m.size(), 100u);
+  Batch joined, chunk;
+  ForEachJoinedChunk(probe, m, 0, m.size(), 2, 64, &chunk, [&](Batch& c) {
+    EXPECT_EQ(c.width(), 5u);
+    EXPECT_LE(c.rows(), 64u);
+    if (joined.width() == 0) joined = Batch(5);
+    joined.AppendRows(c.data().data(), c.rows());
+  });
+  Batch expected(5);
+  for (size_t k = 0; k < m.size(); ++k) {
+    expected.AppendConcat(probe.row(m.probe[k]), 3, m.build[k], 2);
+  }
+  EXPECT_EQ(joined.data(), expected.data());
 }
 
 TEST(AggBatch, AccumulateBatchMatchesScalar) {
