@@ -93,14 +93,19 @@ std::vector<double> EstimateChainRows(
   return est;
 }
 
+/// `reused` (optional) marks chains a real backend elided: their output
+/// came from the build cache, so they have no measured actual.
 std::vector<obs::ChainCard> MakeChainCards(
-    const std::vector<double>& est, const std::vector<uint64_t>* actual) {
+    const std::vector<double>& est, const std::vector<uint64_t>* actual,
+    const std::vector<bool>* reused = nullptr) {
   std::vector<obs::ChainCard> cards;
   for (uint32_t c = 0; c < est.size(); ++c) {
     obs::ChainCard card;
     card.chain = c;
     card.est_rows = est[c];
-    if (actual != nullptr && c < actual->size()) {
+    const bool elided =
+        reused != nullptr && c < reused->size() && (*reused)[c];
+    if (actual != nullptr && c < actual->size() && !elided) {
       card.actual_rows = (*actual)[c];
       card.has_actual = true;
     }
@@ -195,46 +200,6 @@ std::vector<obs::TraceOp> RealTraceOps(
     ops.push_back(std::move(op));
   }
   return ops;
-}
-
-/// kCluster placement: partitions each base relation by its first use in
-/// plan order. Driving scan inputs are placed round-robin (or with Zipf
-/// placement skew when requested); build relations hash-decluster on
-/// their build column (the paper's assumption). Placement only affects
-/// locality — the bucket routing re-scatters rows regardless — so any
-/// first-use rule is correct. Partitions keep full-width rows; the
-/// executor's scans emit the pruned plan's projected ones.
-std::vector<cluster::PartitionedTable> PlaceTables(
-    const mt::PipelinePlan& plan, const std::vector<const mt::Table*>& tables,
-    const ExecOptions& opts) {
-  std::vector<cluster::PartitionedTable> parts(tables.size());
-  std::vector<char> placed(tables.size(), 0);
-  auto place_input = [&](uint32_t idx) {
-    if (placed[idx]) return;
-    placed[idx] = 1;
-    parts[idx] =
-        opts.placement_theta > 0
-            ? cluster::PartitionWithPlacementSkew(
-                  *tables[idx], opts.nodes, opts.placement_theta, opts.seed)
-            : cluster::PartitionRoundRobin(*tables[idx], opts.nodes);
-  };
-  auto place_build = [&](uint32_t idx, uint32_t col) {
-    if (placed[idx]) return;
-    placed[idx] = 1;
-    parts[idx] = cluster::PartitionByHash(*tables[idx], opts.nodes, col);
-  };
-  for (const mt::Chain& chain : plan.chains) {
-    if (chain.input.kind == mt::Source::Kind::kTable) {
-      place_input(chain.input.index);
-    }
-    for (const mt::JoinStep& j : chain.joins) {
-      if (j.build.kind == mt::Source::Kind::kTable) {
-        place_build(j.build.index, j.build_col);
-      }
-    }
-  }
-  for (uint32_t i = 0; i < parts.size(); ++i) place_input(i);  // leftovers
-  return parts;
 }
 
 /// Trace-plan graph of the simulator's physical plan (operators map 1:1).
@@ -332,6 +297,7 @@ std::string ExecutionReport::ToString() const {
     os << " build_cache=" << build_cache_hits << "/"
        << (build_cache_hits + build_cache_misses);
   }
+  if (chains_reused > 0) os << " chains_reused=" << chains_reused;
   if (rows_filtered > 0) os << " filtered=" << rows_filtered;
   if (rows_prefiltered > 0) os << " prefiltered=" << rows_prefiltered;
   if (aggregated) {
@@ -597,6 +563,8 @@ RelId Session::AddTable(mt::Table table) {
   // their shared_ptrs; content-hash keys would remain correct, clearing
   // just bounds memory and keeps the contract simple).
   build_cache_.Clear();
+  std::lock_guard<std::mutex> lock(placement_mu_);
+  placements_.clear();
   return id;
 }
 
@@ -1111,11 +1079,12 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
     return out->mtplan.Validate(out->tables);
   };
 
-  // Build-cache identities are only consumed by the threads backend
-  // (RunReal wires the cache); other backends skip even the cheap id
+  // Build-cache identities are consumed by both real backends (RunReal
+  // wires the cache, and kCluster's placement memo keys on them); with
+  // reuse off, or on the simulator, planning skips even the cheap id
   // copies and, for synthesized tables, the O(rows) content hashing.
   const bool want_cache =
-      opts.reuse_builds && opts.backend == Backend::kThreads;
+      opts.reuse_builds && opts.backend != Backend::kSimulated;
   if (q.chain_) {
     // Chain queries execute the registered rows verbatim.
     std::string missing;
@@ -1590,6 +1559,72 @@ Result<QueryResult> Session::RunSimulated(
   return qr;
 }
 
+/// Driving scan inputs are placed round-robin (or with Zipf placement skew
+/// when requested); build relations hash-decluster on their build column
+/// (the paper's assumption). Placement only affects locality — the bucket
+/// routing re-scatters rows regardless — so any first-use rule is correct.
+/// Partitions keep full-width rows; the executor's scans emit the pruned
+/// plan's projected ones. Synthesized tables are private to their query
+/// and never memoized.
+std::vector<std::shared_ptr<const cluster::PartitionedTable>>
+Session::PlaceTables(const Planned& p, const ExecOptions& opts) const {
+  const std::vector<const mt::Table*>& tables = p.tables;
+  std::vector<std::shared_ptr<const cluster::PartitionedTable>> parts(
+      tables.size());
+  // rule: 0 round-robin, 1 placement skew (theta, seed), 2 hash (column).
+  auto place = [&](uint32_t idx, uint32_t rule, uint64_t param) {
+    if (parts[idx] != nullptr) return;
+    auto make = [&] {
+      const mt::Table& t = *tables[idx];
+      return std::make_shared<const cluster::PartitionedTable>(
+          rule == 2   ? cluster::PartitionByHash(
+                            t, opts.nodes, static_cast<uint32_t>(param))
+          : rule == 1 ? cluster::PartitionWithPlacementSkew(
+                            t, opts.nodes, opts.placement_theta, opts.seed)
+                      : cluster::PartitionRoundRobin(t, opts.nodes));
+    };
+    const uint64_t id = p.owned.empty() && idx < p.cache_ids.size()
+                            ? p.cache_ids[idx]
+                            : 0;
+    if (id == 0) {
+      parts[idx] = make();
+      return;
+    }
+    const PlacementKey key{id, opts.nodes, rule, param,
+                           rule == 1 ? opts.seed : 0};
+    {
+      std::lock_guard<std::mutex> lock(placement_mu_);
+      auto it = placements_.find(key);
+      if (it != placements_.end()) {
+        parts[idx] = it->second;
+        return;
+      }
+    }
+    auto made = make();  // outside the lock; a racing placer's copy wins
+    std::lock_guard<std::mutex> lock(placement_mu_);
+    parts[idx] = placements_.emplace(key, std::move(made)).first->second;
+  };
+  auto place_input = [&](uint32_t idx) {
+    if (opts.placement_theta > 0) {
+      place(idx, 1, DoubleBits(opts.placement_theta));
+    } else {
+      place(idx, 0, 0);
+    }
+  };
+  for (const mt::Chain& chain : p.mtplan.chains) {
+    if (chain.input.kind == mt::Source::Kind::kTable) {
+      place_input(chain.input.index);
+    }
+    for (const mt::JoinStep& j : chain.joins) {
+      if (j.build.kind == mt::Source::Kind::kTable) {
+        place(j.build.index, 2, j.build_col);
+      }
+    }
+  }
+  for (uint32_t i = 0; i < parts.size(); ++i) place_input(i);  // leftovers
+  return parts;
+}
+
 Result<QueryResult> Session::RunReal(const Planned& p,
                                      const ExecOptions& opts,
                                      double queue_wait_ms,
@@ -1612,10 +1647,10 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   widths.reserve(p.tables.size());
   for (const mt::Table* t : p.tables) widths.push_back(t->width());
   mt::PruneColumns(&query.plan, widths);
-  std::vector<cluster::PartitionedTable> parts;
+  std::vector<std::shared_ptr<const cluster::PartitionedTable>> parts;
   if (on_cluster) {
-    parts = PlaceTables(p.mtplan, p.tables, opts);
-    for (const auto& pt : parts) query.tables.push_back(&pt);
+    parts = PlaceTables(p, opts);
+    for (const auto& pt : parts) query.tables.push_back(pt.get());
     HIERDB_RETURN_NOT_OK(query.Validate(opts.nodes));
   }
 
@@ -1669,11 +1704,11 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   } else {
     po.apply_h1 = opts.apply_h1;
     po.apply_h2 = opts.apply_h2;
-    if (opts.reuse_builds) {
-      po.build_cache = &build_cache_;
-      po.table_cache_ids = p.cache_ids;
-      po.cache_seed_skew = p.cache_seed_skew;
-    }
+  }
+  if (opts.reuse_builds) {
+    eo.build_cache = &build_cache_;
+    eo.table_cache_ids = p.cache_ids;
+    eo.cache_seed_skew = p.cache_seed_skew;
   }
 
   obs::TraceSink sink;
@@ -1752,6 +1787,8 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     rep.agg_groups = cstats.agg_groups;
     rep.agg_partials = cstats.agg_partials;
     rep.agg_repartition_bytes = cstats.agg_repartition_bytes;
+    rep.build_cache_hits = cstats.build_cache_hits;
+    rep.build_cache_misses = cstats.build_cache_misses;
     rep.cluster = cstats;
   } else {
     rep.idle_waits = tstats.idle_waits;
@@ -1765,8 +1802,12 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   }
   const std::vector<uint64_t>& rows_per_chain =
       on_cluster ? cstats.rows_per_chain : tstats.rows_per_chain;
+  const std::vector<bool>& chain_reused =
+      on_cluster ? cstats.chain_reused : tstats.chain_reused;
+  rep.chains_reused = static_cast<uint32_t>(
+      std::count(chain_reused.begin(), chain_reused.end(), true));
   std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &rows_per_chain);
+  rep.chain_cards = MakeChainCards(est, &rows_per_chain, &chain_reused);
   for (size_t i = 0; i < cap_sinks.size(); ++i) {
     rep.captures.push_back(cap_sinks[i]->Take(
         p.captures[i].name, p.captures[i].chain, p.captures[i].point));

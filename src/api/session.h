@@ -72,10 +72,12 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/worker_pool.h"
@@ -192,11 +194,19 @@ struct ExecOptions {
   double bind_scale = 0.01;
   uint64_t bind_min_rows = 16;
 
-  /// kThreads only: share build-side hash tables across queries through
-  /// the session's build cache, keyed on (table contents, build column,
-  /// buckets, seed/skew). A query hitting the cache skips that build's
-  /// scatter and inserts entirely; a miss publishes the finished tables
-  /// for overlapping/later queries. Invalidated by Session::AddTable.
+  /// Real backends (kThreads and kCluster alike): share build-side hash
+  /// tables across queries through the session's build cache. A build of
+  /// a base table keys on (table contents, build column, buckets,
+  /// seed/skew, filters, projection); a build of a chain's output keys on
+  /// a recursive identity of that chain (mt/build_cache.h). A query
+  /// hitting the cache skips that build's scatter and inserts entirely,
+  /// and a chain whose consuming builds all hit (and that has no capture
+  /// point) is not run at all (ExecutionReport::chains_reused). A miss
+  /// publishes the finished tables for overlapping/later queries: kThreads
+  /// as each build ends, kCluster after a successful, fault-free run.
+  /// kCluster also keeps each registered table's placement across
+  /// queries. Invalidated by Session::AddTable. False: nothing is shared
+  /// across queries.
   bool reuse_builds = true;
 
   /// Real backends: also run the single-threaded reference execution and
@@ -329,10 +339,14 @@ struct ExecutionReport {
   uint64_t materialized_rows = 0;
   uint64_t materialized_bytes = 0;
 
-  /// kThreads with ExecOptions::reuse_builds: builds satisfied from the
-  /// session build cache vs cacheable builds executed (and published).
+  /// Real backends with ExecOptions::reuse_builds: builds satisfied from
+  /// the session build cache vs cacheable builds executed (and published).
+  /// Builds inside an elided chain are neither.
   uint64_t build_cache_hits = 0;
   uint64_t build_cache_misses = 0;
+  /// Real backends: chains not run because every build consuming their
+  /// output hit the cache (their chain_cards carry no actual).
+  uint32_t chains_reused = 0;
 
   /// Real backends: rows dropped by scan-level Where predicates.
   uint64_t rows_filtered = 0;
@@ -467,10 +481,11 @@ struct SessionOptions {
   /// starvable shortest-cost-first).
   double scf_aging_ms = 10000.0;
   /// Byte budget for the session's build-side cache
-  /// (ExecOptions::reuse_builds): publishing a build evicts
-  /// least-recently-hit entries until resident hash-table bytes fit, so
-  /// long-lived sessions cycling many (buckets, seed) configurations stay
-  /// bounded. 0 (the default) = unbounded (AddTable still clears).
+  /// (ExecOptions::reuse_builds; base-table and chain-output builds of
+  /// both real backends): publishing a build evicts least-recently-hit
+  /// entries until resident hash-table bytes fit, so long-lived sessions
+  /// cycling many (buckets, seed) configurations stay bounded. 0 (the
+  /// default) = unbounded (AddTable still clears).
   uint64_t build_cache_bytes = 0;
   /// Continuous metrics export: when non-empty, the session appends one
   /// SessionMetrics::ToJson() line to this file every
@@ -668,8 +683,8 @@ struct StreamReport {
   /// 0 when no chain reported an actual (e.g. a simulated stream).
   double mean_card_error = 0.0;
 
-  /// Build-side reuse over the whole stream (kThreads + reuse_builds):
-  /// totals of the per-query ExecutionReport counters.
+  /// Build-side reuse over the whole stream (real backends +
+  /// reuse_builds): totals of the per-query ExecutionReport counters.
   uint64_t build_cache_hits = 0;
   uint64_t build_cache_misses = 0;
 
@@ -991,6 +1006,11 @@ class Session {
                                  const FaultCtx& fc) const;
   Result<QueryResult> RunSimulated(const Planned& p, const ExecOptions& opts,
                                    const std::atomic<bool>& stop) const;
+  /// kCluster placement: partitions each base relation by its first use
+  /// in plan order, through the placement memo when `p` carries
+  /// registered tables with identities (ExecOptions::reuse_builds).
+  std::vector<std::shared_ptr<const cluster::PartitionedTable>> PlaceTables(
+      const Planned& p, const ExecOptions& opts) const;
   /// The one run path of the real backends (kThreads, kCluster): pool
   /// rent, executor options, tracing, report, validation and
   /// materialization, with only placement and the executor call per
@@ -1032,6 +1052,17 @@ class Session {
   mutable std::mutex pool_mu_;
   mutable std::unique_ptr<WorkerPool> pool_;
   mutable mt::BuildCache build_cache_;
+  /// kCluster placement memo: each registered table version's
+  /// partitioning, keyed by (content hash, nodes, rule, hash column or
+  /// theta bits, seed), shared by every query that places it the same way.
+  /// AddTable clears it, as it clears the build cache; queries hold the
+  /// shared_ptrs, so a clear never frees a partition under a running scan.
+  using PlacementKey =
+      std::tuple<uint64_t, uint32_t, uint32_t, uint64_t, uint64_t>;
+  mutable std::mutex placement_mu_;
+  mutable std::map<PlacementKey,
+                   std::shared_ptr<const cluster::PartitionedTable>>
+      placements_;
   /// Continuous latency metrics, recorded at query completion (any
   /// outcome that executed) and read by MetricsSnapshot.
   SessionOptions session_options_;

@@ -235,6 +235,16 @@ struct ClusterExecutor::Impl {
   std::vector<int32_t> jn_build_gate;  // build source chain's terminal op
 
   std::vector<uint32_t> probe_ops;  // all probe ops (steal candidates)
+
+  // Build-side reuse (mt::ResolveBuilds against opt.build_cache): a hit
+  // join probes the shared entry (all B buckets; each node reads its home
+  // buckets); an elided chain never runs. born_terminated marks the ops
+  // that start terminated on every node with no end-detection round: a
+  // hit join's buildscan and build, and every op of an elided chain. A
+  // builder entry is published after a successful run (PublishBuilds) and
+  // abandoned by every other (~Impl).
+  mt::ResolvedBuilds builds;
+  std::vector<char> born_terminated;  // per op
   // Trigger ops whose morsel count resolves only once their source chain
   // terminates: (trigger op, source chain).
   std::vector<std::pair<uint32_t, uint32_t>> deferred_triggers;
@@ -319,6 +329,22 @@ struct ClusterExecutor::Impl {
                 .injector = o.detect_faults ? o.injector : nullptr,
                 .recorder = o.recorder,
                 .recorder_query = o.recorder_query}) {}
+  ~Impl() { builds.AbandonPending(opt.build_cache); }
+
+  /// Moves every node's home buckets of each join this run builds for
+  /// the cache into one B-bucket entry and publishes it. Only after a
+  /// successful run: the tables are complete once the chains terminated.
+  void PublishBuilds() {
+    for (uint32_t g = 0; g < njoins; ++g) {
+      if (!builds.publish[g]) continue;
+      builds.publish[g] = 0;
+      auto entry = std::make_shared<mt::BucketTables>(opt.buckets);
+      for (uint32_t b = 0; b < opt.buckets; ++b) {
+        (*entry)[b] = std::move(node_state[home_of(b)]->tables[g][b]);
+      }
+      opt.build_cache->Publish(builds.keys[g], std::move(entry));
+    }
+  }
 
   // ---- plan-point captures (opt.captures; empty = no per-row work) ----
   void OfferCapture(uint32_t chain, uint32_t point, const int64_t* row,
@@ -419,9 +445,12 @@ struct ClusterExecutor::Impl {
     std::vector<std::atomic<size_t>> cursor;         // per trigger op
     std::vector<std::atomic<bool>> terminated;       // global, per op
 
-    // Local bucket tables (home buckets only) + insert locks.
+    // Local bucket tables + insert locks, for the joins this run builds.
+    // The table array spans all B buckets, so that the probe kernel can
+    // index it by hash % B, but only home buckets are initialized and
+    // filled; the locks cover home buckets only ([join][bucket / nodes]).
     std::vector<std::vector<RowTable>> tables;  // [join][bucket]
-    std::vector<std::vector<std::unique_ptr<std::mutex>>> bucket_mu;
+    std::vector<std::unique_ptr<std::mutex[]>> bucket_mu;
 
     // Stolen fragments: [join] -> bucket -> table.
     std::vector<std::unordered_map<uint32_t, std::unique_ptr<RowTable>>>
@@ -528,6 +557,13 @@ struct ClusterExecutor::Impl {
   };
   std::vector<std::unique_ptr<NodeState>> node_state;
 
+  /// A join's B bucket tables as this node probes them: the shared cache
+  /// entry on a hit, else the node's own (home buckets filled).
+  const RowTable* JoinTables(const NodeState& ns, uint32_t g) const {
+    return builds.tables[g] != nullptr ? builds.tables[g]->data()
+                                       : ns.tables[g].data();
+  }
+
   // Coordinator (node 0) bookkeeping.
   std::vector<uint32_t> coord_reports;
   std::vector<uint32_t> coord_acks;
@@ -611,10 +647,35 @@ struct ClusterExecutor::Impl {
       }
     }
 
+    // Build-side reuse: never wait on another query's build (the gang
+    // cannot hold-and-wait), and mark what starts terminated.
+    std::vector<uint32_t> build_op_of_join;
+    for (uint32_t c = 0; c < C; ++c) {
+      for (uint32_t j = 0; j < chains[c].k; ++j) {
+        build_op_of_join.push_back(build_op(c, j));
+      }
+    }
+    builds = mt::ResolveBuilds(
+        opt, q.plan, /*may_wait=*/false,
+        [&](uint32_t g) { return build_op_of_join[g]; });
+    born_terminated.assign(nops, 0);
+    for (uint32_t c = 0; c < C; ++c) {
+      const ChainInfo& ci = chains[c];
+      for (uint32_t op = ci.op_base; op <= ci.terminal; ++op) {
+        born_terminated[op] = builds.chain_reused[c];
+      }
+      for (uint32_t j = 0; j < ci.k; ++j) {
+        if (builds.tables[ci.join_base + j] != nullptr) {
+          born_terminated[ci.op_base + j] = 1;  // buildscan
+          born_terminated[build_op(c, j)] = 1;
+        }
+      }
+    }
+
     coord_reports.assign(nops, 0);
     coord_acks.assign(nops, 0);
     coord_drain.assign(nops, false);
-    coord_terminated.assign(nops, false);
+    coord_terminated.assign(born_terminated.begin(), born_terminated.end());
 
     const uint32_t T = opt.threads;
     const uint32_t B = opt.buckets;
@@ -642,13 +703,14 @@ struct ClusterExecutor::Impl {
       ns->stolen.resize(njoins);
       ns->stolen_mu.resize(njoins);
       ns->cached_buckets.resize(njoins);
+      const uint32_t home_buckets = (B + opt.nodes - 1) / opt.nodes;
       for (uint32_t g = 0; g < njoins; ++g) {
-        ns->tables[g].resize(B);
-        ns->bucket_mu[g].resize(B);
         ns->stolen_mu[g] = std::make_unique<std::shared_mutex>();
-        for (uint32_t b = 0; b < B; ++b) {
+        if (born_terminated[build_op_of_join[g]]) continue;  // no build
+        ns->tables[g].resize(B);
+        ns->bucket_mu[g] = std::make_unique<std::mutex[]>(home_buckets);
+        for (uint32_t b = n; b < B; b += opt.nodes) {
           ns->tables[g][b].Init(jn_build_width[g], jn_build_col[g]);
-          ns->bucket_mu[g][b] = std::make_unique<std::mutex>();
         }
       }
       ns->inter.resize(C);
@@ -669,7 +731,7 @@ struct ClusterExecutor::Impl {
         ns->agg_partials.resize(T);
         for (mt::AggTable& t : ns->agg_partials) t.Init(agg);
       }
-      ns->reported.assign(nops, false);
+      ns->reported.assign(born_terminated.begin(), born_terminated.end());
       ns->drain_requested.assign(nops, false);
       ns->drain_acked.assign(nops, false);
       ns->seen_seq.resize(opt.nodes);
@@ -702,6 +764,11 @@ struct ClusterExecutor::Impl {
             ns->morsels_left[chains[c].op_base + j].store(kMorselsUnknown);
           }
         }
+      }
+      for (uint32_t op = 0; op < nops; ++op) {
+        if (!born_terminated[op]) continue;
+        ns->terminated[op].store(true);
+        ns->morsels_left[op].store(0);
       }
       if (opt.strategy == LocalStrategy::kFP) ComputeFpRanges(*ns, n);
       node_state.push_back(std::move(ns));
@@ -782,8 +849,11 @@ struct ClusterExecutor::Impl {
     };
     for (uint32_t c = 0; c < chains.size(); ++c) {
       const ChainInfo& ci = chains[c];
+      if (builds.chain_reused[c]) continue;
+      // A reused join's build ops start terminated: no threads for them.
       std::vector<std::pair<uint32_t, double>> stage_a;
       for (uint32_t j = 0; j < ci.k; ++j) {
+        if (born_terminated[build_op(c, j)]) continue;
         double cost =
             EstimateSourceRows(n, query->plan.chains[c].joins[j].build) + 1;
         stage_a.push_back(
@@ -952,7 +1022,9 @@ struct ClusterExecutor::Impl {
     // Primary queues.
     for (uint32_t i = 0; i < nops; ++i) {
       uint32_t op = (t + i) % nops;
-      if (is_trigger(op) || !Consumable(ns, op)) continue;
+      if (born_terminated[op] || is_trigger(op) || !Consumable(ns, op)) {
+        continue;
+      }
       if (!ThreadMayRun(ns, t, op)) continue;
       Activation act;
       if (ns.queues[op * T + t]->TryPopFront(&act)) {
@@ -963,14 +1035,18 @@ struct ClusterExecutor::Impl {
     // Trigger morsels.
     for (uint32_t i = 0; i < nops; ++i) {
       uint32_t op = (t + i) % nops;
-      if (!is_trigger(op) || !Consumable(ns, op)) continue;
+      if (born_terminated[op] || !is_trigger(op) || !Consumable(ns, op)) {
+        continue;
+      }
       if (!ThreadMayRun(ns, t, op)) continue;
       if (ClaimMorsel(node, t, op)) return true;
     }
     // Steal within the node.
     for (uint32_t i = 0; i < nops; ++i) {
       uint32_t op = (t + i) % nops;
-      if (is_trigger(op) || !Consumable(ns, op)) continue;
+      if (born_terminated[op] || is_trigger(op) || !Consumable(ns, op)) {
+        continue;
+      }
       if (!ThreadMayRun(ns, t, op)) continue;
       for (uint32_t d = 1; d < T; ++d) {
         Activation act;
@@ -1137,7 +1213,8 @@ struct ClusterExecutor::Impl {
     const uint32_t g = join_of(act.op);
     if (is_build(act.op)) {
       {
-        std::lock_guard<std::mutex> lock(*ns.bucket_mu[g][act.bucket]);
+        std::lock_guard<std::mutex> lock(
+            ns.bucket_mu[g][act.bucket / opt.nodes]);
         ns.tables[g][act.bucket].InsertBatch(act.rows);
       }
       if (trace != nullptr) {
@@ -1152,7 +1229,7 @@ struct ClusterExecutor::Impl {
     const RowTable* table = nullptr;
     if (act.bucket != kMixed) {
       if (home_of(act.bucket) == node) {
-        table = &ns.tables[g][act.bucket];
+        table = JoinTables(ns, g) + act.bucket;
       } else {
         std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
         auto it = ns.stolen[g].find(act.bucket);
@@ -1186,7 +1263,7 @@ struct ClusterExecutor::Impl {
       mt::ProbeMatches(table, 1, sc.keys.data(), sc.hashes.data(), n,
                        &sc.probe, &sc.matches);
     } else {
-      mt::ProbeMatches(ns.tables[g].data(), B, sc.keys.data(),
+      mt::ProbeMatches(JoinTables(ns, g), B, sc.keys.data(),
                        sc.hashes.data(), n, &sc.probe, &sc.matches);
     }
     const mt::Matches& matches = sc.matches;
@@ -1805,7 +1882,7 @@ struct ClusterExecutor::Impl {
       // were themselves acquired earlier.
       const RowTable* table = nullptr;
       if (home_of(bucket) == node) {
-        table = &ns.tables[g][bucket];
+        table = JoinTables(ns, g) + bucket;
       } else {
         std::shared_lock<std::shared_mutex> lock(*ns.stolen_mu[g]);
         auto it = ns.stolen[g].find(bucket);
@@ -2070,6 +2147,9 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
   im.materialize_final = materialized != nullptr;
   ThreadSpawnContext fallback_ctx;
   im.ctx = options_.ctx != nullptr ? options_.ctx : &fallback_ctx;
+  const uint64_t faults_before = options_.injector != nullptr
+                                     ? options_.injector->counters().total()
+                                     : 0;
   im.Compile(query);
 
   // Rent one body per node scheduler plus one per node worker; slot k
@@ -2187,6 +2267,9 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
       stats->faults = options_.injector->counters();
     }
     stats->dup_messages_dropped = im.dup_dropped.load();
+    stats->build_cache_hits = im.builds.hits;
+    stats->build_cache_misses = im.builds.misses;
+    stats->chain_reused = im.builds.chain_reused;
     if (im.agg != nullptr) {
       stats->agg_partials = agg_partial_entries;
       for (const auto& d : agg_digests) stats->agg_groups += d.count;
@@ -2255,6 +2338,13 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
       }
       *materialized = std::move(out);
     }
+  }
+  // Only a run that no fault touched publishes its builds (~Impl abandons
+  // the rest): a faulted run that still returned a digest vouches for its
+  // answer, not for a shared entry every later query would read.
+  if (options_.injector == nullptr ||
+      options_.injector->counters().total() == faults_before) {
+    im.PublishBuilds();
   }
   impl_.reset();
   return digest;

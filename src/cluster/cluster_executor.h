@@ -52,6 +52,20 @@
 //                  without it, chains whose inputs are all terminated
 //                  execute concurrently.
 //
+// build reuse      with EngineOptions::build_cache set, each join's key
+//                  (a base table, or a chain's recursive identity; see
+//                  mt/build_cache.h) is looked up without ever waiting on
+//                  another query's build. A hit join's nodes probe the
+//                  shared B-bucket entry (each its home buckets, and a
+//                  provider ships stolen fragments from it), and its
+//                  buildscan and build start terminated with no
+//                  end-detection round. A non-final chain without a
+//                  capture point whose consuming builds all hit is
+//                  elided: every op of it starts terminated and its
+//                  intermediate stays empty. A miss's home buckets are
+//                  published as one entry after a successful run that no
+//                  injected fault touched; every other run abandons.
+//
 // Strategy semantics for the Figure 10 / Section 5.3 comparison:
 //   kDP   global load sharing fires only when the *whole node* starves;
 //   kFP   an idle thread (its operator has no local work) immediately
@@ -212,6 +226,14 @@ struct ClusterStats {
   uint64_t agg_repartition_rows = 0;
   uint64_t agg_repartition_bytes = 0;
   uint64_t agg_groups = 0;
+
+  /// Build-side reuse (mt::EngineOptions::build_cache): joins served by
+  /// the cache vs cacheable joins built by this run, and per chain whether
+  /// it was elided because every build consuming it hit (its
+  /// rows_per_chain entry then reads 0 without having been measured).
+  uint64_t build_cache_hits = 0;
+  uint64_t build_cache_misses = 0;
+  std::vector<bool> chain_reused;
 
   /// Faults that fired during the run (zero unless a plan was armed) and
   /// duplicate deliveries the receivers suppressed.

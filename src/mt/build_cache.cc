@@ -19,6 +19,50 @@ uint64_t TablesBytes(const BucketTables& tables) {
   return b;
 }
 
+uint64_t Mix(uint64_t h, uint64_t v) {
+  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+uint64_t FiltersHash(const PipelinePlan& plan, uint32_t table) {
+  const std::vector<Predicate>* preds = plan.FiltersFor(table);
+  return preds != nullptr ? PredicatesHash(*preds) : 0;
+}
+
+uint64_t ProjectionHash(const PipelinePlan& plan, uint32_t table) {
+  const std::vector<uint32_t>* proj = plan.ProjectionFor(table);
+  if (proj == nullptr) return 0;
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (uint32_t c : *proj) {
+    h ^= c;
+    h *= 0x100000001B3ULL;
+  }
+  return h == 0 ? 1 : h;
+}
+
+/// Identity of the rows `s` produces (0 = unidentifiable): a table's
+/// content hash folded with its filters and projection, or a chain's
+/// recursive identity (input, then each join's build identity and
+/// columns).
+uint64_t SourceIdentity(const std::vector<uint64_t>& table_ids,
+                        const PipelinePlan& plan, const Source& s) {
+  if (s.kind == Source::Kind::kTable) {
+    if (s.index >= table_ids.size() || table_ids[s.index] == 0) return 0;
+    uint64_t h = Mix(table_ids[s.index], FiltersHash(plan, s.index));
+    return Mix(h, ProjectionHash(plan, s.index));
+  }
+  const Chain& chain = plan.chains[s.index];
+  uint64_t h = SourceIdentity(table_ids, plan, chain.input);
+  if (h == 0) return 0;
+  for (const JoinStep& js : chain.joins) {
+    const uint64_t b = SourceIdentity(table_ids, plan, js.build);
+    if (b == 0) return 0;
+    h = Mix(Mix(h, b), static_cast<uint64_t>(js.probe_col) << 32 |
+                           js.build_col);
+  }
+  return h == 0 ? 1 : h;
+}
+
 }  // namespace
 
 uint64_t TableContentHash(const Batch& batch) {
@@ -31,6 +75,28 @@ uint64_t TableContentHash(const Batch& batch) {
   }
   // A zero hash is reserved for "uncacheable".
   return h == 0 ? 1 : h;
+}
+
+bool BuildCacheKeyFor(const std::vector<uint64_t>& table_ids,
+                      uint64_t seed_skew, const PipelinePlan& plan,
+                      uint32_t buckets, const Source& build,
+                      uint32_t build_col, BuildKey* key) {
+  *key = BuildKey{};
+  key->column = build_col;
+  key->buckets = buckets;
+  key->seed_skew = seed_skew;
+  if (build.kind == Source::Kind::kChain) {
+    key->chain = true;
+    key->table = SourceIdentity(table_ids, plan, build);
+    return key->table != 0;
+  }
+  if (build.index >= table_ids.size() || table_ids[build.index] == 0) {
+    return false;
+  }
+  key->table = table_ids[build.index];
+  key->filters = FiltersHash(plan, build.index);
+  key->projection = ProjectionHash(plan, build.index);
+  return true;
 }
 
 BuildCache::Acquired BuildCache::Acquire(

@@ -1,4 +1,4 @@
-// Shared build-side reuse across concurrent queries.
+// Shared build-side reuse across queries.
 //
 // Concurrent queries probing the same dimension/fact tables each used to
 // scatter and hash the build side independently — pure repeated work (FDB
@@ -6,17 +6,36 @@
 // out of a query engine). The BuildCache keys a completed per-bucket hash
 // table set on
 //
-//     (table, column, buckets, seed/skew, filters)
+//     (source, column, buckets, seed/skew, filters, projection)
 //
-// where `table` is a content hash of the build relation's rows (so the
-// key is valid independent of registration order or table storage),
+// where `source` identifies the rows the build consumes:
+//
+//   a base table   a content hash of the relation's rows (so the key is
+//                  valid independent of registration order or table
+//                  storage), with `filters` hashing the scan-level
+//                  predicates applied to the build rows and `projection`
+//                  the column pruning (a filtered or pruned build never
+//                  aliases a plain one);
+//
+//   a chain        (BuildKey::chain set) a recursive identity of the
+//                  pipeline chain whose output the build consumes: its
+//                  input's identity, each join's (build identity, probe
+//                  column, build column), and the filter and projection
+//                  hashes of every table in the subtree. A bushy query
+//                  whose branch joins are unchanged thus finds the
+//                  branch's hash tables without re-running the branch.
+//
 // `seed/skew` folds in the synthesis parameters for catalog-only
 // relations bound at plan time (two queries share a synthesized build
-// only when seed, skew and bind scale all match), and `filters` hashes
-// the scan-level predicates applied to the build rows (a filtered build
-// never aliases an unfiltered one). A session owns one cache;
-// mt::PipelineExecutor consults it for every build whose source is a base
-// table through a promise-based protocol:
+// only when seed, skew and bind scale all match). BuildCacheKeyFor is the
+// one definition of both key kinds. An entry holds all `buckets` tables
+// whichever backend built it: the threads executor builds them in one
+// address space, the cluster executor publishes its nodes' home buckets
+// as one entry and each node reads only its home buckets of a hit.
+//
+// A session owns one cache; both real executors (mt::PipelineExecutor,
+// cluster::ClusterExecutor) consult it through mt::ResolveBuilds
+// (mt/pipeline_executor.h) with a promise-based protocol:
 //
 //   Acquire   returns the published tables (hit), marks the caller the
 //             *builder* of a fresh in-flight entry (first miss), or —
@@ -25,15 +44,16 @@
 //             duplicating the work (counted in Stats::dedup_waits). A
 //             waiter whose query is cancelled, or that waits out the
 //             safety timeout, proceeds solo: it builds locally and does
-//             not publish.
+//             not publish. The cluster never waits (allow_wait = false).
 //
 //   Publish   installs the builder's finished bucket tables; every waiter
-//             wakes with a hit. Probes of the building run read them via
-//             the executor's shared-entry indirection.
+//             wakes with a hit. The threads executor publishes each build
+//             as it finishes; the cluster publishes after a successful
+//             run.
 //
 //   Abandon   removes an in-flight entry whose builder will never publish
-//             (cancelled or failed execution); the next waiter to wake
-//             becomes the new builder.
+//             (cancelled, failed or faulted execution); the next waiter
+//             to wake becomes the new builder.
 //
 // Capacity is bounded by an optional byte budget (SetByteBudget,
 // SessionOptions::build_cache_bytes): published entries are kept on an
@@ -58,6 +78,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mt/plan.h"
 #include "mt/row.h"
 #include "mt/row_table.h"
 
@@ -69,7 +90,12 @@ namespace hierdb::mt {
 uint64_t TableContentHash(const Batch& batch);
 
 struct BuildKey {
-  uint64_t table = 0;      ///< content hash of the build relation
+  /// Content hash of the build relation, or (chain) the identity of the
+  /// chain whose output the build consumes.
+  uint64_t table = 0;
+  /// `table` is a chain identity: a chain key never equals a table key,
+  /// whatever the two hashes are.
+  bool chain = false;
   uint32_t column = 0;     ///< build (key) column
   uint32_t buckets = 0;    ///< degree of fragmentation
   uint64_t seed_skew = 0;  ///< synthesis identity; 0 for registered tables
@@ -84,7 +110,7 @@ struct BuildKey {
 
 struct BuildKeyHash {
   size_t operator()(const BuildKey& k) const {
-    uint64_t h = k.table;
+    uint64_t h = k.table ^ (k.chain ? 0xC3A5C85C97CB3127ULL : 0);
     h ^= (static_cast<uint64_t>(k.column) << 32 | k.buckets) +
          0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
     h ^= k.seed_skew + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
@@ -96,6 +122,18 @@ struct BuildKeyHash {
 
 /// One join's per-bucket hash tables, sized to BuildKey::buckets.
 using BucketTables = std::vector<RowTable>;
+
+/// The one definition of which builds are cacheable and what they key on
+/// (see the header comment), shared by every executor path: they must stay
+/// field-for-field identical or they stop sharing entries. `table_ids`
+/// holds each base table's content hash, aligned with the plan's table
+/// indexes (0 = uncacheable); `seed_skew` is the synthesis identity.
+/// Returns false when a table the build reads, directly or through a
+/// chain, has no identity.
+bool BuildCacheKeyFor(const std::vector<uint64_t>& table_ids,
+                      uint64_t seed_skew, const PipelinePlan& plan,
+                      uint32_t buckets, const Source& build,
+                      uint32_t build_col, BuildKey* key);
 
 class BuildCache {
  public:

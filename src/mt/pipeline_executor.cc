@@ -68,42 +68,92 @@ class PipelineExecutor::BoundedQueue {
 // joins); probe ops run one join step and forward or finalize.
 enum class COp : uint8_t { kScan, kBuild, kProbe };
 
-namespace {
-
-// The one definition of which builds are cacheable and what they key on,
-// shared by the DP/FP compile loop and the SP build phase (the two paths
-// must stay field-for-field identical or they stop sharing entries).
-bool BuildCacheKeyFor(const PipelineOptions& options, const PipelinePlan& plan,
-                      uint32_t buckets, const Source& build,
-                      uint32_t build_col, BuildKey* key) {
-  if (options.build_cache == nullptr ||
-      build.kind != Source::Kind::kTable ||
-      build.index >= options.table_cache_ids.size() ||
-      options.table_cache_ids[build.index] == 0) {
-    return false;
+void ResolvedBuilds::AbandonPending(BuildCache* cache) {
+  for (size_t g = 0; g < publish.size(); ++g) {
+    if (publish[g] && cache != nullptr) cache->Abandon(keys[g]);
+    publish[g] = 0;
   }
-  key->table = options.table_cache_ids[build.index];
-  key->column = build_col;
-  key->buckets = buckets;
-  key->seed_skew = options.cache_seed_skew;
-  // Scan-level predicates change the built rows: a filtered build must
-  // never alias an unfiltered (or differently filtered) one.
-  const std::vector<Predicate>* preds = plan.FiltersFor(build.index);
-  key->filters = preds != nullptr ? PredicatesHash(*preds) : 0;
-  // Same for column projections: a pruned build stores narrowed rows.
-  key->projection = 0;
-  if (const std::vector<uint32_t>* proj = plan.ProjectionFor(build.index)) {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (uint32_t c : *proj) {
-      h ^= c;
-      h *= 0x100000001B3ULL;
-    }
-    key->projection = h == 0 ? 1 : h;
-  }
-  return true;
 }
 
-}  // namespace
+ResolvedBuilds ResolveBuilds(
+    const EngineOptions& options, const PipelinePlan& plan, bool may_wait,
+    const std::function<uint32_t(uint32_t)>& build_op) {
+  const uint32_t C = static_cast<uint32_t>(plan.chains.size());
+  std::vector<uint32_t> join_base(C);
+  uint32_t njoins = 0;
+  for (uint32_t c = 0; c < C; ++c) {
+    join_base[c] = njoins;
+    njoins += static_cast<uint32_t>(plan.chains[c].joins.size());
+  }
+  ResolvedBuilds out;
+  out.tables.assign(njoins, nullptr);
+  out.publish.assign(njoins, 0);
+  out.keys.assign(njoins, BuildKey{});
+  out.chain_reused.assign(C, false);
+  if (options.build_cache == nullptr || C == 0) return out;
+
+  // runs[c]: chain c's output is needed. The final chain and captured
+  // chains always run; an earlier chain runs when a running chain scans
+  // it or builds on it without a hit. Sources are earlier chains, so one
+  // backward pass settles every chain before it is visited.
+  std::vector<bool> runs(C, false);
+  runs[C - 1] = true;
+  for (const CaptureSink& cs : options.captures) {
+    if (cs.chain < C) runs[cs.chain] = true;
+  }
+  ExecContext* ctx = options.ctx;
+  auto cancelled = [ctx] { return ctx != nullptr && ctx->StopRequested(); };
+  bool holds_builder = false;
+  for (uint32_t c = C; c-- > 0;) {
+    const Chain& chain = plan.chains[c];
+    if (!runs[c]) {
+      out.chain_reused[c] = true;
+      continue;
+    }
+    if (chain.input.kind == Source::Kind::kChain) runs[chain.input.index] = true;
+    for (uint32_t j = 0; j < chain.joins.size(); ++j) {
+      const JoinStep& js = chain.joins[j];
+      const uint32_t g = join_base[c] + j;
+      BuildKey key;
+      bool hit = false;
+      if (BuildCacheKeyFor(options.table_cache_ids, options.cache_seed_skew,
+                           plan, options.buckets, js.build, js.build_col,
+                           &key)) {
+        auto got = options.build_cache->Acquire(key, cancelled,
+                                                may_wait && !holds_builder);
+        hit = got.tables != nullptr;
+        if (hit) {
+          out.tables[g] = std::move(got.tables);
+          ++out.hits;
+        } else {
+          ++out.misses;
+          if (got.builder) {
+            holds_builder = true;
+            out.publish[g] = 1;
+            out.keys[g] = key;
+          }
+        }
+        const obs::EventKind kind =
+            hit ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss;
+        if (options.trace != nullptr) {
+          obs::TraceEvent ev;
+          ev.kind = kind;
+          ev.op = static_cast<int32_t>(build_op(g));
+          ev.start_ns = ev.end_ns = options.trace->NowNs();
+          options.trace->RecordShared(ev);
+        }
+        if (options.recorder != nullptr) {
+          options.recorder->Instant(kind, options.recorder_query,
+                                    build_op(g));
+        }
+      }
+      if (!hit && js.build.kind == Source::Kind::kChain) {
+        runs[js.build.index] = true;
+      }
+    }
+  }
+  return out;
+}
 
 struct PipelineExecutor::OpState {
   COp kind = COp::kScan;
@@ -127,7 +177,9 @@ struct PipelineExecutor::OpState {
   std::atomic<bool> consumable{false};
   std::atomic<bool> scatter_done{false};  // all morsels executed
   std::atomic<bool> ended{false};
-  bool prebuilt = false;  // build satisfied from the shared cache
+  // Nothing to run: a build served by the shared cache, or a trigger of
+  // an elided chain.
+  bool born_finished = false;
 
   double cost_estimate = 0.0;  // FP allocation weight
   uint32_t chain_pos = 0;      // scan = 0, probe j = j + 1 (builds = 0)
@@ -156,18 +208,14 @@ struct PipelineExecutor::Shared {
   std::vector<std::vector<RowTable>> join_tables;
   std::vector<std::vector<std::unique_ptr<std::mutex>>> bucket_mu;
 
-  // Shared build-side reuse: prebuilt[join] set (cache hit, or a local
-  // build published at build end) makes probes read the shared immutable
-  // tables instead of join_tables. offer_key[join] records the cache key
-  // a missed cacheable build publishes under.
-  std::vector<std::shared_ptr<const BucketTables>> prebuilt;
-  std::vector<char> offer_pending;
-  std::vector<BuildKey> offer_key;
-  uint64_t cache_hits = 0;    // resolved at compile time
-  uint64_t cache_misses = 0;
+  // Shared build-side reuse, resolved at compile time: builds.tables[join]
+  // set (a cache hit, or a local build published at build end) makes
+  // probes read the shared immutable tables instead of join_tables; a
+  // builder entry (builds.publish) is published when its build ends.
+  ResolvedBuilds builds;
 
   const BucketTables& JoinTables(uint32_t join) const {
-    const auto& sp = prebuilt[join];
+    const auto& sp = builds.tables[join];
     return sp != nullptr ? *sp : join_tables[join];
   }
 
@@ -342,6 +390,7 @@ Result<ResultDigest> PipelineExecutor::Execute(
   std::vector<uint32_t> scan_of_chain(plan.chains.size());
   std::vector<std::vector<uint32_t>> build_of(plan.chains.size());
   std::vector<std::vector<uint32_t>> probe_of(plan.chains.size());
+  std::vector<uint32_t> build_op_of_join;
 
   auto source_rows = [&](const Source& s) -> double {
     // Estimated rows for FP cost weights; chain outputs are estimated as
@@ -384,6 +433,7 @@ Result<ResultDigest> PipelineExecutor::Execute(
         op->blockers.push_back(sh.chain_terminal[op->src.index]);
       }
       build_of[c].push_back(static_cast<uint32_t>(sh.ops.size()));
+      build_op_of_join.push_back(build_of[c].back());
       sh.ops.push_back(std::move(op));
     }
     {
@@ -443,60 +493,22 @@ Result<ResultDigest> PipelineExecutor::Execute(
     }
   }
 
-  // Shared build-side reuse: resolve every cacheable base-table build
-  // against the session cache. A hit makes the build op born-finished
-  // (prebuilt); the first misser becomes the key's builder and records the
-  // key the finished tables publish under; a concurrent misser waits for
-  // that publish instead of duplicating the build (or proceeds solo when
-  // its query is cancelled while waiting).
-  sh.prebuilt.assign(njoins_total, nullptr);
-  sh.offer_pending.assign(njoins_total, 0);
-  sh.offer_key.assign(njoins_total, BuildKey{});
-  if (options_.build_cache != nullptr) {
-    auto cancelled = [ctx] { return ctx->StopRequested(); };
-    // Once this query owns an in-flight builder entry it must not wait on
-    // other queries' builds: its own publishes only happen during
-    // execution, so waiting would be hold-and-wait (two queries acquiring
-    // overlapping keys in opposite orders would stall each other out).
-    bool holds_builder = false;
-    for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-      for (uint32_t j = 0; j < plan.chains[c].joins.size(); ++j) {
-        OpState& op = *sh.ops[build_of[c][j]];
-        BuildKey key;
-        if (!BuildCacheKeyFor(options_, plan, B,
-                              plan.chains[c].joins[j].build,
-                              plan.chains[c].joins[j].build_col, &key)) {
-          continue;
-        }
-        auto got = options_.build_cache->Acquire(
-            key, cancelled, /*allow_wait=*/!holds_builder);
-        if (got.tables != nullptr) {
-          sh.prebuilt[op.join] = std::move(got.tables);
-          op.prebuilt = true;
-          ++sh.cache_hits;
-        } else {
-          if (got.builder) {
-            holds_builder = true;
-            sh.offer_pending[op.join] = 1;
-            sh.offer_key[op.join] = key;
-          }
-          ++sh.cache_misses;
-        }
-        if (options_.trace != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = op.prebuilt ? obs::EventKind::kCacheHit
-                                : obs::EventKind::kCacheMiss;
-          ev.op = static_cast<int32_t>(build_of[c][j]);
-          ev.start_ns = ev.end_ns = options_.trace->NowNs();
-          options_.trace->RecordShared(ev);
-        }
-        if (options_.recorder != nullptr) {
-          options_.recorder->Instant(op.prebuilt ? obs::EventKind::kCacheHit
-                                                 : obs::EventKind::kCacheMiss,
-                                     options_.recorder_query,
-                                     build_of[c][j]);
-        }
-      }
+  // Shared build-side reuse: resolve every cacheable build against the
+  // session cache (ResolveBuilds). A hit makes the build op born
+  // finished; an elided chain's ops are all born finished, with no
+  // blockers. The first misser of a key becomes its builder and publishes
+  // the finished tables; a concurrent misser waits for that publish
+  // instead of duplicating the build.
+  sh.builds = ResolveBuilds(options_, plan, /*may_wait=*/true,
+                            [&](uint32_t g) { return build_op_of_join[g]; });
+  for (uint32_t i = 0; i < sh.ops.size(); ++i) {
+    OpState& op = *sh.ops[i];
+    if (sh.builds.chain_reused[op.chain]) {
+      op.blockers.clear();
+      op.born_finished = op.kind != COp::kProbe;
+    } else if (op.kind == COp::kBuild &&
+               sh.builds.tables[op.join] != nullptr) {
+      op.born_finished = true;
     }
   }
 
@@ -514,7 +526,11 @@ Result<ResultDigest> PipelineExecutor::Execute(
   uint32_t join_id = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     for (uint32_t j = 0; j < plan.chains[c].joins.size(); ++j, ++join_id) {
-      if (sh.prebuilt[join_id] != nullptr) continue;  // shared tables
+      // Shared tables, or a join of an elided chain: nothing to build.
+      if (sh.builds.tables[join_id] != nullptr ||
+          sh.builds.chain_reused[c]) {
+        continue;
+      }
       const Source& b = plan.chains[c].joins[j].build;
       uint32_t bw = b.kind == Source::Kind::kTable
                         ? plan.EffectiveTableWidth(b.index,
@@ -567,8 +583,8 @@ Result<ResultDigest> PipelineExecutor::Execute(
     }
     if (options_.strategy == LocalStrategy::kFP) RecomputeFpAssignment();
   }
-  // Ops that are born finished (empty or prebuilt sources) must end before
-  // workers start so the dependency cascade is primed.
+  // Ops that are born finished (empty sources, cache hits, elided chains)
+  // must end before workers start so the dependency cascade is primed.
   for (uint32_t i = 0; i < nops; ++i) {
     OpState& op = *sh.ops[i];
     if (op.consumable.load() && !op.ended.load() && op.scatter_done.load() &&
@@ -653,8 +669,9 @@ Result<ResultDigest> PipelineExecutor::Execute(
     stats->nonprimary = sh.stat_nonprimary.load();
     stats->idle_waits = sh.stat_idle.load();
     stats->fp_safety_escapes = sh.stat_fp_safety.load();
-    stats->build_cache_hits = sh.cache_hits;
-    stats->build_cache_misses = sh.cache_misses;
+    stats->build_cache_hits = sh.builds.hits;
+    stats->build_cache_misses = sh.builds.misses;
+    stats->chain_reused = sh.builds.chain_reused;
     stats->rows_filtered = sh.stat_filtered.load();
     stats->agg_groups = agg_groups;
     stats->agg_partials = agg_partial_entries;
@@ -728,20 +745,15 @@ void PipelineExecutor::AggMergeWorker(bool want_rows) {
 }
 
 void PipelineExecutor::AbandonPendingOffers() {
-  Shared& sh = *shared_;
-  if (options_.build_cache == nullptr) return;
-  for (size_t j = 0; j < sh.offer_pending.size(); ++j) {
-    if (sh.offer_pending[j]) {
-      options_.build_cache->Abandon(sh.offer_key[j]);
-    }
-  }
+  shared_->builds.AbandonPending(options_.build_cache);
 }
 
 size_t PipelineExecutor::ResolveSourceLocked(OpState& op) {
   Shared& sh = *shared_;
-  if (op.prebuilt) {
-    // Build satisfied from the shared cache: nothing to scatter or
-    // insert; the op is born finished and probes read the cached tables.
+  if (op.born_finished) {
+    // A build satisfied from the shared cache (probes read the cached
+    // tables) or a trigger of an elided chain: nothing to scatter or
+    // insert.
     op.total_rows = 0;
     op.morsels_left.store(0);
     op.scatter_done.store(true);
@@ -812,13 +824,14 @@ void PipelineExecutor::OnOpEnded(uint32_t op_id) {
   // into the session cache for overlapping/later queries. Safe under
   // state_mu — probes of this join only become consumable in the cascade
   // below, after the move.
-  if (op.kind == COp::kBuild && sh.offer_pending[op.join]) {
-    sh.offer_pending[op.join] = 0;
+  if (op.kind == COp::kBuild && sh.builds.publish[op.join]) {
+    sh.builds.publish[op.join] = 0;
     auto published =
         std::make_shared<BucketTables>(std::move(sh.join_tables[op.join]));
     sh.join_tables[op.join] = BucketTables{};
-    sh.prebuilt[op.join] = published;
-    options_.build_cache->Publish(sh.offer_key[op.join], std::move(published));
+    sh.builds.tables[op.join] = published;
+    options_.build_cache->Publish(sh.builds.keys[op.join],
+                                  std::move(published));
   }
 
   // Merge chain partials when a terminal op ends.
@@ -1538,7 +1551,6 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   }
   std::vector<uint64_t> busy(T, 0);
   uint64_t morsel_count = 0;
-  uint64_t cache_hits = 0, cache_misses = 0;
   std::atomic<uint64_t> filtered{0};
   const bool capturing = !options_.captures.empty();
 
@@ -1558,6 +1570,25 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   }
   std::vector<uint64_t> chain_rows(plan.chains.size() * T, 0);
 
+  // Build-side reuse, resolved up front so that an elided chain never
+  // runs: a hit's tables come shared from the session cache, a builder's
+  // are published as soon as they are built, and a concurrent query
+  // already building a key is waited on instead of duplicated (see
+  // BuildCache::Acquire).
+  std::vector<uint32_t> build_op_of_join;
+  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
+    for (uint32_t j = 0; j < plan.chains[c].joins.size(); ++j) {
+      build_op_of_join.push_back(op_base[c] + j);
+    }
+  }
+  ResolvedBuilds builds = ResolveBuilds(
+      options_, plan, /*may_wait=*/true,
+      [&](uint32_t g) { return build_op_of_join[g]; });
+  auto cancelled = [&] {
+    builds.AbandonPending(options_.build_cache);
+    return Status::Cancelled("query cancelled during execution");
+  };
+
   auto batch_of = [&](const Source& s) -> const Batch& {
     return s.kind == Source::Kind::kTable ? tables[s.index]->batch
                                           : chain_outputs[s.index];
@@ -1566,49 +1597,24 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
     return s.kind == Source::Kind::kTable ? plan.FiltersFor(s.index)
                                           : nullptr;
   };
-  auto cache_key_of = [&](const JoinStep& js, BuildKey* key) {
-    return BuildCacheKeyFor(options_, plan, B, js.build, js.build_col, key);
-  };
-  auto cache_cancelled = [ctx] { return ctx->StopRequested(); };
-
+  uint32_t join_base = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const Chain& chain = plan.chains[c];
     const bool final_chain = c + 1 == plan.chains.size();
+    const uint32_t g0 = join_base;
+    join_base += static_cast<uint32_t>(chain.joins.size());
+    if (builds.chain_reused[c]) continue;
 
-    // Build phase: every join's bucket tables are either taken shared
-    // from the session cache or built cooperatively (threads claim
-    // morsels, insert under per-bucket locks) and then published. A
-    // concurrent query already building the same key is waited on
-    // instead of duplicating the work (see BuildCache::Acquire).
+    // Build phase: every join's bucket tables are either shared from the
+    // session cache or built cooperatively (threads claim morsels, insert
+    // under per-bucket locks) and, by a builder, published.
     std::vector<std::shared_ptr<const BucketTables>> join_tables(
         chain.joins.size());
     for (size_t j = 0; j < chain.joins.size(); ++j) {
-      BuildKey key;
-      const bool cacheable = cache_key_of(chain.joins[j], &key);
-      bool publish = false;
-      if (cacheable) {
-        auto got = options_.build_cache->Acquire(key, cache_cancelled);
-        const bool hit = got.tables != nullptr;
-        if (trace != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = hit ? obs::EventKind::kCacheHit
-                        : obs::EventKind::kCacheMiss;
-          ev.op = static_cast<int32_t>(op_base[c] + j);
-          ev.start_ns = ev.end_ns = trace->NowNs();
-          trace->RecordShared(ev);
-        }
-        if (options_.recorder != nullptr) {
-          options_.recorder->Instant(hit ? obs::EventKind::kCacheHit
-                                         : obs::EventKind::kCacheMiss,
-                                     options_.recorder_query, op_base[c] + j);
-        }
-        if (hit) {
-          join_tables[j] = std::move(got.tables);
-          ++cache_hits;
-          continue;
-        }
-        publish = got.builder;
-        ++cache_misses;
+      const uint32_t g = g0 + static_cast<uint32_t>(j);
+      if (builds.tables[g] != nullptr) {
+        join_tables[j] = builds.tables[g];
+        continue;
       }
       const std::vector<Predicate>* build_preds =
           filters_of(chain.joins[j].build);
@@ -1696,11 +1702,11 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
           trace->Record(t, ev);
         }
       });
-      if (ctx->StopRequested()) {
-        if (publish) options_.build_cache->Abandon(key);
-        return Status::Cancelled("query cancelled during execution");
+      if (ctx->StopRequested()) return cancelled();
+      if (builds.publish[g]) {
+        builds.publish[g] = 0;
+        options_.build_cache->Publish(builds.keys[g], built);
       }
-      if (publish) options_.build_cache->Publish(key, built);
       join_tables[j] = std::move(built);
       morsel_count +=
           (build.rows() + options_.morsel_rows - 1) / options_.morsel_rows;
@@ -1717,13 +1723,7 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
     const uint32_t in_w = iproj != nullptr
                               ? static_cast<uint32_t>(iproj->size())
                               : input.width();
-    uint32_t out_width = in_w;
-    for (const JoinStep& j : chain.joins) {
-      out_width += j.build.kind == Source::Kind::kTable
-                       ? plan.EffectiveTableWidth(j.build.index,
-                                                  batch_of(j.build).width())
-                       : batch_of(j.build).width();
-    }
+    const uint32_t out_width = plan.OutputWidth(tables, c);
     const bool to_agg = final_chain && agg != nullptr;
     std::vector<Batch> partials(T);
     std::atomic<size_t> cursor{0};
@@ -1819,9 +1819,7 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
         trace->Record(t, ev);
       }
     });
-    if (ctx->StopRequested()) {
-      return Status::Cancelled("query cancelled during execution");
-    }
+    if (ctx->StopRequested()) return cancelled();
     morsel_count +=
         (input.rows() + options_.morsel_rows - 1) / options_.morsel_rows;
 
@@ -1892,8 +1890,9 @@ Result<ResultDigest> PipelineExecutor::ExecuteSP(
   if (stats != nullptr) {
     *stats = PipelineStats{};
     stats->morsels = morsel_count;
-    stats->build_cache_hits = cache_hits;
-    stats->build_cache_misses = cache_misses;
+    stats->build_cache_hits = builds.hits;
+    stats->build_cache_misses = builds.misses;
+    stats->chain_reused = builds.chain_reused;
     stats->rows_filtered = filtered.load();
     stats->agg_groups = agg_groups;
     stats->agg_partials = agg_partial_entries;

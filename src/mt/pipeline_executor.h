@@ -45,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -109,6 +110,16 @@ struct EngineOptions {
   /// whichever worker (or node) carries it. Empty = no capture work.
   std::vector<CaptureSink> captures;
 
+  /// Shared build-side reuse (mt/build_cache.h): when set, every build
+  /// BuildCacheKeyFor can key — a base table with a nonzero entry in
+  /// `table_cache_ids` (aligned with the executor's table set), or a
+  /// chain whose subtree tables all have one — is looked up in, and on a
+  /// miss published to, the cache (see ResolveBuilds). Null disables
+  /// reuse.
+  BuildCache* build_cache = nullptr;
+  std::vector<uint64_t> table_cache_ids;
+  uint64_t cache_seed_skew = 0;
+
  protected:
   EngineOptions(uint32_t threads, uint32_t buckets, uint32_t morsel_rows,
                 uint32_t batch_rows, uint32_t queue_capacity)
@@ -124,16 +135,40 @@ struct PipelineOptions : EngineOptions {
 
   bool apply_h1 = true;         ///< chain scan waits for its hash tables
   bool apply_h2 = true;         ///< chains execute one at a time
-
-  /// Shared build-side reuse: when set, builds whose source is a base
-  /// table with a nonzero entry in `table_cache_ids` (aligned with
-  /// Execute's `tables` argument) are looked up in — and on miss
-  /// published to — the cache under (table id, build col, buckets,
-  /// cache_seed_skew). Null disables reuse.
-  BuildCache* build_cache = nullptr;
-  std::vector<uint64_t> table_cache_ids;
-  uint64_t cache_seed_skew = 0;
 };
+
+/// One run's build-cache resolution, indexed by global join id (joins
+/// numbered chain by chain, as both executors number them) and by chain.
+struct ResolvedBuilds {
+  /// Non-null: the join's bucket tables, shared from the cache (a hit).
+  std::vector<std::shared_ptr<const BucketTables>> tables;
+  /// Set: this run is the builder of keys[join] and must Publish it or
+  /// Abandon it.
+  std::vector<char> publish;
+  std::vector<BuildKey> keys;
+  /// Per chain: elided — a non-final chain without a capture point whose
+  /// consuming builds all hit. Its output is never produced.
+  std::vector<bool> chain_reused;
+  uint64_t hits = 0;    ///< builds served by the cache
+  uint64_t misses = 0;  ///< cacheable builds this run executes
+
+  /// Abandons every key this run still holds as builder.
+  void AbandonPending(BuildCache* cache);
+};
+
+/// Resolves the builds of `plan` against options.build_cache (nothing
+/// when it is null): from the final chain backwards, each cacheable build
+/// of a chain that runs is acquired, and a chain is elided when it is not
+/// final, carries no capture point, and every build consuming it hit (an
+/// elided chain's own builds are never looked up). `build_op(join)` maps a
+/// join to the executor's build op id for the kCacheHit / kCacheMiss trace
+/// events and recorder instants. With `may_wait` an acquisition may wait
+/// on another query's in-flight build until this run holds a builder
+/// entry of its own (never after: hold-and-wait); without it, it never
+/// waits.
+ResolvedBuilds ResolveBuilds(const EngineOptions& options,
+                             const PipelinePlan& plan, bool may_wait,
+                             const std::function<uint32_t(uint32_t)>& build_op);
 
 struct PipelineStats {
   uint64_t morsels = 0;           ///< trigger activations executed
@@ -149,6 +184,9 @@ struct PipelineStats {
   uint64_t fp_safety_escapes = 0; ///< FP deadlock valve firings (should be 0)
   uint64_t build_cache_hits = 0;  ///< builds satisfied from the shared cache
   uint64_t build_cache_misses = 0;///< cacheable builds executed locally
+  /// Per chain: elided because every build consuming it hit the cache
+  /// (rows_per_chain then reads 0 without having been measured).
+  std::vector<bool> chain_reused;
   uint64_t rows_filtered = 0;     ///< rows dropped by scan-level predicates
   uint64_t agg_groups = 0;        ///< result groups (plans with agg)
   uint64_t agg_partials = 0;      ///< partial-table entries merged in phase 2

@@ -424,9 +424,12 @@ TEST(SessionBushy, ThreeChainPlanAgreesAcrossRealBackendsAndSchedules) {
   EXPECT_EQ(threads.value().result_rows, 8000u);
 
   // Staged (H2) and concurrent chain scheduling both agree with threads.
+  // Reuse off: each run must execute every chain, not reuse the previous
+  // run's branch outputs (the reused path is covered in build_cache_test).
   for (bool h2 : {true, false}) {
     ExecOptions o = Opts(Backend::kCluster, Strategy::kDP, 3, 2);
     o.apply_h2 = h2;
+    o.reuse_builds = false;
     auto cl = db.Execute(q, o);
     ASSERT_TRUE(cl.ok()) << cl.status().ToString();
     EXPECT_EQ(cl.value().result_rows, threads.value().result_rows);

@@ -359,6 +359,45 @@ TEST(Cluster, StolenWorkIsAccounted) {
   EXPECT_EQ(stats.late_steals, 0u);
 }
 
+TEST(Cluster, StolenFragmentsShipFromASharedBuild) {
+  // The StolenWorkIsAccounted setup with the dim build served by the
+  // build cache: a provider ships the stolen buckets' fragments out of
+  // the shared entry, and the thief's answer stays the reference's.
+  mt::Table fact = MakeTable("fact", 80000, 2, 400, 51);
+  mt::Table dim = MakeTable("dim", 400, 2, 10, 52);
+  PartitionedTable fact_parts;
+  fact_parts.width = 2;
+  fact_parts.parts.assign(4, mt::Batch(2));
+  for (size_t i = 0; i < fact.rows(); ++i) {
+    fact_parts.parts[0].AppendRow(fact.batch.row(i));
+  }
+  PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
+  auto ref = ReferenceExecute(q).ValueOrDie();
+  mt::BuildCache cache;
+  ClusterOptions o = Opts(4, 2);
+  o.queue_capacity = 256;
+  o.steal_batch = 32;
+  o.build_cache = &cache;
+  o.table_cache_ids = {mt::TableContentHash(fact.batch),
+                       mt::TableContentHash(dim.batch)};
+  ClusterStats stats;
+  ASSERT_TRUE(ClusterExecutor(o).Execute(q, &stats).ok());
+  EXPECT_EQ(stats.build_cache_misses, 1u);
+  // Steals are likely but not certain in any one run: retry until one
+  // ships a fragment, checking every run's answer on the way.
+  bool shipped = false;
+  for (int run = 0; run < 40 && !shipped; ++run) {
+    auto got = ClusterExecutor(o).Execute(q, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "run " << run;
+    EXPECT_EQ(stats.build_cache_hits, 1u);
+    EXPECT_EQ(stats.late_steals, 0u);
+    shipped = stats.shipped_fragment_rows > 0;
+  }
+  EXPECT_TRUE(shipped);
+}
+
 TEST(Cluster, NoStealAfterDrainAckUnderFabricDelays) {
   // Steals late in a probe op's life: a node that acked the op's drain
   // must not take its work from a node that still has some, or the
