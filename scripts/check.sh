@@ -36,8 +36,9 @@ smoke_dir="$(mktemp -d)"
 rm -rf "$smoke_dir"
 
 # Recorder-overhead smoke: armed-vs-disarmed throughput on the same
-# query stream (interleaved best-of trials); --check fails the build if
-# the always-on flight recorder costs more than 5% of disarmed qps.
+# query stream (trial pairs in alternating order); --check fails the
+# build if the median per-pair overhead of the always-on flight recorder
+# exceeds 5% of disarmed qps.
 smoke_dir="$(mktemp -d)"
 (cd "$smoke_dir" && "$OLDPWD/mt_recorder_overhead" --quick --check)
 rm -rf "$smoke_dir"

@@ -119,14 +119,11 @@ std::string SourceName(const catalog::Catalog& cat, const mt::Source& s) {
   return "chain" + std::to_string(s.index);
 }
 
-/// Trace-plan graph matching the real executors' compiled layouts. Per
-/// chain of k joins, mt::PipelineExecutor has builds at base..base+k-1,
-/// the scan at base+k and probes at base+k+1..base+2k;
-/// cluster::ClusterExecutor puts k buildscan triggers first, so its
-/// builds, scan and probes sit k ids later, and aggregated plans append
-/// the distributed-aggregation sentinel op (id = compiled op count) its
-/// agg-phase spans reference. When `actual` is non-empty each chain's
-/// terminal op is annotated with its measured output rows.
+/// Trace-plan graph matching the real backends' compiled op space (one
+/// layout for both, mt/node_engine.h); on the cluster, aggregated plans
+/// append the distributed-aggregation sentinel op (id = compiled op
+/// count) its agg-phase spans reference. When `actual` is non-empty each
+/// chain's terminal op is annotated with its measured output rows.
 std::vector<obs::TraceOp> RealTraceOps(
     const mt::PipelinePlan& plan, const std::vector<double>& filter_pass,
     const std::vector<const mt::Table*>& tables, const catalog::Catalog& cat,
@@ -134,17 +131,18 @@ std::vector<obs::TraceOp> RealTraceOps(
     bool cluster) {
   std::vector<obs::TraceOp> ops;
   std::vector<uint32_t> terminal;  ///< per chain: its last dataflow op
-  const uint32_t build_layers = cluster ? 2 : 1;
   uint32_t base = 0;
   for (uint32_t c = 0; c < plan.chains.size(); ++c) {
     const mt::Chain& chain = plan.chains[c];
     const uint32_t k = static_cast<uint32_t>(chain.joins.size());
-    for (uint32_t layer = 0; layer < build_layers; ++layer) {
+    // The compiled op space (mt/node_engine.h): buildscans, builds, scan,
+    // probes.
+    for (uint32_t layer = 0; layer < 2; ++layer) {
       for (uint32_t j = 0; j < k; ++j) {
         const mt::Source& src = chain.joins[j].build;
         obs::TraceOp op;
         op.id = base + layer * k + j;
-        op.kind = layer + 1 < build_layers ? "buildscan" : "build";
+        op.kind = layer == 0 ? "buildscan" : "build";
         op.label = op.kind + " " + SourceName(cat, src);
         op.chain = static_cast<int32_t>(c);
         op.est_rows = SourceEst(filter_pass, tables, chain_est, src);
@@ -156,9 +154,9 @@ std::vector<obs::TraceOp> RealTraceOps(
         ops.push_back(std::move(op));
       }
     }
-    const uint32_t builds = base + (build_layers - 1) * k;
+    const uint32_t builds = base + k;
     obs::TraceOp scan;
-    scan.id = base + build_layers * k;
+    scan.id = base + 2 * k;
     scan.kind = "scan";
     scan.label = "scan " + SourceName(cat, chain.input);
     scan.chain = static_cast<int32_t>(c);
@@ -1666,6 +1664,8 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   if (opts.morsel_rows) eo.morsel_rows = opts.morsel_rows;
   if (opts.batch_rows) eo.batch_rows = opts.batch_rows;
   if (opts.queue_capacity) eo.queue_capacity = opts.queue_capacity;
+  eo.apply_h1 = opts.apply_h1;
+  eo.apply_h2 = opts.apply_h2;
   eo.recorder = recorder_.get();
   eo.recorder_query = fc.query_seq;
   std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
@@ -1676,9 +1676,7 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     eo.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
   }
   if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
-    uint32_t ops = on_cluster
-                       ? cluster::ClusterExecutor::CompiledOpCount(query)
-                       : mt::PipelineExecutor::CompiledOpCount(plan);
+    const uint32_t ops = mt::CompiledOpCount(plan);
     Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
     eo.fp_cost_distortion.resize(ops);
     for (double& d : eo.fp_cost_distortion) {
@@ -1689,7 +1687,6 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     co.nodes = opts.nodes;
     co.global_lb = opts.global_lb;
     co.cache_stolen_fragments = opts.cache_stolen_fragments;
-    co.serialize_chains = opts.apply_h2;
     if (opts.steal_batch) co.steal_batch = opts.steal_batch;
     if (opts.min_steal) co.min_steal = opts.min_steal;
     if (fc.injector != nullptr) {
@@ -1701,9 +1698,6 @@ Result<QueryResult> Session::RunReal(const Planned& p,
       co.heartbeat_us = opts.heartbeat_us;
       co.liveness_timeout_ms = opts.liveness_timeout_ms;
     }
-  } else {
-    po.apply_h1 = opts.apply_h1;
-    po.apply_h2 = opts.apply_h2;
   }
   if (opts.reuse_builds) {
     eo.build_cache = &build_cache_;
@@ -1749,10 +1743,11 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
                         faults_before);
   }
-  uint64_t activations = tstats.morsels + tstats.data_activations;
-  for (uint64_t b : cstats.busy_per_node) activations += b;
-  const uint64_t rows_filtered =
-      on_cluster ? cstats.rows_filtered : tstats.rows_filtered;
+  const mt::EngineStats& es = on_cluster
+                                 ? static_cast<const mt::EngineStats&>(cstats)
+                                 : static_cast<const mt::EngineStats&>(tstats);
+  const uint64_t activations = es.morsels + es.data_activations;
+  const uint64_t rows_filtered = es.rows_filtered;
   if (!got.ok()) {
     if (got.status().code() == StatusCode::kCancelled) {
       return Status::Cancelled(
@@ -1775,6 +1770,11 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   rep.rows_filtered = rows_filtered;
   rep.aggregated = p.has_agg;
   rep.rows_prefiltered = p.prefiltered_rows;
+  rep.idle_waits = es.idle_waits;
+  rep.build_cache_hits = es.build_cache_hits;
+  rep.build_cache_misses = es.build_cache_misses;
+  rep.agg_groups = es.agg_groups;
+  rep.agg_partials = es.agg_partials;
   if (on_cluster) {
     rep.pipeline_bytes = cstats.dataflow_bytes;
     rep.lb_bytes = cstats.lb_bytes;
@@ -1782,28 +1782,16 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     rep.stolen_activations = cstats.stolen_activations;
     rep.intermediate_rows = cstats.intermediate_rows;
     rep.intermediate_bytes = cstats.intermediate_bytes;
-    for (uint64_t w : cstats.idle_waits_per_node) rep.idle_waits += w;
     rep.imbalance = cstats.NodeImbalance();
-    rep.agg_groups = cstats.agg_groups;
-    rep.agg_partials = cstats.agg_partials;
     rep.agg_repartition_bytes = cstats.agg_repartition_bytes;
-    rep.build_cache_hits = cstats.build_cache_hits;
-    rep.build_cache_misses = cstats.build_cache_misses;
     rep.cluster = cstats;
   } else {
-    rep.idle_waits = tstats.idle_waits;
     rep.stolen_activations = tstats.nonprimary;
     rep.imbalance = tstats.Imbalance();
-    rep.build_cache_hits = tstats.build_cache_hits;
-    rep.build_cache_misses = tstats.build_cache_misses;
-    rep.agg_groups = tstats.agg_groups;
-    rep.agg_partials = tstats.agg_partials;
     rep.threads = tstats;
   }
-  const std::vector<uint64_t>& rows_per_chain =
-      on_cluster ? cstats.rows_per_chain : tstats.rows_per_chain;
-  const std::vector<bool>& chain_reused =
-      on_cluster ? cstats.chain_reused : tstats.chain_reused;
+  const std::vector<uint64_t>& rows_per_chain = es.rows_per_chain;
+  const std::vector<bool>& chain_reused = es.chain_reused;
   rep.chains_reused = static_cast<uint32_t>(
       std::count(chain_reused.begin(), chain_reused.end(), true));
   std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);

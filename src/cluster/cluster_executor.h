@@ -4,22 +4,18 @@
 // The cluster is a set of SM-nodes (thread groups) coupled only by the
 // message-passing Fabric; each node owns partitions of every relation and
 // a slice of the global bucket space (bucket home = bucket mod nodes).
-// A multi-chain plan of hash joins executes exactly as in Sections 3 and 4:
+// Every node runs the same intra-node engine the single-node executor
+// runs (mt/node_engine.h: activation queues, blockers, FP apportionment,
+// the worker loop and the operator bodies), once per node; this file is
+// only the inter-node layer, as in Sections 3 and 4:
 //
-//   local level    one thread per processor; one activation queue per
-//                  (operator x thread); primary-queue affinity; under DP
-//                  any thread consumes any consumable queue of its node;
-//                  under FP threads are statically allocated to operators
-//                  in proportion to estimated cost;
-//
-//   dataflow       a scan or non-final probe splits its output by the
-//                  next join key's home node: a probe activation carries
-//                  up to batch_rows rows of any of its node's home
-//                  buckets, and each row finds its own bucket's table. A
-//                  local batch queues on the producer's column (under FP
-//                  on a thread of the probe); a remote one travels as one
+//   dataflow       an engine's batch bound for another node (a scan or
+//                  non-final probe splits its output by the next join
+//                  key's home node; a buildscan sends each bucket's
+//                  inserts to the bucket's home) travels as one
 //                  kTupleBatch message (the inter-node pipelined
-//                  redistribution). Build inputs scatter by bucket;
+//                  redistribution); the receiving node's scheduler queues
+//                  it on its engine;
 //
 //   global level   a starving node broadcasts kStarving; every provider
 //                  answers with its best candidate queue (kOffer, benefit
@@ -33,24 +29,25 @@
 //                  optimization);
 //
 //   end detection  the coordinator protocol of Section 4: each node
-//                  reports EndOfQueuesAtNode per operator; after all
-//                  reports the coordinator runs a drain-confirm round
-//                  (covering in-flight steals), then broadcasts
-//                  kOpTerminated, which unblocks dependent operators.
+//                  reports EndOfQueuesAtNode per operator once its engine
+//                  drained it; after all reports the coordinator runs a
+//                  drain-confirm round (covering in-flight steals), then
+//                  broadcasts kOpTerminated, which terminates the op in
+//                  every engine and unblocks dependent operators.
 //
 //   chains         a bushy plan decomposes into pipeline chains whose
 //                  build (or input) sides may be earlier chains' outputs.
-//                  Every chain runs on the full node/thread topology; a
-//                  non-final chain's output stays distributed — each node
-//                  keeps the intermediate rows its own probes produced —
-//                  and the consuming chain's trigger re-scatters them by
-//                  its join key through the normal bucket routing, so the
-//                  repartition ships as kTupleBatch traffic and no
-//                  intermediate ever funnels through a single machine.
-//                  With ClusterOptions::serialize_chains (the paper's H2,
-//                  the default) chains execute back-to-back in plan order;
-//                  without it, chains whose inputs are all terminated
-//                  execute concurrently.
+//                  A non-final chain's output stays distributed — each
+//                  node keeps the rows its own probes produced — and the
+//                  consuming chain's trigger re-scatters them through the
+//                  normal routing, so the repartition ships as kTupleBatch
+//                  traffic (accounted per chain) and no intermediate ever
+//                  funnels through a single machine. EngineOptions'
+//                  apply_h1/apply_h2 mean the same on both backends.
+//
+//   aggregation    each engine folds its final rows into per-worker
+//                  partials; partials repartition by group hash to their
+//                  home node, which merges and finalizes its groups.
 //
 // build reuse      with EngineOptions::build_cache set, each join's key
 //                  (a base table, or a chain's recursive identity; see
@@ -83,7 +80,7 @@
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "fault/fault.h"
-#include "mt/pipeline_executor.h"
+#include "mt/node_engine.h"
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "net/fabric.h"
@@ -153,11 +150,6 @@ struct ClusterOptions : mt::EngineOptions {
   /// A provider offers an op only with at least this many activations
   /// queued (the offer's benefit is that count).
   uint32_t min_steal = 2;
-  /// Chain scheduling (multi-chain plans): true applies the paper's H2 —
-  /// chains execute back-to-back in plan order; false lets chains whose
-  /// source chains have all terminated run concurrently (triggers of a
-  /// chain unblock as soon as its own inputs are complete).
-  bool serialize_chains = true;
 
   /// Optional fault injector (not owned; must outlive Execute). Forwarded
   /// to the fabric for message faults; node stall/crash faults fire in
@@ -179,7 +171,7 @@ struct ClusterOptions : mt::EngineOptions {
   uint32_t liveness_timeout_ms = 250;
 };
 
-struct ClusterStats {
+struct ClusterStats : mt::EngineStats {
   net::FabricStats fabric;
   uint64_t steal_requests = 0;      ///< kStarving broadcasts sent
   uint64_t steals = 0;              ///< kWork bundles received
@@ -210,30 +202,11 @@ struct ClusterStats {
   uint64_t intermediate_rows = 0;   ///< totals over all non-final chains
   uint64_t intermediate_bytes = 0;
 
-  /// Rows dropped by scan-level predicates (summed over nodes).
-  uint64_t rows_filtered = 0;
-
-  /// Rows produced by each chain's terminal probe, summed over nodes (the
-  /// chain's actual output cardinality; for aggregated plans the final
-  /// entry counts the pre-aggregation join rows). Always measured.
-  std::vector<uint64_t> rows_per_chain;
-
-  /// Distributed aggregation (plans with an AggSpec): per-node local
-  /// partial-table entries, the partial rows shipped to their partition's
-  /// home node (kTupleBatch traffic, also included in dataflow_bytes),
-  /// and the final group count.
-  uint64_t agg_partials = 0;
+  /// Distributed aggregation: the partial rows shipped to their
+  /// partition's home node (kTupleBatch traffic, also included in
+  /// dataflow_bytes). agg_partials counts every node's local entries.
   uint64_t agg_repartition_rows = 0;
   uint64_t agg_repartition_bytes = 0;
-  uint64_t agg_groups = 0;
-
-  /// Build-side reuse (mt::EngineOptions::build_cache): joins served by
-  /// the cache vs cacheable joins built by this run, and per chain whether
-  /// it was elided because every build consuming it hit (its
-  /// rows_per_chain entry then reads 0 without having been measured).
-  uint64_t build_cache_hits = 0;
-  uint64_t build_cache_misses = 0;
-  std::vector<bool> chain_reused;
 
   /// Faults that fired during the run (zero unless a plan was armed) and
   /// duplicate deliveries the receivers suppressed.
@@ -266,10 +239,6 @@ class ClusterExecutor {
   Result<mt::ResultDigest> Execute(const PlanQuery& query,
                                    ClusterStats* stats = nullptr,
                                    mt::Batch* materialized = nullptr);
-
-  /// Number of compiled operators for the given plan (to size
-  /// fp_cost_distortion before Execute): 3k+1 per chain of k joins.
-  static uint32_t CompiledOpCount(const PlanQuery& query);
 
  private:
   struct Impl;

@@ -423,20 +423,36 @@ TEST(SessionBushy, ThreeChainPlanAgreesAcrossRealBackendsAndSchedules) {
   EXPECT_TRUE(threads.value().reference_match);
   EXPECT_EQ(threads.value().result_rows, 8000u);
 
-  // Staged (H2) and concurrent chain scheduling both agree with threads.
-  // Reuse off: each run must execute every chain, not reuse the previous
-  // run's branch outputs (the reused path is covered in build_cache_test).
-  for (bool h2 : {true, false}) {
-    ExecOptions o = Opts(Backend::kCluster, Strategy::kDP, 3, 2);
-    o.apply_h2 = h2;
-    o.reuse_builds = false;
-    auto cl = db.Execute(q, o);
-    ASSERT_TRUE(cl.ok()) << cl.status().ToString();
-    EXPECT_EQ(cl.value().result_rows, threads.value().result_rows);
-    EXPECT_EQ(cl.value().result_checksum, threads.value().result_checksum);
-    EXPECT_EQ(cl.value().intermediate_rows, 600u);  // two 300-row chains
-    ASSERT_TRUE(cl.value().cluster.has_value());
-    ASSERT_EQ(cl.value().cluster->per_chain.size(), 3u);
+  // Staged (H2) and concurrent chain scheduling, with and without H1
+  // (scans wait for their hash tables), agree with threads on both real
+  // backends: the engine's one blockers rule honours both flags. Reuse
+  // off: each run must execute every chain, not reuse the previous run's
+  // branch outputs (the reused path is covered in build_cache_test).
+  for (bool h1 : {true, false}) {
+    for (bool h2 : {true, false}) {
+      const std::string mode = std::string("h1=") + (h1 ? "on" : "off") +
+                               " h2=" + (h2 ? "on" : "off");
+      ExecOptions to = Opts(Backend::kThreads, Strategy::kDP, 1, 3);
+      to.apply_h1 = h1;
+      to.apply_h2 = h2;
+      to.reuse_builds = false;
+      auto th = db.Execute(q, to);
+      ASSERT_TRUE(th.ok()) << mode << ": " << th.status().ToString();
+      EXPECT_TRUE(th.value().reference_match) << mode;
+
+      ExecOptions o = Opts(Backend::kCluster, Strategy::kDP, 3, 2);
+      o.apply_h1 = h1;
+      o.apply_h2 = h2;
+      o.reuse_builds = false;
+      auto cl = db.Execute(q, o);
+      ASSERT_TRUE(cl.ok()) << mode << ": " << cl.status().ToString();
+      EXPECT_EQ(cl.value().result_rows, threads.value().result_rows) << mode;
+      EXPECT_EQ(cl.value().result_checksum, threads.value().result_checksum)
+          << mode;
+      EXPECT_EQ(cl.value().intermediate_rows, 600u) << mode;  // 2 x 300 rows
+      ASSERT_TRUE(cl.value().cluster.has_value());
+      ASSERT_EQ(cl.value().cluster->per_chain.size(), 3u);
+    }
   }
 }
 

@@ -531,13 +531,13 @@ TEST(MultiChain, BushyPlanMatchesReferenceFP) {
 }
 
 TEST(MultiChain, ConcurrentChainsMatchReference) {
-  // serialize_chains off: chain0 and the final chain's builds overlap;
-  // the probe over chain0's intermediate still waits for its termination.
+  // H2 off: chain0 and the final chain's builds overlap; the probe over
+  // chain0's intermediate still waits for its termination.
   BushyFixture fx(3, 10000, 13);
   auto ref = ReferenceExecute(fx.query).ValueOrDie();
   for (LocalStrategy s : {LocalStrategy::kDP, LocalStrategy::kFP}) {
     ClusterOptions o = Opts(3, 2, s);
-    o.serialize_chains = false;
+    o.apply_h2 = false;
     ClusterExecutor exec(o);
     auto got = exec.Execute(fx.query);
     ASSERT_TRUE(got.ok()) << LocalStrategyName(s) << ": "
@@ -576,14 +576,17 @@ TEST(MultiChain, ThreeChainPlanMatchesReference) {
   q.plan.chains.push_back(std::move(fin));
   auto ref = ReferenceExecute(q).ValueOrDie();
   EXPECT_EQ(ref.count, 9000u);
-  for (bool serialize : {true, false}) {
+  // H2 (serialized chains) and H1 (scans wait for their hash tables),
+  // each on and off.
+  for (int mode = 0; mode < 4; ++mode) {
     ClusterOptions o = Opts(nodes, 2);
-    o.serialize_chains = serialize;
+    o.apply_h2 = (mode & 1) == 0;
+    o.apply_h1 = (mode & 2) == 0;
     ClusterExecutor exec(o);
     ClusterStats stats;
     auto got = exec.Execute(q, &stats);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.value(), ref);
+    EXPECT_EQ(got.value(), ref) << "h1=" << o.apply_h1 << " h2=" << o.apply_h2;
     ASSERT_EQ(stats.per_chain.size(), 3u);
     EXPECT_EQ(stats.per_chain[0].intermediate_rows, 300u);
     EXPECT_EQ(stats.per_chain[1].intermediate_rows, 300u);

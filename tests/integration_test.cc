@@ -1,95 +1,14 @@
-// Cross-module integration tests: storage feeding the real executor,
-// the cluster protocol across node counts, and end-to-end agreement
-// between independent execution paths.
-
-#include <filesystem>
+// Cross-module integration tests: the cluster protocol across node
+// counts, and end-to-end agreement between the one-node and the N-node
+// executors of the engine.
 
 #include "cluster/cluster_executor.h"
 #include "gtest/gtest.h"
 #include "mt/pipeline_executor.h"
-#include "storage/buffer_pool.h"
-#include "storage/table.h"
 #include "tests/test_util.h"
 
 namespace hierdb {
 namespace {
-
-namespace fs = std::filesystem;
-
-class TempDir {
- public:
-  TempDir() {
-    path_ = fs::temp_directory_path() /
-            ("hierdb_integ_" + std::to_string(::getpid()) + "_" +
-             std::to_string(counter_++));
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  std::string str() const { return path_.string(); }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
-
-// Storage -> executor: a fact relation persisted as a partitioned table,
-// scanned back through the buffer pool, and joined by the real executor.
-// The join result must equal the one computed from the in-memory data the
-// table was built from.
-TEST(Integration, StoredTableFeedsPipelineExecutor) {
-  TempDir dir;
-  const uint64_t kRows = 30000;
-
-  // Fact tuples: key = row id, payload = fk into the dimension.
-  storage::TableBuilder builder(dir.str(),
-                                {.name = "fact", .nodes = 2, .disks = 2});
-  mt::Relation original;
-  Rng rng(7);
-  for (uint64_t i = 0; i < kRows; ++i) {
-    mt::Tuple t{static_cast<int64_t>(i),
-                static_cast<int64_t>(rng.NextBounded(500))};
-    original.push_back(t);
-    ASSERT_TRUE(builder.Append(t).ok());
-  }
-  auto table = builder.Finish();
-  ASSERT_TRUE(table.ok());
-
-  // Read the stored partitions back into an mt::Table (key, fk columns).
-  storage::BufferPool pool({.frames = 64, .window_pages = 8});
-  auto read_back = table.value()->ReadAll(&pool);
-  ASSERT_TRUE(read_back.ok());
-  ASSERT_EQ(read_back.value().size(), kRows);
-
-  mt::Table fact{"fact", mt::Batch(2)};
-  for (const auto& t : read_back.value()) {
-    int64_t row[] = {t.key, t.payload};
-    fact.batch.AppendRow(row);
-  }
-  mt::Table fact_mem{"fact_mem", mt::Batch(2)};
-  for (const auto& t : original) {
-    int64_t row[] = {t.key, t.payload};
-    fact_mem.batch.AppendRow(row);
-  }
-  mt::Table dim = mt::MakeTable("dim", 500, 2, 50, 9);
-
-  mt::PipelinePlan plan = mt::MakeRightDeepPlan(0, {1}, {1});
-  mt::PipelineOptions o;
-  o.threads = 4;
-  o.buckets = 64;
-  mt::PipelineExecutor exec(o);
-
-  std::vector<const mt::Table*> stored_tables = {&fact, &dim};
-  std::vector<const mt::Table*> mem_tables = {&fact_mem, &dim};
-  auto from_storage = exec.Execute(plan, stored_tables);
-  ASSERT_TRUE(from_storage.ok());
-  mt::PipelineExecutor exec2(o);
-  auto from_memory = exec2.Execute(plan, mem_tables);
-  ASSERT_TRUE(from_memory.ok());
-  // The multisets of joined rows are identical regardless of the
-  // cell-major order the storage read-back produced.
-  EXPECT_EQ(from_storage.value(), from_memory.value());
-  EXPECT_EQ(from_storage.value().count, kRows);
-}
 
 // End-detection message count is exactly 4 (N - 1) wire messages per
 // operator for every cluster size (the coordinator's own share is local).

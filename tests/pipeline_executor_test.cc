@@ -415,8 +415,7 @@ TEST(Executor, FPWithDistortedCostsStillCorrect) {
   StarFixture fx(10000, 200);
   auto ref = ReferenceExecute(fx.plan(), fx.tables()).ValueOrDie();
   PipelineOptions o = Opts(LocalStrategy::kFP, 6);
-  o.fp_cost_distortion.assign(
-      PipelineExecutor::CompiledOpCount(fx.plan()), 1.0);
+  o.fp_cost_distortion.assign(CompiledOpCount(fx.plan()), 1.0);
   // Grossly misestimate: first op 10x, last op 0.1x.
   o.fp_cost_distortion.front() = 10.0;
   o.fp_cost_distortion.back() = 0.1;
@@ -437,11 +436,11 @@ TEST(Executor, FPDistortionSizeMismatchRejected) {
 
 TEST(Executor, CompiledOpCountFormula) {
   StarFixture fx;
-  // 1 chain, 3 joins: 3 builds + 1 scan + 3 probes = 7.
-  EXPECT_EQ(PipelineExecutor::CompiledOpCount(fx.plan()), 7u);
+  // 1 chain, 3 joins: 3 buildscans + 3 builds + 1 scan + 3 probes = 10.
+  EXPECT_EQ(CompiledOpCount(fx.plan()), 10u);
   Fig2Plan fig2 = MakeFig2BushyPlan(0, 1, 0, 1, 2, 2);
-  // chain0: 1 join -> 3 ops; chain1: 2 joins -> 5 ops.
-  EXPECT_EQ(PipelineExecutor::CompiledOpCount(fig2.plan), 8u);
+  // chain0: 1 join -> 4 ops; chain1: 2 joins -> 7 ops.
+  EXPECT_EQ(CompiledOpCount(fig2.plan), 11u);
 }
 
 TEST(Executor, TinyQueuesExerciseFlowControl) {

@@ -624,26 +624,31 @@ struct Placement {
   uint32_t threads;
 };
 
-// Every backend x strategy the real executors run.
+// Every backend x strategy the real executors run. The one-node cluster
+// placements run the same node engine as the threads placements, under
+// the N-node executor.
 const std::vector<Placement> kEveryPlacement = {
     {Backend::kThreads, Strategy::kDP, 1, 4},
     {Backend::kThreads, Strategy::kFP, 1, 4},
     {Backend::kThreads, Strategy::kSP, 1, 4},
     {Backend::kCluster, Strategy::kDP, 3, 2},
     {Backend::kCluster, Strategy::kFP, 3, 2},
+    {Backend::kCluster, Strategy::kDP, 1, 4},
+    {Backend::kCluster, Strategy::kFP, 1, 4},
 };
 
 // Runs `q` on each placement and asserts every run matches the
-// single-threaded reference (digest and every capture sample) and that
-// all runs drop the same rows at their scan-level filters. Returns the
-// first run's report.
+// single-threaded reference (digest and every capture sample), and that
+// all runs drop the same rows at their scan-level filters and measure
+// the same output rows for every chain. Returns the first run's report.
 ExecutionReport ExpectReferenceMatch(Session& db, const Query& q,
                                      const std::vector<Placement>& where) {
   ExecutionReport first;
   for (size_t i = 0; i < where.size(); ++i) {
     const Placement& pl = where[i];
     SCOPED_TRACE(std::string(BackendName(pl.backend)) + " " +
-                 StrategyName(pl.strategy));
+                 StrategyName(pl.strategy) + " " + std::to_string(pl.nodes) +
+                 "x" + std::to_string(pl.threads));
     auto r = db.Execute(
         q, VOpts(pl.backend, pl.strategy, pl.nodes, pl.threads));
     EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -659,6 +664,14 @@ ExecutionReport ExpectReferenceMatch(Session& db, const Query& q,
       first = r.value();
     } else {
       EXPECT_EQ(r.value().rows_filtered, first.rows_filtered);
+      EXPECT_EQ(r.value().chain_cards.size(), first.chain_cards.size());
+      const size_t chains =
+          std::min(r.value().chain_cards.size(), first.chain_cards.size());
+      for (size_t c = 0; c < chains; ++c) {
+        EXPECT_EQ(r.value().chain_cards[c].actual_rows,
+                  first.chain_cards[c].actual_rows)
+            << "chain " << c;
+      }
     }
   }
   return first;
