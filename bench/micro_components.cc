@@ -1,7 +1,8 @@
 // Component microbenchmarks (google-benchmark): simulation kernel event
 // throughput, Zipf generation, emission ledgers, activation queues, the
-// bushy optimizer, a small end-to-end engine run and the real backends'
-// batched probe kernel with each of its consumers.
+// bushy optimizer, a small end-to-end engine run, the real backends'
+// batched probe kernel with each of its consumers, and the fabric's row
+// batch codec.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "mt/column_batch.h"
 #include "mt/row.h"
 #include "mt/row_table.h"
+#include "net/message.h"
 #include "opt/bushy_optimizer.h"
 #include "opt/query_gen.h"
 #include "opt/workload.h"
@@ -213,6 +215,70 @@ void BM_ProbeKernel(benchmark::State& state) {
 BENCHMARK(BM_ProbeKernel)
     ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
+
+mt::Batch RandomBatch(uint32_t width, size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  mt::Batch b(width);
+  b.data().resize(rows * width);
+  for (int64_t& v : b.data()) v = static_cast<int64_t>(rng.Next());
+  return b;
+}
+
+// The fabric's row-batch codec as the cluster executor runs it: encode +
+// decode of one 1,024-row batch (a shipped kTupleBatch) at width
+// range(0). Reports ns per row.
+void BM_BatchCodec(benchmark::State& state) {
+  constexpr size_t kRows = 1024;
+  const mt::Batch batch =
+      RandomBatch(static_cast<uint32_t>(state.range(0)), kRows, 11);
+  size_t rows = 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> wire = net::EncodeBatch(batch);
+    auto decoded = net::DecodeBatch(wire);
+    if (!decoded.ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::DoNotOptimize(decoded.value().data().data());
+    benchmark::ClobberMemory();
+    rows += kRows;
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BatchCodec)->Arg(3)->Arg(6)->Arg(10);
+
+// A global-LB steal reply: EncodeRowWork of four 256-row activations at
+// width 6 plus one 256-row width-2 build fragment, then the thief's
+// DecodeRowWork. Reports ns per shipped row.
+void BM_RowWorkCodec(benchmark::State& state) {
+  net::RowWorkBundle work;
+  work.op = 4;
+  work.fragments.push_back({1, RandomBatch(2, 256, 12)});
+  for (uint32_t a = 0; a < 4; ++a) {
+    work.activations.push_back({a, RandomBatch(6, 256, 13 + a)});
+  }
+  const size_t bundle_rows = work.fragment_rows() + 4 * 256;
+  size_t rows = 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> wire = net::EncodeRowWork(work);
+    auto decoded = net::DecodeRowWork(wire);
+    if (!decoded.ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(wire.data());
+    benchmark::DoNotOptimize(decoded.value().activations.data());
+    benchmark::ClobberMemory();
+    rows += bundle_rows;
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_RowWorkCodec);
 
 }  // namespace
 

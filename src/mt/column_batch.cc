@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "mt/tuple.h"
+#include "mt/hash.h"
 
 namespace hierdb::mt {
 

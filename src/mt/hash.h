@@ -1,23 +1,14 @@
-// Two-column tuples (the storage layer's page format and the fabric's tuple
-// encoding) and the join-key hash behind every bucket, node, disk and
-// chain-slot decision of the real backends.
+// The join-key hash behind every bucket, node, disk and chain-slot
+// decision of the real backends.
 
-#ifndef HIERDB_MT_TUPLE_H_
-#define HIERDB_MT_TUPLE_H_
+#ifndef HIERDB_MT_HASH_H_
+#define HIERDB_MT_HASH_H_
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace hierdb::mt {
-
-struct Tuple {
-  int64_t key = 0;
-  int64_t payload = 0;
-};
-
-using Relation = std::vector<Tuple>;
 
 /// 64-bit mix hash for join keys (SplitMix finalizer).
 inline uint64_t HashKey(int64_t key) {
@@ -41,4 +32,4 @@ inline uint64_t SlotOf(uint64_t hash, size_t heads) {
 
 }  // namespace hierdb::mt
 
-#endif  // HIERDB_MT_TUPLE_H_
+#endif  // HIERDB_MT_HASH_H_

@@ -1,10 +1,10 @@
 // Fixed-width multi-column rows for the general pipeline executor.
 //
-// The single-key Tuple of the star-join executor cannot express bushy
-// multi-join plans, where every probe joins on a different column and the
-// pipelined row widens as it flows. A Batch is a flat row-major buffer of
-// int64 columns — the unit a data activation carries (the paper increases
-// data-activation granularity by buffering; a batch is that buffer).
+// Bushy multi-join plans probe on a different column at every join, and
+// the pipelined row widens as it flows. A Batch is a flat row-major buffer
+// of int64 columns — the unit a data activation carries (the paper
+// increases data-activation granularity by buffering; a batch is that
+// buffer).
 //
 // Join semantics: probe rows match build rows on one column each; the
 // output row is the concatenation (probe columns then build columns),
@@ -20,7 +20,7 @@
 
 #include "common/rng.h"
 #include "common/zipf.h"
-#include "mt/tuple.h"
+#include "mt/hash.h"
 
 namespace hierdb::mt {
 

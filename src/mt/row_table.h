@@ -5,7 +5,7 @@
 // It is the one build layout of the real backends: DP/FP bucket tables,
 // SP, the build cache and the cluster's bucket fragments (shipped and
 // stolen fragments are rebuilt through Insert). A row's chain is
-// SlotOf(HashKey(key), heads) (mt/tuple.h), the top bits of the hash: a
+// SlotOf(HashKey(key), heads) (mt/hash.h), the top bits of the hash: a
 // bucket holds the keys with HashKey % B == b, so low-bit slots would
 // leave a bucket table on heads / B of its chains.
 //

@@ -1,6 +1,14 @@
 #include "net/message.h"
 
+#include <bit>
+#include <cstring>
+
 namespace hierdb::net {
+
+// The codec copies native integers to and from the wire, which is the
+// little-endian format only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "net codec assumes a little-endian host");
 
 const char* MsgTypeName(MsgType t) {
   switch (t) {
@@ -19,189 +27,62 @@ const char* MsgTypeName(MsgType t) {
   return "Unknown";
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back((v >> (8 * i)) & 0xff);
-}
-
-void PutI64(std::vector<uint8_t>* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-bool Reader::GetU32(uint32_t* v) {
-  if (pos_ + 4 > buf_.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<uint32_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 4;
-  return true;
-}
-
-bool Reader::GetU64(uint64_t* v) {
-  if (pos_ + 8 > buf_.size()) return false;
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<uint64_t>(buf_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return true;
-}
-
-bool Reader::GetI64(int64_t* v) {
-  uint64_t u;
-  if (!GetU64(&u)) return false;
-  *v = static_cast<int64_t>(u);
-  return true;
-}
-
-std::vector<uint8_t> EncodeTuples(const std::vector<mt::Tuple>& tuples) {
-  std::vector<uint8_t> out;
-  out.reserve(8 + tuples.size() * 16);
-  PutU64(&out, tuples.size());
-  for (const auto& t : tuples) {
-    PutI64(&out, t.key);
-    PutI64(&out, t.payload);
-  }
-  return out;
-}
-
 namespace {
 
-bool DecodeTuplesInto(Reader* r, std::vector<mt::Tuple>* out) {
-  uint64_t n;
-  if (!r->GetU64(&n)) return false;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    mt::Tuple t;
-    if (!r->GetI64(&t.key) || !r->GetI64(&t.payload)) return false;
-    out->push_back(t);
-  }
-  return true;
+void PutBytes(std::vector<uint8_t>* out, const void* src, size_t n) {
+  const auto* p = static_cast<const uint8_t*>(src);
+  out->insert(out->end(), p, p + n);
 }
 
-}  // namespace
+constexpr size_t kBatchHeaderBytes = sizeof(uint32_t) + sizeof(uint64_t);
 
-Result<std::vector<mt::Tuple>> DecodeTuples(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  std::vector<mt::Tuple> out;
-  if (!DecodeTuplesInto(&r, &out) || !r.exhausted()) {
-    return Status::Internal("malformed tuple batch payload");
-  }
-  return out;
+size_t EncodedBatchBytes(const mt::Batch& batch) {
+  return kBatchHeaderBytes + batch.bytes();
 }
 
-std::vector<uint8_t> EncodeFragment(const TableFragment& frag) {
-  std::vector<uint8_t> out;
-  PutU32(&out, frag.op);
-  PutU32(&out, frag.bucket);
-  PutU64(&out, frag.build_tuples.size());
-  for (const auto& t : frag.build_tuples) {
-    PutI64(&out, t.key);
-    PutI64(&out, t.payload);
-  }
-  return out;
+// The one batch encoder: header, then the values as one block.
+void AppendBatch(std::vector<uint8_t>* out, const mt::Batch& batch) {
+  PutU32(out, batch.width());
+  PutU64(out, batch.data().size());
+  PutBytes(out, batch.data().data(), batch.bytes());
 }
 
-namespace {
-
-bool DecodeFragmentFrom(Reader* r, TableFragment* frag) {
-  uint64_t n;
-  if (!r->GetU32(&frag->op) || !r->GetU32(&frag->bucket) || !r->GetU64(&n)) {
-    return false;
-  }
-  frag->build_tuples.clear();
-  frag->build_tuples.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    mt::Tuple t;
-    if (!r->GetI64(&t.key) || !r->GetI64(&t.payload)) return false;
-    frag->build_tuples.push_back(t);
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<TableFragment> DecodeFragment(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  TableFragment frag;
-  if (!DecodeFragmentFrom(&r, &frag) || !r.exhausted()) {
-    return Status::Internal("malformed table fragment payload");
-  }
-  return frag;
-}
-
-std::vector<uint8_t> EncodeWork(const WorkBundle& work) {
-  std::vector<uint8_t> out = EncodeFragment(work.fragment);
-  PutU64(&out, work.probe_batches.size());
-  for (const auto& batch : work.probe_batches) {
-    PutU64(&out, batch.size());
-    for (const auto& t : batch) {
-      PutI64(&out, t.key);
-      PutI64(&out, t.payload);
-    }
-  }
-  return out;
-}
-
-Result<WorkBundle> DecodeWork(const std::vector<uint8_t>& buf) {
-  Reader r(buf);
-  WorkBundle work;
-  uint64_t batches;
-  if (!DecodeFragmentFrom(&r, &work.fragment) || !r.GetU64(&batches)) {
-    return Status::Internal("malformed work bundle payload");
-  }
-  work.probe_batches.reserve(batches);
-  for (uint64_t b = 0; b < batches; ++b) {
-    uint64_t n;
-    if (!r.GetU64(&n)) return Status::Internal("malformed work bundle batch");
-    std::vector<mt::Tuple> batch;
-    batch.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      mt::Tuple t;
-      if (!r.GetI64(&t.key) || !r.GetI64(&t.payload)) {
-        return Status::Internal("malformed work bundle tuple");
-      }
-      batch.push_back(t);
-    }
-    work.probe_batches.push_back(std::move(batch));
-  }
-  if (!r.exhausted()) return Status::Internal("trailing bytes in work bundle");
-  return work;
-}
-
-std::vector<uint8_t> EncodeBatch(const mt::Batch& batch) {
-  std::vector<uint8_t> out;
-  out.reserve(12 + batch.data().size() * 8);
-  PutU32(&out, batch.width());
-  PutU64(&out, batch.data().size());
-  for (int64_t v : batch.data()) PutI64(&out, v);
-  return out;
-}
-
-namespace {
-
+// Validates the header against the bytes left before allocating, so a
+// corrupt count fails here instead of in the allocator.
 bool DecodeBatchFrom(Reader* r, mt::Batch* out) {
   uint32_t width;
   uint64_t n;
   if (!r->GetU32(&width) || !r->GetU64(&n)) return false;
-  if (width == 0 && n > 0) return false;
-  if (width > 0 && n % width != 0) return false;
+  if (width == 0 ? n > 0 : n % width != 0) return false;
+  if (n > r->remaining() / sizeof(int64_t)) return false;
   *out = mt::Batch(width);
-  out->data().reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    int64_t v;
-    if (!r->GetI64(&v)) return false;
-    out->data().push_back(v);
-  }
-  return true;
+  out->data().resize(n);
+  return r->Take(out->data().data(), n * sizeof(int64_t));
 }
 
 }  // namespace
+
+void PutU32(std::vector<uint8_t>* out, uint32_t v) {
+  PutBytes(out, &v, sizeof(v));
+}
+
+void PutU64(std::vector<uint8_t>* out, uint64_t v) {
+  PutBytes(out, &v, sizeof(v));
+}
+
+bool Reader::Take(void* dst, size_t n) {
+  if (n > remaining()) return false;
+  if (n > 0) std::memcpy(dst, buf_.data() + pos_, n);
+  pos_ += n;
+  return true;
+}
+
+std::vector<uint8_t> EncodeBatch(const mt::Batch& batch) {
+  std::vector<uint8_t> out;
+  out.reserve(EncodedBatchBytes(batch));
+  AppendBatch(&out, batch);
+  return out;
+}
 
 Result<mt::Batch> DecodeBatch(const std::vector<uint8_t>& buf) {
   Reader r(buf);
@@ -213,19 +94,25 @@ Result<mt::Batch> DecodeBatch(const std::vector<uint8_t>& buf) {
 }
 
 std::vector<uint8_t> EncodeRowWork(const RowWorkBundle& work) {
+  size_t bytes = sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  for (const auto& f : work.fragments) {
+    bytes += sizeof(uint32_t) + EncodedBatchBytes(f.build_rows);
+  }
+  for (const auto& a : work.activations) {
+    bytes += sizeof(uint32_t) + EncodedBatchBytes(a.rows);
+  }
   std::vector<uint8_t> out;
+  out.reserve(bytes);
   PutU32(&out, work.op);
   PutU64(&out, work.fragments.size());
   for (const auto& f : work.fragments) {
     PutU32(&out, f.bucket);
-    auto b = EncodeBatch(f.build_rows);
-    out.insert(out.end(), b.begin(), b.end());
+    AppendBatch(&out, f.build_rows);
   }
   PutU64(&out, work.activations.size());
   for (const auto& a : work.activations) {
     PutU32(&out, a.bucket);
-    auto b = EncodeBatch(a.rows);
-    out.insert(out.end(), b.begin(), b.end());
+    AppendBatch(&out, a.rows);
   }
   return out;
 }

@@ -41,17 +41,25 @@
 // Payloads are flat byte buffers with explicit little-endian encoding; the
 // envelope counts bytes so experiments can report transfer volumes
 // (Section 5.3 compares FP ≈ 9 MB vs DP ≈ 2.5 MB on the chain workload).
+//
+// Row batch format (kTupleBatch, and each fragment and activation inside
+// kWork): `u32 width, u64 count, count x i64` row-major values. A batch is
+// encoded as the 12-byte header plus one block copy of the batch's values,
+// and decoded by one bounds check, one resize and one block copy, so the
+// codec costs a memcpy per batch, not a shift loop per value. The bytes
+// equal the per-value little-endian encoding because the codec only builds
+// for little-endian hosts (a static_assert in message.cc); there is no
+// byte-swapping path.
 
 #ifndef HIERDB_NET_MESSAGE_H_
 #define HIERDB_NET_MESSAGE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "mt/row.h"
-#include "mt/tuple.h"
 
 namespace hierdb::net {
 
@@ -88,52 +96,27 @@ struct Message {
 };
 
 // ---------------------------------------------------------------------
-// Payload codecs. All encodings are explicit little-endian so the format
-// is stable across hosts (and so tests can corrupt specific offsets).
+// Payload codecs (little-endian; see the format note above).
 
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
 void PutU64(std::vector<uint8_t>* out, uint64_t v);
-void PutI64(std::vector<uint8_t>* out, int64_t v);
 
-/// Cursor-based reader; Get* return false on underflow.
+/// Cursor-based reader; Get*/Take return false on underflow and then
+/// leave the cursor where it was.
 class Reader {
  public:
   explicit Reader(const std::vector<uint8_t>& buf) : buf_(buf) {}
-  bool GetU32(uint32_t* v);
-  bool GetU64(uint64_t* v);
-  bool GetI64(int64_t* v);
+  bool GetU32(uint32_t* v) { return Take(v, sizeof(*v)); }
+  bool GetU64(uint64_t* v) { return Take(v, sizeof(*v)); }
+  /// Copies the next `n` raw bytes into `dst`.
+  bool Take(void* dst, size_t n);
+  size_t remaining() const { return buf_.size() - pos_; }
   bool exhausted() const { return pos_ == buf_.size(); }
 
  private:
   const std::vector<uint8_t>& buf_;
   size_t pos_ = 0;
 };
-
-/// Encodes a batch of tuples (a data activation's contents).
-std::vector<uint8_t> EncodeTuples(const std::vector<mt::Tuple>& tuples);
-Result<std::vector<mt::Tuple>> DecodeTuples(const std::vector<uint8_t>& buf);
-
-/// A hash-table fragment shipped with acquired probe work: the build
-/// tuples of one bucket (the requester rebuilds the table locally, which
-/// costs less than shipping pointer-linked structures).
-struct TableFragment {
-  uint32_t op = 0;      ///< the build operator the fragment came from
-  uint32_t bucket = 0;
-  std::vector<mt::Tuple> build_tuples;
-};
-
-std::vector<uint8_t> EncodeFragment(const TableFragment& frag);
-Result<TableFragment> DecodeFragment(const std::vector<uint8_t>& buf);
-
-/// Work bundle for kWork: a table fragment plus the probe activations
-/// (tuple batches) stolen from the provider's queue.
-struct WorkBundle {
-  TableFragment fragment;
-  std::vector<std::vector<mt::Tuple>> probe_batches;
-};
-
-std::vector<uint8_t> EncodeWork(const WorkBundle& work);
-Result<WorkBundle> DecodeWork(const std::vector<uint8_t>& buf);
 
 // ---------------------------------------------------------------------
 // Multi-column row payloads (used by the cluster executor, whose pipelined

@@ -1,5 +1,5 @@
 // The hash layout the real-thread executors share: the chain-slot rule of
-// mt/tuple.h (SlotOf) against the bucket rule (HashKey % B), and the
+// mt/hash.h (SlotOf) against the bucket rule (HashKey % B), and the
 // RowTable built on it.
 
 #include <gtest/gtest.h>
@@ -8,8 +8,8 @@
 #include <set>
 #include <vector>
 
+#include "mt/hash.h"
 #include "mt/row_table.h"
-#include "mt/tuple.h"
 
 namespace hierdb::mt {
 namespace {

@@ -530,7 +530,7 @@ TEST(Executor, DataActivationsDoNotGrowWithBuckets) {
 // Property sweep: all strategies x thread counts x bucket counts x
 // data-activation sizes agree with the reference on a moderately sized
 // star join. 100 buckets is the non-power-of-two case of the chain-slot
-// rule (mt/tuple.h SlotOf).
+// rule (mt/hash.h SlotOf).
 class StrategySweep
     : public ::testing::TestWithParam<
           std::tuple<LocalStrategy, uint32_t, uint32_t, uint32_t>> {};

@@ -16,11 +16,11 @@
 #include "gtest/gtest.h"
 #include "mt/agg.h"
 #include "mt/column_batch.h"
+#include "mt/hash.h"
 #include "mt/plan.h"
 #include "mt/prune.h"
 #include "mt/row.h"
 #include "mt/row_table.h"
-#include "mt/tuple.h"
 
 // ---------------------------------------------------------------------------
 // Kernel-level: strided filters, hash/gather, stats, batch accumulate.
