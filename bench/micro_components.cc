@@ -1,10 +1,12 @@
 // Component microbenchmarks (google-benchmark): simulation kernel event
 // throughput, Zipf generation, emission ledgers, activation queues, the
 // bushy optimizer, a small end-to-end engine run, the real backends'
-// batched probe kernel with each of its consumers, and the fabric's row
-// batch codec.
+// batched probe kernel with each of its consumers, the phase-1 GROUP BY
+// kernel, and the fabric's row batch codec.
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "common/rng.h"
 #include "common/zipf.h"
@@ -126,8 +128,10 @@ BENCHMARK(BM_EngineSmallPlan);
 // build. Build shapes (range(1)): 0 = 1k unique keys at B = 64, 1 = 8k
 // unique keys at B = 128, 2 = 1k rows over 250 keys (four matches per
 // key) at B = 64. Consumers (range(0)): 0 = probe only, 1 = non-final
-// (joined batch_rows batches handed on), 2 = final digest, 3 = final
-// GROUP BY. Reports ns per probe row.
+// (joined batch_rows batches handed on), 2 = final digest and 3 = final
+// GROUP BY over joined batch_rows batches, 4 = final digest and 5 = final
+// GROUP BY fused (read from the match list, as the engine's terminal
+// probe runs them). Reports ns per probe row.
 struct ProbeFixture {
   std::vector<mt::RowTable> tables;
   uint32_t buckets = 0;
@@ -165,7 +169,7 @@ void BM_ProbeKernel(benchmark::State& state) {
   spec.group_cols = {4};
   spec.aggs = {{mt::AggFn::kCount, 0}, {mt::AggFn::kSum, 2}};
   mt::AggTable agg(&spec);
-  mt::AggTable::BatchScratch agg_scratch;
+  mt::AggTable::Scratch agg_scratch;
   std::vector<int64_t> keys;
   std::vector<uint64_t> hashes;
   mt::ProbeScratch scratch;
@@ -185,8 +189,12 @@ void BM_ProbeKernel(benchmark::State& state) {
       mt::ProbeMatches(f.tables.data(), f.buckets, keys.data(),
                        hashes.data(), n, &scratch, &matches);
       rows += n;
-      if (consumer == 0) {
+      if (consumer == 0 || consumer >= 4) {
         out_rows += matches.size();
+        const mt::JoinedRows joined_view =
+            mt::JoinedMatches(b, matches, kBuildWidth);
+        if (consumer == 4) digest.AddJoined(joined_view);
+        if (consumer == 5) agg.AccumulateJoined(joined_view, &agg_scratch);
         continue;
       }
       mt::ForEachJoinedChunk(
@@ -199,8 +207,7 @@ void BM_ProbeKernel(benchmark::State& state) {
             } else if (consumer == 2) {
               digest.AddRows(chunk.data().data(), chunk.rows(), kOutWidth);
             } else {
-              agg.AccumulateBatch(chunk, 0, nullptr, chunk.rows(), nullptr,
-                                  &agg_scratch);
+              agg.AccumulateJoined(mt::JoinedRows::Of(chunk), &agg_scratch);
             }
           });
     }
@@ -213,7 +220,76 @@ void BM_ProbeKernel(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_ProbeKernel)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1, 2}})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
+
+// Phase-1 GROUP BY alone: 200k rows (id, key, value) in 1,024-row batches,
+// the key over range(0) groups, uniform (range(1) = 0) or Zipf(0.8)
+// (range(1) = 8), aggregated by COUNT + SUM(value) (range(2) = 0) or
+// MIN + AVG(value) (range(2) = 1) through the join-less identity form of
+// AccumulateJoined. Reports ns per row; `floor_ns` is a direct-indexed
+// COUNT + SUM over the same keys, the cost of the accumulator updates
+// alone.
+void BM_GroupByKernel(benchmark::State& state) {
+  constexpr size_t kRows = 200'000, kBatchRows = 1024;
+  const int64_t groups = state.range(0);
+  const double theta = static_cast<double>(state.range(1)) / 10.0;
+  const mt::Table t =
+      mt::MakeSkewedTable("fact", kRows, 3, groups, 1, theta, 21);
+  std::vector<mt::Batch> batches;
+  for (size_t at = 0; at < kRows; at += kBatchRows) {
+    mt::Batch b(3);
+    b.AppendRows(t.batch.row(at), std::min(kBatchRows, kRows - at));
+    batches.push_back(std::move(b));
+  }
+  mt::AggSpec spec;
+  spec.group_cols = {1};
+  if (state.range(2) == 0) {
+    spec.aggs = {{mt::AggFn::kCount, 0}, {mt::AggFn::kSum, 2}};
+  } else {
+    spec.aggs = {{mt::AggFn::kMin, 2}, {mt::AggFn::kAvg, 2}};
+  }
+  mt::AggTable::Scratch scratch;
+  size_t rows = 0;
+  for (auto _ : state) {
+    mt::AggTable agg(&spec);
+    for (const mt::Batch& b : batches) {
+      agg.AccumulateJoined(mt::JoinedRows::Of(b), &scratch);
+    }
+    benchmark::DoNotOptimize(agg.groups());
+    benchmark::ClobberMemory();
+    rows += kRows;
+  }
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+
+  // The floor: the same updates into arrays indexed by the key itself.
+  std::vector<int64_t> count(static_cast<size_t>(groups));
+  std::vector<int64_t> sum(static_cast<size_t>(groups));
+  constexpr int kFloorReps = 20;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int rep = 0; rep < kFloorReps; ++rep) {
+    for (const mt::Batch& b : batches) {
+      const int64_t* r = b.data().data();
+      for (size_t i = 0; i < b.rows(); ++i, r += 3) {
+        ++count[static_cast<size_t>(r[1])];
+        sum[static_cast<size_t>(r[1])] += r[2];
+      }
+    }
+    benchmark::DoNotOptimize(count.data());
+    benchmark::DoNotOptimize(sum.data());
+    benchmark::ClobberMemory();
+  }
+  const double floor_ns =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - t0)
+          .count() /
+      (static_cast<double>(kRows) * kFloorReps);
+  state.counters["floor_ns"] = floor_ns;
+}
+BENCHMARK(BM_GroupByKernel)
+    ->ArgsProduct({{1, 100, 10'000}, {0, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 mt::Batch RandomBatch(uint32_t width, size_t rows, uint64_t seed) {

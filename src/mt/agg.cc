@@ -1,6 +1,7 @@
 #include "mt/agg.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace hierdb::mt {
 
@@ -113,13 +114,29 @@ std::string AggSpec::ToString() const {
   return s;
 }
 
+namespace {
+
+constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// One group column's step of GroupHash.
+inline uint64_t GroupMix(uint64_t h, int64_t v) {
+  h ^= static_cast<uint64_t>(v);
+  h *= kFnvPrime;
+  return h ^ (h >> 29);
+}
+
+/// Wrap-around add without signed-overflow UB (two's-complement sum).
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+}  // namespace
+
 uint64_t GroupHash(const int64_t* vals, uint32_t n) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (uint32_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint64_t>(vals[i]);
-    h *= 0x100000001B3ULL;
-    h ^= h >> 29;
-  }
+  uint64_t h = kFnvOffset;
+  for (uint32_t i = 0; i < n; ++i) h = GroupMix(h, vals[i]);
   // The FNV mix barely moves the top bits for small values, and SlotOf
   // reads exactly those: finish with the full-avalanche key hash.
   return HashKey(static_cast<int64_t>(h));
@@ -127,42 +144,67 @@ uint64_t GroupHash(const int64_t* vals, uint32_t n) {
 
 void AggTable::Init(const AggSpec* spec) {
   spec_ = spec;
+  group_width_ = static_cast<uint32_t>(spec->group_cols.size());
   partial_width_ = spec->PartialWidth();
   pool_.clear();
   hashes_.clear();
-  next_.clear();
-  heads_.clear();
+  slots_.assign(kMinSlots, kEmpty);
 }
 
-void AggTable::Rehash() {
-  size_t target = heads_.empty() ? 16 : heads_.size() * 2;
-  heads_.assign(target, kNoEntry);
-  size_t n = groups();
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t slot = SlotOf(hashes_[i], heads_.size());
-    next_[i] = heads_[slot];
-    heads_[slot] = static_cast<uint32_t>(i);
+void AggTable::Place(uint64_t h, uint32_t id) {
+  const size_t mask = slots_.size() - 1;
+  size_t s = SlotOf(h, slots_.size());
+  while (slots_[s] != kEmpty) s = (s + 1) & mask;
+  slots_[s] = (h << 32) | id;
+}
+
+void AggTable::Grow() {
+  slots_.assign(slots_.size() * 2, kEmpty);
+  for (size_t i = 0; i < hashes_.size(); ++i) {
+    Place(hashes_[i], static_cast<uint32_t>(i));
   }
 }
 
-int64_t* AggTable::FindOrInsert(const int64_t* vals, uint64_t h) {
-  const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
-  if (!heads_.empty()) {
-    uint64_t slot = SlotOf(h, heads_.size());
-    for (uint32_t e = heads_[slot]; e != kNoEntry; e = next_[e]) {
-      if (hashes_[e] != h) continue;
-      int64_t* row = pool_.data() + static_cast<size_t>(e) * partial_width_;
-      if (std::equal(row, row + g, vals)) return row;
-    }
+AggTable::LookupView AggTable::View() const {
+  return {slots_.data(), slots_.size() - 1,
+          64 - std::countr_zero(slots_.size()), pool_.data(), partial_width_,
+          group_width_};
+}
+
+// The one lookup, inlined into every caller: a hit costs no call, no
+// memcmp and no branch per group column.
+inline uint32_t AggTable::Lookup(const LookupView& v, const int64_t* key,
+                                 size_t stride, uint64_t h) {
+  const uint64_t tag = h << 32;
+  for (size_t s = h >> v.shift;; s = (s + 1) & v.mask) {
+    const uint64_t e = v.slots[s];
+    if (e == kEmpty) return kMiss;
+    if ((e & ~uint64_t{UINT32_MAX}) != tag) continue;
+    const int64_t* row = v.pool + static_cast<uint32_t>(e) * v.pw;
+    bool eq = true;
+    for (uint32_t j = 0; j < v.g; ++j) eq &= row[j] == key[j * stride];
+    if (eq) return static_cast<uint32_t>(e);
   }
-  if (groups() + 1 > heads_.size() * 2) Rehash();
-  uint32_t id = static_cast<uint32_t>(groups());
-  size_t base = pool_.size();
+}
+
+uint32_t AggTable::FindOrInsert(const int64_t* key, uint64_t h) {
+  const uint32_t id = Lookup(View(), key, 1, h);
+  return id != kMiss ? id : Insert(key, 1, h);
+}
+
+// A miss: appends an identity-initialized partial for the group and
+// claims its slot, growing the table first at a quarter load (short
+// probe sequences keep the lookup's branches predictable).
+__attribute__((noinline)) uint32_t AggTable::Insert(const int64_t* key,
+                                                    size_t stride,
+                                                    uint64_t h) {
+  if (groups() + 1 > slots_.size() / 4) Grow();
+  const uint32_t id = static_cast<uint32_t>(groups());
+  const size_t base = pool_.size();
   pool_.resize(base + partial_width_);
   int64_t* row = pool_.data() + base;
-  std::copy(vals, vals + g, row);
-  // Identity-initialize the accumulator slots.
-  uint32_t s = g;
+  for (uint32_t j = 0; j < group_width_; ++j) row[j] = key[j * stride];
+  uint32_t s = group_width_;
   for (const AggExpr& a : spec_->aggs) {
     switch (a.fn) {
       case AggFn::kCount: row[s++] = 0; break;
@@ -176,24 +218,12 @@ int64_t* AggTable::FindOrInsert(const int64_t* vals, uint64_t h) {
     }
   }
   hashes_.push_back(h);
-  uint64_t slot = SlotOf(h, heads_.size());
-  next_.push_back(heads_[slot]);
-  heads_[slot] = id;
-  return row;
+  Place(h, id);
+  return id;
 }
-
-namespace {
-
-/// Wrap-around add without signed-overflow UB (two's-complement sum).
-inline int64_t WrapAdd(int64_t a, int64_t b) {
-  return static_cast<int64_t>(static_cast<uint64_t>(a) +
-                              static_cast<uint64_t>(b));
-}
-
-}  // namespace
 
 void AggTable::Accumulate(const int64_t* row) {
-  const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
+  const uint32_t g = group_width_;
   // Gather the group values (group_cols index the input row; the partial
   // stores them densely in front).
   int64_t stack_vals[8];
@@ -204,7 +234,8 @@ void AggTable::Accumulate(const int64_t* row) {
     vals = heap_vals.data();
   }
   for (uint32_t i = 0; i < g; ++i) vals[i] = row[spec_->group_cols[i]];
-  int64_t* p = FindOrInsert(vals, GroupHash(vals, g));
+  const uint32_t id = FindOrInsert(vals, GroupHash(vals, g));
+  int64_t* p = pool_.data() + static_cast<size_t>(id) * partial_width_;
   uint32_t s = g;
   for (const AggExpr& a : spec_->aggs) {
     switch (a.fn) {
@@ -221,68 +252,81 @@ void AggTable::Accumulate(const int64_t* row) {
   }
 }
 
-void AggTable::AccumulateBatch(const Batch& rows, size_t begin,
-                               const uint32_t* sel, size_t n,
-                               const uint32_t* col_map,
-                               BatchScratch* scratch) {
-  if (n == 0) return;
-  const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
-  const size_t stride = rows.width();
-  const int64_t* origin = rows.data().data() + begin * stride;
-  // Column-at-a-time gather + hash: GroupHash's per-column mix
-  //   h ^= v; h *= FNV_PRIME; h ^= h >> 29
-  // is sequential per row, so running it one column across all rows and
-  // then applying its HashKey finish yields exactly the scalar per-row
-  // hashes.
-  scratch->hashes.assign(n, 0xCBF29CE484222325ULL);
-  scratch->keys.resize(n * g);
+void AggTable::AccumulateJoined(const JoinedRows& rows, Scratch* scratch) {
+  const uint32_t g = group_width_;
+  const size_t pw = partial_width_;
+  scratch->hashes.resize(kTile);
+  scratch->keys.resize(kTile * g);
+  scratch->groups.resize(kTile);
   uint64_t* hashes = scratch->hashes.data();
   int64_t* keys = scratch->keys.data();
-  for (uint32_t j = 0; j < g; ++j) {
-    uint32_t c = spec_->group_cols[j];
-    if (col_map != nullptr) c = col_map[c];
-    const int64_t* base = origin + c;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t r = sel == nullptr ? i : sel[i];
-      const int64_t v = base[r * stride];
-      keys[i * g + j] = v;
-      uint64_t h = hashes[i];
-      h ^= static_cast<uint64_t>(v);
-      h *= 0x100000001B3ULL;
-      h ^= h >> 29;
-      hashes[i] = h;
+  uint32_t* groups = scratch->groups.data();
+  for (size_t at = 0; at < rows.n; at += kTile) {
+    const size_t m = std::min(kTile, rows.n - at);
+    // Pass 1: GroupHash's per-column mix is sequential per row, so
+    // running it one column across the tile and then finishing every
+    // row with HashKey yields exactly the scalar per-row hashes.
+    for (size_t i = 0; i < m; ++i) hashes[i] = kFnvOffset;
+    for (uint32_t j = 0; j < g; ++j) {
+      int64_t* col = keys + j * kTile;
+      rows.ForColumn(spec_->group_cols[j], at, m, [&](size_t i, int64_t v) {
+        col[i] = v;
+        hashes[i] = GroupMix(hashes[i], v);
+      });
     }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    hashes[i] = HashKey(static_cast<int64_t>(hashes[i]));
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const size_t r = sel == nullptr ? i : sel[i];
-    const int64_t* row = origin + r * stride;
-    int64_t* p = FindOrInsert(keys + i * g, hashes[i]);
-    uint32_t s = g;
+    for (size_t i = 0; i < m; ++i) {
+      hashes[i] = HashKey(static_cast<int64_t>(hashes[i]));
+    }
+    // Pass 2: each row's group index (row i's key is keys[i + j*kTile]).
+    LookupView v = View();
+    for (size_t i = 0; i < m; ++i) {
+      uint32_t id = Lookup(v, keys + i, kTile, hashes[i]);
+      if (id == kMiss) {
+        id = Insert(keys + i, kTile, hashes[i]);
+        v = View();
+      }
+      groups[i] = id;
+    }
+    // Pass 3: one aggregate at a time; the pool no longer grows.
+    int64_t* acc = pool_.data() + g;
+    auto update = [&](uint32_t col, auto&& op) {
+      rows.ForColumn(col, at, m, [&](size_t i, int64_t v) {
+        op(acc + groups[i] * pw, v);
+      });
+    };
     for (const AggExpr& a : spec_->aggs) {
-      // kCount ignores its column, so only value aggregates map it.
-      const uint32_t c =
-          a.fn != AggFn::kCount && col_map != nullptr ? col_map[a.col] : a.col;
       switch (a.fn) {
-        case AggFn::kCount: p[s] = WrapAdd(p[s], 1); ++s; break;
-        case AggFn::kSum: p[s] = WrapAdd(p[s], row[c]); ++s; break;
-        case AggFn::kMin: p[s] = std::min(p[s], row[c]); ++s; break;
-        case AggFn::kMax: p[s] = std::max(p[s], row[c]); ++s; break;
+        case AggFn::kCount:
+          for (size_t i = 0; i < m; ++i) {
+            int64_t& x = acc[groups[i] * pw];
+            x = WrapAdd(x, 1);
+          }
+          break;
+        case AggFn::kSum:
+          update(a.col, [](int64_t* x, int64_t v) { *x = WrapAdd(*x, v); });
+          break;
+        case AggFn::kMin:
+          update(a.col, [](int64_t* x, int64_t v) { *x = std::min(*x, v); });
+          break;
+        case AggFn::kMax:
+          update(a.col, [](int64_t* x, int64_t v) { *x = std::max(*x, v); });
+          break;
         case AggFn::kAvg:
-          p[s] = WrapAdd(p[s], row[c]);
-          p[s + 1] = WrapAdd(p[s + 1], 1);
-          s += 2;
+          update(a.col, [](int64_t* x, int64_t v) {
+            x[0] = WrapAdd(x[0], v);
+            x[1] = WrapAdd(x[1], 1);
+          });
           break;
       }
+      acc += SlotsOf(a.fn);
     }
   }
 }
 
 void AggTable::MergePartial(const int64_t* partial) {
-  const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
-  int64_t* p = FindOrInsert(partial, GroupHash(partial, g));
+  const uint32_t g = group_width_;
+  const uint32_t id = FindOrInsert(partial, GroupHash(partial, g));
+  int64_t* p = pool_.data() + static_cast<size_t>(id) * partial_width_;
   uint32_t s = g;
   for (const AggExpr& a : spec_->aggs) {
     switch (a.fn) {
@@ -308,7 +352,7 @@ void AggTable::EmitPartials(uint32_t part, uint32_t parts, Batch* out) const {
 }
 
 void AggTable::EmitFinal(Batch* out, ResultDigest* digest) const {
-  const uint32_t g = static_cast<uint32_t>(spec_->group_cols.size());
+  const uint32_t g = group_width_;
   const uint32_t ow = spec_->OutputWidth();
   std::vector<int64_t> row(ow);
   const size_t n = groups();

@@ -21,6 +21,11 @@
 //               by group-key hash and disjoint partitions merge in
 //               parallel.
 //
+// Phase 1 reads the final probe's match list, never a copied row: the
+// engine hands AccumulateJoined a JoinedRows view (probe batch, probe-row
+// indexes, build-row pointers), so the joined row a GROUP BY consumes is
+// never materialized. A join-less terminal passes its own rows.
+//
 // Partial state is itself a flat int64 row — group values followed by one
 // or two accumulator slots per aggregate — so partials ship between
 // cluster nodes through the existing tuple-batch encoding and merge on
@@ -132,11 +137,17 @@ struct AggSpec {
 /// FNV mix over the values, finished with HashKey so every bit avalanches.
 uint64_t GroupHash(const int64_t* vals, uint32_t n);
 
-/// A chained hash table from group values to an accumulator (partial) row,
-/// storing each entry's group hash so merge phases can select partitions
-/// without rehashing. Partitions read `hash % parts`, chains the top bits
-/// (SlotOf), so a merge table holding one partition uses all its heads.
-/// Not thread-safe: one table per worker/partition.
+/// An open-addressing hash table from group values to an accumulator
+/// (partial) row. Partial rows live in a pool in insertion order, with
+/// each group's hash beside it so merge phases select partitions without
+/// rehashing; partitions read `hash % parts`, the home slot the top bits
+/// (SlotOf), so a merge table holding one partition uses all its slots.
+/// Each slot packs the low 32 hash bits (a tag) over the group's pool
+/// index, and a lookup probes linearly, comparing the tag and then the
+/// int64 group values in place; the table grows at a quarter load. Every
+/// path — AccumulateJoined, the scalar Accumulate and MergePartial —
+/// resolves groups through that one lookup. Not thread-safe: one table
+/// per worker/partition.
 class AggTable {
  public:
   AggTable() = default;
@@ -145,38 +156,39 @@ class AggTable {
   void Init(const AggSpec* spec);
   bool initialized() const { return spec_ != nullptr; }
 
-  /// Phase 1: folds one final-chain output row into its group's partial.
+  /// Phase 1, one row at a time: folds one final-chain output row into
+  /// its group's partial (SP and the reference executor's oracle).
   void Accumulate(const int64_t* row);
 
-  /// Reusable scratch for AccumulateBatch (hash column + gathered keys).
-  struct BatchScratch {
+  /// Reusable tile buffers for AccumulateJoined.
+  struct Scratch {
     std::vector<uint64_t> hashes;
-    std::vector<int64_t> keys;  ///< row-major n x |group_cols| gather
+    std::vector<int64_t> keys;  ///< column-major, kTile per group column
+    std::vector<uint32_t> groups;
   };
 
-  /// Vectorized phase 1: folds rows begin+sel[i], i in [0, n) (sel ==
-  /// nullptr: rows begin..begin+n-1) of a row-major batch. Group keys are
-  /// gathered and their GroupHash mixed column-at-a-time — bit-identical
-  /// to the scalar per-row hash — leaving only the table lookup and
-  /// accumulator update per row. `col_map` (optional) maps the spec's
-  /// column indexes onto physical columns of `rows` (executors pass a
-  /// table's projection when accumulating straight from unprojected
-  /// source rows).
-  void AccumulateBatch(const Batch& rows, size_t begin, const uint32_t* sel,
-                       size_t n, const uint32_t* col_map,
-                       BatchScratch* scratch);
+  /// Phase 1, the kernel: folds the joined rows of `rows` into their
+  /// groups' partials, kTile rows at a time, in three passes per tile:
+  ///   1. gathers the group columns column-at-a-time and mixes GroupHash
+  ///      across the tile (bit-identical to the scalar per-row hash, on
+  ///      which partitioning and the cluster's repartition homes depend);
+  ///   2. resolves every row's group *index* with the lookup inlined —
+  ///      direct int64 compares, no call per row, an insert on a miss
+  ///      (indexes, not pointers: an insert may grow the pool);
+  ///   3. updates one aggregate at a time over the tile, its AggFn
+  ///      dispatched once per tile rather than per row.
+  /// Same groups, in the same insertion order, as Accumulate over the
+  /// rows in order.
+  void AccumulateJoined(const JoinedRows& rows, Scratch* scratch);
 
   /// Merge phase: folds one partial row (PartialWidth layout) produced by
   /// another table over the same spec.
   void MergePartial(const int64_t* partial);
 
-  size_t groups() const {
-    return partial_width_ == 0 ? 0 : pool_.size() / partial_width_;
-  }
+  size_t groups() const { return hashes_.size(); }
   uint64_t bytes() const {
     return pool_.size() * sizeof(int64_t) +
-           (hashes_.size() * sizeof(uint64_t)) +
-           (next_.size() + heads_.size()) * sizeof(uint32_t);
+           (hashes_.size() + slots_.size()) * sizeof(uint64_t);
   }
 
   /// Appends the partial rows whose group hash lands in partition `part`
@@ -198,20 +210,43 @@ class AggTable {
   /// the order-independent digest; either may be null.
   void EmitFinal(Batch* out, ResultDigest* digest) const;
 
- private:
-  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  /// Rows per AccumulateJoined tile.
+  static constexpr size_t kTile = 256;
 
-  /// Finds the group matching `vals` (hash `h`) or inserts a fresh
-  /// identity-initialized partial. Returns the partial row.
-  int64_t* FindOrInsert(const int64_t* vals, uint64_t h);
-  void Rehash();
+ private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+  static constexpr uint32_t kMiss = UINT32_MAX;
+  static constexpr size_t kMinSlots = 16;
+
+  /// The table state a lookup reads, hoisted out of a row loop; an
+  /// insert invalidates it.
+  struct LookupView {
+    const uint64_t* slots;
+    size_t mask;
+    int shift;  ///< SlotOf as a shift: 64 - log2(slots)
+    const int64_t* pool;
+    size_t pw;
+    uint32_t g;
+  };
+  LookupView View() const;
+
+  /// The one lookup: the pool index of the group whose values are
+  /// key[0], key[stride], ... (hash `h`), or kMiss.
+  static uint32_t Lookup(const LookupView& v, const int64_t* key,
+                         size_t stride, uint64_t h);
+  /// Lookup with an insert on a miss, for one contiguous key.
+  uint32_t FindOrInsert(const int64_t* key, uint64_t h);
+  uint32_t Insert(const int64_t* key, size_t stride, uint64_t h);
+  /// Claims the first free slot from h's home slot for group `id`.
+  void Place(uint64_t h, uint32_t id);
+  void Grow();
 
   const AggSpec* spec_ = nullptr;
+  uint32_t group_width_ = 0;
   uint32_t partial_width_ = 0;
-  std::vector<int64_t> pool_;      ///< partial rows, row-major
-  std::vector<uint64_t> hashes_;   ///< group hash per row
-  std::vector<uint32_t> next_;
-  std::vector<uint32_t> heads_;
+  std::vector<int64_t> pool_;     ///< partial rows, row-major
+  std::vector<uint64_t> hashes_;  ///< group hash per partial row
+  std::vector<uint64_t> slots_;   ///< (hash << 32) | index, or kEmpty
 };
 
 /// Single-threaded reference aggregation of `rows` (final-chain output)

@@ -247,7 +247,7 @@ struct NodeEngine::Scratch {
   SelVec sel;
   std::vector<uint64_t> hashes;
   std::vector<int64_t> keys;
-  AggTable::BatchScratch agg;
+  AggTable::Scratch agg;
   // Destination split: per row its node, the rows (or matches) grouped
   // by node, and each node's run bounds.
   std::vector<uint32_t> dest;
@@ -798,6 +798,15 @@ void NodeEngine::TraceActivation(uint32_t slot, uint32_t op, uint64_t t0,
       t0, trace_->NowNs(), rows_in, rows_out);
 }
 
+bool NodeEngine::Captured(uint32_t chain, uint32_t point) const {
+  for (const CaptureSink& cs : opt_.captures) {
+    if (cs.chain == chain && cs.point == point && cs.sink != nullptr) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void NodeEngine::Offer(uint32_t chain, uint32_t point,
                        const Batch& rows) const {
   for (const CaptureSink& cs : opt_.captures) {
@@ -912,7 +921,6 @@ void NodeEngine::ExecuteMorsel(uint32_t slot, uint32_t op_id, size_t begin,
       GroupByNode(cfg_.nodes, m, sc.dest, sc.order, sc.start, sc.at);
       order = sc.order.data();
     }
-    ResultDigest digest;
     for (uint32_t d = 0; d < (split ? cfg_.nodes : 1); ++d) {
       const size_t lo = split ? sc.start[d] : 0;
       const size_t hi = split ? sc.start[d + 1] : m;
@@ -921,48 +929,58 @@ void NodeEngine::ExecuteMorsel(uint32_t slot, uint32_t op_id, size_t begin,
         Batch out(out_w);
         out.data().resize(rows * out_w);
         int64_t* dst = out.data().data();
-        for (size_t i = at; i < at + rows; ++i, dst += out_w) {
-          const int64_t* row = row_at(order != nullptr ? order[i] : i);
-          if (proj != nullptr) {
-            for (uint32_t c = 0; c < out_w; ++c) dst[c] = row[(*proj)[c]];
-          } else {
-            std::copy(row, row + src_w, dst);
+        if (proj == nullptr && selp == nullptr && order == nullptr) {
+          // Unfiltered, unsplit, unprojected: the rows are contiguous.
+          std::copy_n(row_at(at), rows * src_w, dst);
+        } else {
+          for (size_t i = at; i < at + rows; ++i, dst += out_w) {
+            const int64_t* row = row_at(order != nullptr ? order[i] : i);
+            if (proj != nullptr) {
+              for (uint32_t c = 0; c < out_w; ++c) dst[c] = row[(*proj)[c]];
+            } else {
+              for (uint32_t c = 0; c < src_w; ++c) dst[c] = row[c];
+            }
           }
         }
         // Scan output = capture point 0.
         Offer(op.chain, 0, out);
         if (terminal) {
-          ConsumeTerminal(slot, op.chain, out, sc, &digest);
+          ConsumeTerminal(slot, op.chain, JoinedRows::Of(out), sc);
         } else {
           Emit(slot, split ? d : cfg_.node, op.consumer, kMixed,
                std::move(out));
         }
       }
     }
-    digests_[slot].Merge(digest);
   }
   ReleaseScratch(slot);
   if (trace_ != nullptr) TraceActivation(slot, op_id, tr0, n, m);
 }
 
 void NodeEngine::ConsumeTerminal(uint32_t slot, uint32_t chain,
-                                 const Batch& rows, Scratch& sc,
-                                 ResultDigest* digest) {
+                                 const JoinedRows& rows, Scratch& sc) {
   const bool final_chain = chain + 1 == plan_.chains.size();
-  chain_rows_[static_cast<size_t>(chain) * slots_ + slot] += rows.rows();
+  chain_rows_[static_cast<size_t>(chain) * slots_ + slot] += rows.n;
   if (final_chain && agg_ != nullptr) {
     // Phase 1 of the two-phase aggregation.
-    agg_partials_[slot].AccumulateBatch(rows, 0, nullptr, rows.rows(),
-                                        nullptr, &sc.agg);
+    agg_partials_[slot].AccumulateJoined(rows, &sc.agg);
     return;
   }
   if (final_chain) {
-    digest->AddRows(rows.data().data(), rows.rows(), rows.width());
+    ResultDigest digest;
+    digest.AddJoined(rows);
+    digests_[slot].Merge(digest);
   }
   if (materialized_[chain]) {
+    // The one place a terminal stores rows: join them onto the slot's
+    // share of the chain output.
     Batch& part = chain_partials_[chain][slot];
-    if (part.width() == 0) part = Batch(rows.width());
-    part.AppendRows(rows.data().data(), rows.rows());
+    const uint32_t w = rows.width();
+    if (part.width() == 0) part = Batch(w);
+    std::vector<int64_t>& data = part.data();
+    const size_t at = data.size();
+    data.resize(at + rows.n * w);
+    rows.Write(0, rows.n, data.data() + at);
   }
 }
 
@@ -1060,14 +1078,16 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
                          });
     }
   } else {
-    // The terminal probe joins its matches batch_rows rows at a time.
-    ResultDigest digest;
-    ForEachJoinedChunk(act.rows, matches, 0, matches.size(), build_w,
-                       opt_.batch_rows, &sc.joined, [&](Batch& chunk) {
-                         Offer(op.chain, point, chunk);
-                         ConsumeTerminal(slot, op.chain, chunk, sc, &digest);
-                       });
-    digests_[slot].Merge(digest);
+    // The terminal probe's consumers read the match list in place; rows
+    // are joined only for a capture point bound here.
+    if (Captured(op.chain, point)) {
+      ForEachJoinedChunk(act.rows, matches, 0, matches.size(), build_w,
+                         opt_.batch_rows, &sc.joined, [&](Batch& chunk) {
+                           Offer(op.chain, point, chunk);
+                         });
+    }
+    ConsumeTerminal(slot, op.chain, JoinedMatches(act.rows, matches, build_w),
+                    sc);
   }
   ReleaseScratch(slot);
   if (trace_ != nullptr) {

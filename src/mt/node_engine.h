@@ -38,10 +38,14 @@
 // Operator bodies. A morsel filters, projects, and splits its rows by
 // destination node (scan: the first join key's home node; buildscan: the
 // bucket, homed at bucket mod nodes). A probe batch becomes one match list
-// (ProbeMatches) joined in chunks of at most batch_rows rows; a non-final
-// probe routes each chunk to the next join key's home node, a terminal
-// one folds it into the digest, the aggregate partial or the chain output.
-// With one node every split has a single destination and no hashing.
+// (ProbeMatches). A non-final probe joins it in chunks of at most
+// batch_rows rows and routes each chunk to the next join key's home node.
+// A terminal probe hands the match list itself to its consumer: the final
+// digest (ResultDigest::AddJoined) and the GROUP BY partial
+// (AggTable::AccumulateJoined) read probe and build rows in place, and
+// rows are joined only where they are stored — a capture point bound at
+// the probe's output, or a materialized chain output. With one node every
+// split has a single destination and no hashing.
 
 #ifndef HIERDB_MT_NODE_ENGINE_H_
 #define HIERDB_MT_NODE_ENGINE_H_
@@ -397,12 +401,16 @@ class NodeEngine {
             Batch&& rows);
   void FlushOutbox(uint32_t slot);
   bool RunAllowedWhileStuck(uint32_t slot, bool unrestricted);
+  /// Whether a capture sink is bound at plan point (chain, point).
+  bool Captured(uint32_t chain, uint32_t point) const;
   /// Offers chunk rows crossing plan point (chain, point) to captures.
   void Offer(uint32_t chain, uint32_t point, const Batch& rows) const;
-  /// Folds a chunk of chain `chain`'s output rows into the slot's digest,
-  /// aggregate partial or chain output.
-  void ConsumeTerminal(uint32_t slot, uint32_t chain, const Batch& rows,
-                       Scratch& sc, ResultDigest* digest);
+  /// Folds chain `chain`'s output rows — a terminal probe's match list or
+  /// a join-less scan's rows — into the slot's digest or aggregate
+  /// partial without copying them, or joins them onto the slot's share of
+  /// a materialized chain output.
+  void ConsumeTerminal(uint32_t slot, uint32_t chain, const JoinedRows& rows,
+                       Scratch& sc);
   Scratch& AcquireScratch(uint32_t slot);
   void ReleaseScratch(uint32_t slot) { --scratch_depth_[slot]; }
   void TraceActivation(uint32_t slot, uint32_t op, uint64_t t0,

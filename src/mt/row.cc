@@ -18,28 +18,70 @@ uint64_t RowDigest(const int64_t* row, uint32_t width) {
   return HashKey(static_cast<int64_t>(h));
 }
 
-void ResultDigest::AddRows(const int64_t* rows, size_t n, uint32_t width) {
-  // RowDigest tile by tile: each column's mix step runs across the tile's
-  // rows, so independent rows overlap instead of waiting on one row's
-  // chain of multiplies.
+namespace {
+
+// RowDigest tile by tile over `rows`, returning the sum of the row
+// digests: each column is gathered across the tile's rows and its mix
+// step runs across them, so independent rows overlap instead of waiting
+// on one row's chain of multiplies. The mix loops run a whole number of
+// 8-row groups, so the vectorizer needs no remainder loop; padding rows
+// mix whatever the (initialized) buffer holds and are never summed.
+[[gnu::always_inline]] inline uint64_t DigestTiles(const JoinedRows& rows) {
   constexpr size_t kTile = 256;
-  uint64_t h[kTile];
-  for (size_t at = 0; at < n; at += kTile) {
-    const size_t m = std::min(kTile, n - at);
-    const int64_t* tile = rows + at * width;
-    for (size_t r = 0; r < m; ++r) h[r] = 0x9e3779b97f4a7c15ULL;
+  alignas(64) uint64_t h[kTile];
+  alignas(64) int64_t v[kTile] = {};
+  const uint32_t width = rows.width();
+  uint64_t sum = 0;
+  for (size_t at = 0; at < rows.n; at += kTile) {
+    const size_t m = std::min(kTile, rows.n - at);
+    const size_t padded = (m + 7) & ~size_t{7};
+    for (size_t r = 0; r < padded; ++r) h[r] = 0x9e3779b97f4a7c15ULL;
     for (uint32_t c = 0; c < width; ++c) {
+      rows.ForColumn(c, at, m, [&](size_t i, int64_t x) { v[i] = x; });
       const int64_t salt = static_cast<int64_t>(c) * 0x1000193;
-      for (size_t r = 0; r < m; ++r) {
-        h[r] ^= HashKey(tile[r * width + c] + salt);
-        h[r] *= 0x100000001b3ULL;
+      for (size_t r = 0; r < padded; ++r) {
+        h[r] = (h[r] ^ HashKey(v[r] + salt)) * 0x100000001b3ULL;
       }
     }
-    for (size_t r = 0; r < m; ++r) {
-      checksum += HashKey(static_cast<int64_t>(h[r]));
+    for (size_t r = 0; r < padded; ++r) {
+      h[r] = HashKey(static_cast<int64_t>(h[r]));
     }
+    for (size_t r = 0; r < m; ++r) sum += h[r];
   }
-  count += n;
+  return sum;
+}
+
+uint64_t DigestTilesBaseline(const JoinedRows& rows) {
+  return DigestTiles(rows);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// The same loops compiled for x86-64-v4 (AVX-512), where the three 64-bit
+// multiplies per value run eight rows per instruction. Chosen once per
+// process by the CPU; both compute the same integers.
+[[gnu::target("arch=x86-64-v4")]] uint64_t DigestTilesV4(
+    const JoinedRows& rows) {
+  return DigestTiles(rows);
+}
+
+uint64_t (*PickDigestTiles())(const JoinedRows&) {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("x86-64-v4") ? DigestTilesV4
+                                              : DigestTilesBaseline;
+}
+#else
+uint64_t (*PickDigestTiles())(const JoinedRows&) {
+  return DigestTilesBaseline;
+}
+#endif
+
+}  // namespace
+
+void ResultDigest::AddJoined(const JoinedRows& rows) {
+  static uint64_t (*const digest_tiles)(const JoinedRows&) =
+      PickDigestTiles();
+  checksum += digest_tiles(rows);
+  count += rows.n;
 }
 
 Table MakeTable(std::string name, size_t rows, uint32_t width,

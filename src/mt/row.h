@@ -13,6 +13,7 @@
 #ifndef HIERDB_MT_ROW_H_
 #define HIERDB_MT_ROW_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -37,8 +38,11 @@ class Batch {
   const int64_t* row(size_t i) const { return data_.data() + i * width_; }
   int64_t at(size_t i, uint32_t col) const { return data_[i * width_ + col]; }
 
+  /// Appends one row. Rows are 2-10 values: an inline push_back loop
+  /// keeps the common path free of calls (a vector::insert per row costs
+  /// a library memmove each).
   void AppendRow(const int64_t* cols) {
-    data_.insert(data_.end(), cols, cols + width_);
+    for (uint32_t c = 0; c < width_; ++c) data_.push_back(cols[c]);
   }
   /// Bulk append of `n` contiguous rows (one memmove instead of a
   /// per-row insert in the probe/materialize inner loops).
@@ -55,9 +59,7 @@ class Batch {
   /// of one source row (cols.size() must equal width()).
   void AppendRowProjected(const int64_t* row,
                           const std::vector<uint32_t>& cols) {
-    size_t at = data_.size();
-    data_.resize(at + cols.size());
-    for (size_t i = 0; i < cols.size(); ++i) data_[at + i] = row[cols[i]];
+    for (uint32_t c : cols) data_.push_back(row[c]);
   }
 
   void Reserve(size_t rows) { data_.reserve(rows * width_); }
@@ -82,6 +84,66 @@ struct Table {
   size_t rows() const { return batch.rows(); }
 };
 
+/// A read-only view of `n` joined rows without their copy: row i is probe
+/// row probe_rows[i] (row i itself when probe_rows is null) of a
+/// row-major buffer of probe_width columns, followed by the build_width
+/// columns at build[i] (none when build_width is 0). The probe's match
+/// list is one (mt/row_table.h: JoinedMatches); a batch of rows is
+/// another (JoinedRows::Of).
+struct JoinedRows {
+  const int64_t* probe = nullptr;
+  uint32_t probe_width = 0;
+  const uint32_t* probe_rows = nullptr;
+  const int64_t* const* build = nullptr;
+  uint32_t build_width = 0;
+  size_t n = 0;
+
+  static JoinedRows Of(const int64_t* rows, size_t n, uint32_t width) {
+    return {rows, width, nullptr, nullptr, 0, n};
+  }
+  static JoinedRows Of(const Batch& b) {
+    return Of(b.data().data(), b.rows(), b.width());
+  }
+
+  uint32_t width() const { return probe_width + build_width; }
+
+  /// Writes rows [from, to) joined, row-major, to `dst`.
+  void Write(size_t from, size_t to, int64_t* dst) const {
+    if (probe_rows == nullptr && build_width == 0) {
+      std::copy_n(probe + from * probe_width, (to - from) * probe_width, dst);
+      return;
+    }
+    for (size_t r = from; r < to; ++r) {
+      const int64_t* p =
+          probe + (probe_rows != nullptr ? probe_rows[r] : r) *
+                      static_cast<size_t>(probe_width);
+      for (uint32_t c = 0; c < probe_width; ++c) *dst++ = p[c];
+      for (uint32_t c = 0; c < build_width; ++c) *dst++ = build[r][c];
+    }
+  }
+
+  /// Calls fn(i, value) for column `c` of rows at + i, i in [0, m): one
+  /// loop per access pattern, so a consumer's per-value work inlines into
+  /// the loop that reads the value.
+  template <typename Fn>
+  void ForColumn(uint32_t c, size_t at, size_t m, Fn&& fn) const {
+    if (c >= probe_width) {
+      const int64_t* const* b = build + at;
+      const uint32_t bc = c - probe_width;
+      for (size_t i = 0; i < m; ++i) fn(i, b[i][bc]);
+    } else if (probe_rows != nullptr) {
+      const int64_t* base = probe + c;
+      const uint32_t* r = probe_rows + at;
+      for (size_t i = 0; i < m; ++i) {
+        fn(i, base[static_cast<size_t>(r[i]) * probe_width]);
+      }
+    } else {
+      const int64_t* base = probe + at * probe_width + c;
+      for (size_t i = 0; i < m; ++i) fn(i, base[i * probe_width]);
+    }
+  }
+};
+
 /// Order-independent digest of a row (for result validation across thread
 /// interleavings).
 uint64_t RowDigest(const int64_t* row, uint32_t width);
@@ -96,8 +158,13 @@ struct ResultDigest {
     ++count;
     checksum += RowDigest(row, width);
   }
-  /// Add over `n` contiguous rows, column-at-a-time (same sums).
-  void AddRows(const int64_t* rows, size_t n, uint32_t width);
+  /// Add over every row of `rows`, tile by tile and column-at-a-time:
+  /// the same sums as Add over each joined row, without joining it.
+  void AddJoined(const JoinedRows& rows);
+  /// AddJoined over `n` contiguous rows.
+  void AddRows(const int64_t* rows, size_t n, uint32_t width) {
+    AddJoined(JoinedRows::Of(rows, n, width));
+  }
   void Merge(const ResultDigest& o) {
     count += o.count;
     checksum += o.checksum;

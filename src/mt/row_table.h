@@ -15,8 +15,10 @@
 // synchronization is needed.
 //
 // Probing: ProbeMatches turns a whole probe batch into one match list
-// without a data-dependent branch, and JoinMatches / ForEachJoinedChunk
-// turn a range of that list into joined rows in bulk. SP and the tests
+// without a data-dependent branch. JoinMatches / ForEachJoinedChunk turn
+// a range of that list into joined rows in bulk where rows are stored or
+// shipped; JoinedMatches views it as joined rows for consumers that only
+// read them (the final digest and GROUP BY). SP and the tests
 // look keys up one at a time through ForEachMatch.
 
 #ifndef HIERDB_MT_ROW_TABLE_H_
@@ -194,23 +196,25 @@ inline void ProbeMatches(const RowTable* tables, uint32_t buckets,
   out->count = m;
 }
 
+/// Every match of `matches` as a joined-row view over `probe` and the
+/// build rows, for consumers that read the join without copying it.
+inline JoinedRows JoinedMatches(const Batch& probe, const Matches& matches,
+                                uint32_t build_width) {
+  return {probe.data().data(), probe.width(), matches.probe.data(),
+          matches.build.data(), build_width, matches.size()};
+}
+
 /// Writes the joined rows of matches [from, to) into `out`, exactly to -
 /// from rows of the probe row's columns followed by `build_width` build
 /// columns (its storage is reused when the width already fits).
 inline void JoinMatches(const Batch& probe, const Matches& matches,
                         size_t from, size_t to, uint32_t build_width,
                         Batch* out) {
-  const uint32_t in_w = probe.width();
-  const uint32_t w = in_w + build_width;
+  const uint32_t w = probe.width() + build_width;
   if (out->width() != w) *out = Batch(w);
   out->data().resize((to - from) * w);
-  int64_t* dst = out->data().data();
-  for (size_t m = from; m < to; ++m, dst += w) {
-    const int64_t* p = probe.row(matches.probe[m]);
-    const int64_t* b = matches.build[m];
-    for (uint32_t c = 0; c < in_w; ++c) dst[c] = p[c];
-    for (uint32_t c = 0; c < build_width; ++c) dst[in_w + c] = b[c];
-  }
+  JoinedMatches(probe, matches, build_width)
+      .Write(from, to, out->data().data());
 }
 
 /// JoinMatches over matches [from, to) in chunks of at most `chunk_rows`

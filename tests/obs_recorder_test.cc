@@ -403,7 +403,7 @@ TEST(Forensics, MidRunDeadlineMissWritesAValidBundle) {
   // A deadline well inside one thread's measured run: the timer fires
   // mid-run, the executor stops cooperatively and the lane reports
   // DeadlineExceeded — the canonical anomaly.
-  Fixture f(1000000, so);
+  Fixture f(2000000, so);
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
   o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
   auto r = f.db.Execute(f.Join2(), o);
@@ -444,7 +444,7 @@ TEST(Forensics, AutomaticBundlesStopAtTheCap) {
   SessionOptions so;
   so.forensics_dir = scratch.str();
   so.forensics_max_bundles = 2;
-  Fixture f(1000000, so);
+  Fixture f(2000000, so);
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
   o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
   for (int i = 0; i < 4; ++i) {

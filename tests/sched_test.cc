@@ -287,6 +287,11 @@ struct SchedFixture {
   }
 };
 
+// Fact rows for the deadline tests on the threads backend:
+// test::DeadlineInsideRun needs the query to run at least 16 ms, on a
+// fast, quiet host too.
+constexpr size_t kDeadlineFactRows = 1600000;
+
 ExecOptions Opts(Backend backend, uint32_t nodes = 1, uint32_t threads = 2) {
   ExecOptions o;
   o.backend = backend;
@@ -336,12 +341,12 @@ void ExpectMidExecutionMiss(Session& db, const Query& q, ExecOptions opts) {
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnThreads) {
-  SchedFixture fx{SessionOptions{}};
+  SchedFixture fx{SessionOptions{}, kDeadlineFactRows};
   ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3), Opts(Backend::kThreads));
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnCluster) {
-  SchedFixture fx{SessionOptions{}, 240000};
+  SchedFixture fx{SessionOptions{}, 480000};
   ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3),
                          Opts(Backend::kCluster, 2, 2));
 }
@@ -360,10 +365,10 @@ TEST(SchedDeadline, MissesMidExecutionOnSimulated) {
 TEST(SchedDeadline, ExpiresWhileQueuedWithoutDispatch) {
   SessionOptions so;
   so.max_concurrent_queries = 1;
-  SchedFixture fx(so);
+  SchedFixture fx(so, kDeadlineFactRows);
   ExecOptions opts = Opts(Backend::kThreads);
   // Measured on a twin session, so this one's counters stay exact.
-  SchedFixture twin(so);
+  SchedFixture twin(so, kDeadlineFactRows);
   const double deadline_ms =
       test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
 
@@ -407,10 +412,10 @@ TEST(SchedDeadline, GenerousDeadlineCompletesAndDisarms) {
 TEST(SchedDeadline, DeadlinesStillFireAfterMidRunMiss) {
   SessionOptions so;
   so.max_concurrent_queries = 1;
-  SchedFixture fx(so);
+  SchedFixture fx(so, kDeadlineFactRows);
   ExecOptions opts = Opts(Backend::kThreads);
   // Measured on a twin session, so this one's counters stay exact.
-  SchedFixture twin(so);
+  SchedFixture twin(so, kDeadlineFactRows);
   const double deadline_ms =
       test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
 

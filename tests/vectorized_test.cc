@@ -394,7 +394,10 @@ TEST(ProbeMatchesEquiv, JoinedChunksConcatenateEveryMatch) {
   EXPECT_EQ(joined.data(), expected.data());
 }
 
-TEST(AggBatch, AccumulateBatchMatchesScalar) {
+// The GROUP BY kernel's join-less identity form against the scalar
+// Accumulate: dense rows split at a non-tile boundary, and a selection
+// passed as probe-row indexes.
+TEST(AggKernel, IdentityAndSelectedRowsMatchScalar) {
   AggSpec spec;
   spec.group_cols = {1};
   spec.aggs = {{AggFn::kCount, 0}, {AggFn::kSum, 0}, {AggFn::kMin, 2},
@@ -404,24 +407,25 @@ TEST(AggBatch, AccumulateBatchMatchesScalar) {
   AggTable scalar(&spec);
   for (size_t i = 0; i < rows.rows(); ++i) scalar.Accumulate(rows.row(i));
 
-  // Dense batch accumulate, morsel-split to exercise the begin offset.
   AggTable dense(&spec);
-  AggTable::BatchScratch scratch;
-  dense.AccumulateBatch(rows, 0, nullptr, 2500, nullptr, &scratch);
-  dense.AccumulateBatch(rows, 2500, nullptr, rows.rows() - 2500, nullptr,
-                        &scratch);
+  AggTable::Scratch scratch;
+  dense.AccumulateJoined(JoinedRows::Of(rows.row(0), 2500, 3), &scratch);
+  dense.AccumulateJoined(
+      JoinedRows::Of(rows.row(2500), rows.rows() - 2500, 3), &scratch);
   ResultDigest ds, dd;
   scalar.EmitFinal(nullptr, &ds);
   dense.EmitFinal(nullptr, &dd);
   EXPECT_EQ(scalar.groups(), dense.groups());
   EXPECT_EQ(ds, dd);
 
-  // Selected accumulate equals the filtered scalar loop.
   std::vector<Predicate> preds = {{0, CmpOp::kLt, 32}};
   SelVec sel;
   size_t m = FilterBatch(rows, 0, rows.rows(), preds, &sel);
   AggTable fsel(&spec), fscalar(&spec);
-  fsel.AccumulateBatch(rows, 0, sel.data(), m, nullptr, &scratch);
+  JoinedRows selected = JoinedRows::Of(rows);
+  selected.probe_rows = sel.data();
+  selected.n = m;
+  fsel.AccumulateJoined(selected, &scratch);
   for (size_t i = 0; i < rows.rows(); ++i) {
     if (MatchesAll(preds, rows.row(i))) fscalar.Accumulate(rows.row(i));
   }
@@ -429,22 +433,178 @@ TEST(AggBatch, AccumulateBatchMatchesScalar) {
   fsel.EmitFinal(nullptr, &a);
   fscalar.EmitFinal(nullptr, &e);
   EXPECT_EQ(a, e);
+}
 
-  // col_map: accumulate straight from unprojected source rows. Physical
-  // layout (pad, c0, pad, c1, c2) with the spec written against the
-  // projected coordinates (0, 1, 2) and col_map = {1, 3, 4}.
-  Batch wide(5);
-  for (size_t i = 0; i < rows.rows(); ++i) {
-    const int64_t* r = rows.row(i);
-    int64_t w[5] = {-1, r[0], -1, r[1], r[2]};
-    wide.AppendRow(w);
+// A probe batch (width 3, key in column 1) matched against a build (width
+// 2, key in column 0) of four bucket tables, with its match list and the
+// joined rows (probe columns 0-2, build columns 3-4). More build rows
+// than keys means duplicate build keys, so a probe row matches several
+// times.
+struct JoinCase {
+  Batch probe;
+  std::vector<RowTable> tables;
+  Matches matches;
+  Batch joined;
+};
+
+JoinCase MakeJoinCase(size_t probe_rows, size_t build_rows, int64_t range,
+                      uint64_t seed, int64_t build_offset = 0) {
+  JoinCase jc;
+  jc.probe = RandomBatch(probe_rows, 3, range, seed);
+  jc.tables.assign(4, RowTable(2, 0));
+  Batch build = RandomBatch(build_rows, 2, range, seed + 1);
+  for (int64_t& v : build.data()) v += build_offset;
+  for (size_t i = 0; i < build.rows(); ++i) {
+    jc.tables[HashKey(build.at(i, 0)) % 4].Insert(build.row(i));
   }
-  const uint32_t col_map[3] = {1, 3, 4};
-  AggTable mapped(&spec);
-  mapped.AccumulateBatch(wide, 0, nullptr, wide.rows(), col_map, &scratch);
-  ResultDigest dm;
-  mapped.EmitFinal(nullptr, &dm);
-  EXPECT_EQ(dm, ds);
+  std::vector<int64_t> keys(probe_rows);
+  std::vector<uint64_t> hashes(probe_rows);
+  for (size_t i = 0; i < probe_rows; ++i) {
+    keys[i] = jc.probe.at(i, 1);
+    hashes[i] = HashKey(keys[i]);
+  }
+  ProbeScratch scratch;
+  ProbeMatches(jc.tables.data(), 4, keys.data(), hashes.data(), probe_rows,
+               &scratch, &jc.matches);
+  JoinMatches(jc.probe, jc.matches, 0, jc.matches.size(), 2, &jc.joined);
+  return jc;
+}
+
+// Kernel over the match list vs ReferenceAggregate over the joined rows:
+// same rows in the same (insertion) order, and the same digest.
+void ExpectKernelMatchesReference(const JoinCase& jc, const AggSpec& spec) {
+  SCOPED_TRACE(spec.ToString() + " over " +
+               std::to_string(jc.matches.size()) + " matches");
+  ASSERT_TRUE(spec.Validate(5).ok());
+  AggTable table(&spec);
+  AggTable::Scratch scratch;
+  table.AccumulateJoined(JoinedMatches(jc.probe, jc.matches, 2), &scratch);
+  Batch got(spec.OutputWidth());
+  ResultDigest got_digest;
+  table.EmitFinal(&got, &got_digest);
+  const Batch want = ReferenceAggregate(jc.joined, spec);
+  EXPECT_EQ(got.data(), want.data());
+  ResultDigest want_digest;
+  want_digest.AddRows(want.data().data(), want.rows(), want.width());
+  EXPECT_EQ(got_digest, want_digest);
+
+  // Partitions select on the stored group hash, which must be the scalar
+  // GroupHash: the same partial rows land in every partition.
+  AggTable scalar(&spec);
+  for (size_t i = 0; i < jc.joined.rows(); ++i) {
+    scalar.Accumulate(jc.joined.row(i));
+  }
+  for (uint32_t part = 0; part < 3; ++part) {
+    Batch a, b;
+    table.EmitPartials(part, 3, &a);
+    scalar.EmitPartials(part, 3, &b);
+    EXPECT_EQ(a.data(), b.data()) << "partition " << part;
+  }
+
+  // The merge phase resolves groups through the same lookup: two halves
+  // merged partial by partial equal the whole.
+  const size_t half = jc.matches.size() / 2;
+  JoinedRows lo = JoinedMatches(jc.probe, jc.matches, 2), hi = lo;
+  lo.n = half;
+  hi.probe_rows += half;
+  hi.build += half;
+  hi.n -= half;
+  AggTable left(&spec), right(&spec), merged(&spec);
+  left.AccumulateJoined(lo, &scratch);
+  right.AccumulateJoined(hi, &scratch);
+  for (const AggTable* t : {&left, &right}) {
+    t->ForEachPartial(0, 1, [&](const int64_t* p) { merged.MergePartial(p); });
+  }
+  ResultDigest merged_digest;
+  merged.EmitFinal(nullptr, &merged_digest);
+  EXPECT_EQ(merged_digest, want_digest);
+}
+
+const std::vector<AggExpr> kEveryAgg = {
+    {AggFn::kCount, 0}, {AggFn::kSum, 0}, {AggFn::kMin, 4},
+    {AggFn::kMax, 2},   {AggFn::kAvg, 4}, {AggFn::kSum, 3}};
+
+TEST(AggKernel, MatchListMatchesReferenceAggregate) {
+  // 3,000 probe rows over 150 keys against 600 build rows: every tile is
+  // full but the last, and each matching probe row matches ~4 times.
+  const JoinCase jc = MakeJoinCase(3000, 600, 150, 71);
+  ASSERT_GT(jc.matches.size(), 4 * AggTable::kTile);
+  // 0, 1, 2 and 3 group columns, from the probe side, the build side and
+  // both.
+  const std::vector<std::vector<uint32_t>> group_sets = {
+      {}, {1}, {4}, {3}, {0}, {1, 4}, {4, 2}, {2, 4, 0}, {3, 1, 4}};
+  for (const auto& groups : group_sets) {
+    AggSpec spec;
+    spec.group_cols = groups;
+    spec.aggs = kEveryAgg;
+    ExpectKernelMatchesReference(jc, spec);
+    // Distinct (no aggregates) and HAVING on a count and on an AVG.
+    if (!groups.empty()) {
+      AggSpec distinct;
+      distinct.group_cols = groups;
+      ExpectKernelMatchesReference(jc, distinct);
+    }
+    const uint32_t g = static_cast<uint32_t>(groups.size());
+    spec.having = {{g, CmpOp::kGt, 3}, {g + 4, CmpOp::kGe, 40}};
+    ExpectKernelMatchesReference(jc, spec);
+  }
+}
+
+TEST(AggKernel, EdgeCasesMatchReference) {
+  AggSpec spec;
+  spec.group_cols = {4, 1};
+  spec.aggs = kEveryAgg;
+  AggSpec global;
+  global.aggs = kEveryAgg;
+  for (const AggSpec* s : {&spec, &global}) {
+    // Empty match lists: no probe rows, no build rows, disjoint keys.
+    ExpectKernelMatchesReference(MakeJoinCase(0, 100, 50, 3), *s);
+    ExpectKernelMatchesReference(MakeJoinCase(500, 0, 50, 4), *s);
+    ExpectKernelMatchesReference(MakeJoinCase(500, 100, 50, 5, 1000), *s);
+    // One probe row; exactly one tile; one row past it.
+    ExpectKernelMatchesReference(MakeJoinCase(1, 10, 1, 7), *s);
+    for (size_t n : {AggTable::kTile, AggTable::kTile + 1}) {
+      ExpectKernelMatchesReference(MakeJoinCase(n, 64, 64, 8 + n), *s);
+    }
+  }
+}
+
+TEST(AggKernel, RandomizedSpecsAndManyGroups) {
+  std::mt19937_64 rng(2024);
+  for (int round = 0; round < 40; ++round) {
+    // Key ranges up to 20k: tens of thousands of groups grow the table
+    // mid-tile many times over.
+    const int64_t range = int64_t{1} << (1 + rng() % 15);
+    const JoinCase jc =
+        MakeJoinCase(200 + rng() % 3000, 50 + rng() % 2000, range, rng());
+    AggSpec spec;
+    const size_t g = rng() % 4;
+    for (size_t j = 0; j < g; ++j) {
+      spec.group_cols.push_back(static_cast<uint32_t>(rng() % 5));
+    }
+    const size_t naggs = (g == 0 ? 1 : 0) + rng() % 4;
+    for (size_t j = 0; j < naggs; ++j) {
+      spec.aggs.push_back({static_cast<AggFn>(rng() % 5),
+                           static_cast<uint32_t>(rng() % 5)});
+    }
+    if (rng() % 3 == 0) {
+      spec.having = {{static_cast<uint32_t>(rng() % spec.OutputWidth()),
+                      CmpOp::kGe, static_cast<int64_t>(rng() % range)}};
+    }
+    ExpectKernelMatchesReference(jc, spec);
+  }
+}
+
+TEST(DigestKernel, MatchListDigestEqualsJoinedRows) {
+  for (const JoinCase& jc :
+       {MakeJoinCase(3000, 600, 150, 81), MakeJoinCase(0, 10, 5, 82),
+        MakeJoinCase(300, 0, 5, 83), MakeJoinCase(1, 3, 1, 84)}) {
+    ResultDigest fused, joined;
+    fused.AddJoined(JoinedMatches(jc.probe, jc.matches, 2));
+    joined.AddRows(jc.joined.data().data(), jc.joined.rows(), 5);
+    EXPECT_EQ(fused, joined);
+    EXPECT_EQ(fused.count, jc.matches.size());
+  }
 }
 
 TEST(PruneTest, RightDeepAggPlanPrunesAndKeepsDigest) {
@@ -758,6 +918,90 @@ TEST(VectorizedParity, EmptyAndAllPassSelections) {
   ExecutionReport plain = ExpectReferenceMatch(fx.db, fx.Joined().Build(), dp);
   EXPECT_EQ(a.rows_filtered, 0u);
   EXPECT_EQ(a.result_checksum, plain.result_checksum);
+}
+
+// The terminal probe's digest and GROUP BY read its match list; rows are
+// joined only for a capture point bound at that probe or a materialized
+// output. fact ⋈ d2 ⋈ d1 on d1's foreign-key column: ~10 build rows per
+// key, so a probe row matches many times.
+Query DuplicateKeyJoin(const StarFixture& fx, bool capture) {
+  QueryBuilder qb =
+      fx.db.NewQuery().Scan(fx.fact).Probe(fx.d2, 2, 0).Probe(fx.d1, 1, 1);
+  if (capture) qb.CapturePoint("final");
+  return qb.Build();
+}
+
+// A capture large enough to keep every row sees each joined row of the
+// final probe exactly once, plain and aggregated, on every placement:
+// `offered` counts the rows, and the kept sample is the whole multiset,
+// compared against the reference's.
+TEST(FusedTerminal, FinalProbeCaptureSeesEveryJoinedRowOnce) {
+  SessionOptions so;
+  so.capture_rows = 1 << 16;
+  StarFixture fx(6000, 11, so);
+  const Query plain = DuplicateKeyJoin(fx, true);
+  QueryBuilder agg_qb = fx.db.NewQuery()
+                            .Scan(fx.fact)
+                            .Probe(fx.d2, 2, 0)
+                            .Probe(fx.d1, 1, 1)
+                            .CapturePoint("final");
+  const Query agg = agg_qb.GroupBy(fx.d1, 0)
+                        .Count()
+                        .Agg(AggFn::kSum, fx.fact, 0)
+                        .Build();
+  const ExecutionReport base = ExpectReferenceMatch(fx.db, plain, kEveryPlacement);
+  ASSERT_GT(base.result_rows, 1000u);
+  ASSERT_LT(base.result_rows, uint64_t{so.capture_rows});
+  for (const Query* q : {&plain, &agg}) {
+    for (const Placement& pl : kEveryPlacement) {
+      SCOPED_TRACE(std::string(BackendName(pl.backend)) + " " +
+                   StrategyName(pl.strategy) + (q == &agg ? " agg" : ""));
+      auto r = fx.db.Execute(
+          *q, VOpts(pl.backend, pl.strategy, pl.nodes, pl.threads));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().reference_match);
+      EXPECT_TRUE(r.value().captures_match);
+      ASSERT_EQ(r.value().captures.size(), 1u);
+      const obs::CaptureResult& cap = r.value().captures[0];
+      EXPECT_EQ(cap.offered, base.result_rows);
+      EXPECT_EQ(cap.rows.size(), base.result_rows);
+    }
+  }
+}
+
+// opts.materialize returns the joined rows themselves on both real
+// backends: the same multiset everywhere, whose digest is the validated
+// result digest.
+TEST(FusedTerminal, MaterializedRowsMatchOnBothRealBackends) {
+  StarFixture fx(6000, 13);
+  const Query q = DuplicateKeyJoin(fx, false);
+  std::vector<std::vector<int64_t>> first;
+  for (const Placement& pl : kEveryPlacement) {
+    SCOPED_TRACE(std::string(BackendName(pl.backend)) + " " +
+                 StrategyName(pl.strategy));
+    ExecOptions o = VOpts(pl.backend, pl.strategy, pl.nodes, pl.threads);
+    o.materialize = true;
+    auto got = fx.db.Submit(q, o).Take();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const ExecutionReport& rep = got.value().report;
+    EXPECT_TRUE(rep.reference_match);
+    const mt::Batch& rows = got.value().rows;
+    ASSERT_EQ(rows.rows(), rep.reference_rows);
+    mt::ResultDigest d;
+    d.AddRows(rows.data().data(), rows.rows(), rows.width());
+    EXPECT_EQ(d.checksum, rep.result_checksum);
+    std::vector<std::vector<int64_t>> sorted;
+    for (size_t i = 0; i < rows.rows(); ++i) {
+      sorted.emplace_back(rows.row(i), rows.row(i) + rows.width());
+    }
+    std::sort(sorted.begin(), sorted.end());
+    if (first.empty()) {
+      first = std::move(sorted);
+      ASSERT_GT(first.size(), 1000u);
+    } else {
+      EXPECT_EQ(sorted, first);
+    }
+  }
 }
 
 TEST(PlannerStats, TableStatsExposedAtAddTable) {
