@@ -6,7 +6,7 @@
 //
 // The storm: every query runs kCluster (2 nodes) under a per-query
 // seeded plan with 1% message drop, and every 50th query additionally
-// stalls node 1's scheduler loop until liveness detection tears it down.
+// stalls node 1's scheduler steps until liveness detection tears it down.
 // The acceptance invariants (ISSUE: chaos stream):
 //   - the stream completes: no hangs, every handle resolves;
 //   - every query either succeeds digest-identical to a clean run or

@@ -238,7 +238,7 @@ struct ExecOptions {
   /// Seeded fault injection for this query (chaos testing). When the plan
   /// is armed, the backends deliberately misbehave per its probabilities
   /// and schedule: the cluster fabric drops/duplicates/delays messages,
-  /// cluster node loops stall or crash, and pooled worker threads die
+  /// cluster node schedulers stall or crash, and pooled worker threads die
   /// (their slot is re-queued, so work is never lost — only delayed).
   /// Every decision derives from the plan's seed, so a failing run
   /// replays exactly. Unset inherits SessionOptions::chaos; both unset =
@@ -470,9 +470,10 @@ struct SessionOptions {
   AdmissionPolicy admission = AdmissionPolicy::kFifo;
   /// Size of the session-wide worker pool real-backend queries rent from;
   /// 0 = hardware_concurrency. However many queries overlap, total
-  /// executor threads stay at this fixed machine-sized count (plus the
-  /// cluster's gang threads), with idle workers stealing activations
-  /// across query boundaries.
+  /// executor threads stay at this fixed machine-sized count on every
+  /// backend (a kCluster query's node workers and schedulers are roles
+  /// its pooled bodies take, not threads of their own), with idle
+  /// workers stealing activations across query boundaries.
   uint32_t pool_threads = 0;
   /// kShortestCostFirst aging bound: a query queued longer than this
   /// outranks cost ordering and dispatches FIFO among its aged peers, so

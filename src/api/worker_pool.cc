@@ -68,28 +68,9 @@ class WorkerPool::Context final : public ExecContext {
     pool_->hook_cv_.wait(lock, [&] { return hook_inflight_ == 0; });
   }
 
-  void SpawnWorkers(uint32_t n, const std::function<void(uint32_t)>& body,
-                    bool gang) override {
+  void SpawnWorkers(uint32_t n,
+                    const std::function<void(uint32_t)>& body) override {
     if (n == 0) return;
-    if (gang) {
-      // Gang bodies (the cluster's node loops) are mutually dependent:
-      // claiming them one at a time from a shared pool can deadlock the
-      // moment fewer threads than bodies are available, so they get
-      // dedicated threads. They still Park into cross-query stealing and
-      // still honor the stop token; pool-reserved gang scheduling is a
-      // recorded follow-up.
-      {
-        std::lock_guard<std::mutex> lock(pool_->mu_);
-        pool_->gang_threads_ += n;
-      }
-      std::vector<std::thread> threads;
-      threads.reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        threads.emplace_back([&body, i] { body(i); });
-      }
-      for (auto& t : threads) t.join();
-      return;
-    }
     auto team = std::make_shared<Team>();
     team->body = &body;
     team->total = n;
@@ -217,7 +198,6 @@ PoolStats WorkerPool::stats() const {
   s.pool_tasks = pool_tasks_;
   s.caller_tasks = caller_tasks_;
   s.foreign_steals = foreign_steals_;
-  s.gang_threads = gang_threads_;
   s.worker_deaths = worker_deaths_;
   return s;
 }

@@ -12,13 +12,11 @@
 //     slots FIFO across teams, and the renting caller (the scheduler's
 //     dispatcher thread) claims its own team's slots too — so every query
 //     always owns at least one thread and progress never depends on pool
-//     capacity. Total OS threads stay ~pool size + dispatchers no matter
-//     how many queries overlap. Gang teams (SpawnWorkers(..., gang =
-//     true): the cluster's mutually dependent node loops) are the
-//     exception — sharing pooled threads one slot at a time could
-//     deadlock them, so they run on dedicated threads (counted in
-//     PoolStats::gang_threads) while still parking/stealing through the
-//     context.
+//     capacity. Every team is cooperative (any one body completes the
+//     work, common/exec_context.h), the cluster's included: its node
+//     workers and schedulers are roles its bodies take in turn, not
+//     threads. Total OS threads stay pool size + dispatchers no matter
+//     how many queries overlap, on every backend.
 //
 //   - Cross-query load balancing: an execution publishes a steal hook
 //     ("run one of my activations"); idle pool threads and parked workers
@@ -57,9 +55,6 @@ struct PoolStats {
   uint64_t pool_tasks = 0;     ///< worker bodies run by pool threads
   uint64_t caller_tasks = 0;   ///< worker bodies run by renting callers
   uint64_t foreign_steals = 0; ///< cross-query activations stolen
-  /// Dedicated threads created for gang teams (cluster node loops, whose
-  /// mutually dependent bodies cannot share pooled threads safely).
-  uint64_t gang_threads = 0;
   /// Worker bodies skipped by injected worker death (chaos testing).
   uint64_t worker_deaths = 0;
 };
@@ -86,7 +81,7 @@ class WorkerPool {
   /// the slot is re-queued for another (possibly the same) claimer —
   /// death with recovery. Every body still runs exactly once, so teams
   /// whose slots each own essential work (per-partition merges) stay
-  /// correct; renting callers and gang bodies are never killed.
+  /// correct; renting callers are never killed.
   std::unique_ptr<ExecContext> Rent(const std::atomic<bool>* stop,
                                     fault::FaultInjector* injector = nullptr);
 
@@ -126,7 +121,6 @@ class WorkerPool {
   uint64_t pool_tasks_ = 0;
   uint64_t caller_tasks_ = 0;
   uint64_t foreign_steals_ = 0;
-  uint64_t gang_threads_ = 0;
   uint64_t worker_deaths_ = 0;
 
   std::vector<std::thread> threads_;  ///< declared last: joined first

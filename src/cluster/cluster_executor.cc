@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <shared_mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -148,7 +147,7 @@ struct ClusterExecutor::Impl {
   std::atomic<bool> cancelled{false};
 
   // Build-side reuse (mt::ResolveBuilds against opt.build_cache, never
-  // waiting: the gang cannot hold-and-wait). The engines start a hit
+  // waiting on another query's build). The engines start a hit
   // join's buildscan and build, and every op of an elided chain,
   // terminated with no end-detection round. A builder entry is published
   // after a successful run (PublishBuilds) and abandoned by every other
@@ -179,11 +178,14 @@ struct ClusterExecutor::Impl {
   std::string unavailable_msg;
   /// Global progress clock: bumped on every handled message and every
   /// executed activation/morsel (only when detection is on). Node 0's
-  /// scheduler watches it; no movement past the liveness timeout while
-  /// the query is unfinished means termination can no longer be reached
-  /// (the dropped-message case where every loop is still alive).
+  /// scheduler step watches it; no movement past the liveness timeout
+  /// while the query is unfinished means termination can no longer be
+  /// reached (the dropped-message case where every node is still alive).
   std::atomic<uint64_t> progress{0};
   std::atomic<uint64_t> dup_dropped{0};
+  // The watchdog's last reading, owned by node 0's step.
+  uint64_t last_progress = 0;
+  uint64_t progress_since = 0;
 
   static uint64_t MonoNs() {
     return static_cast<uint64_t>(
@@ -196,10 +198,28 @@ struct ClusterExecutor::Impl {
   /// owns. The node is its engine's link: remote batches leave through
   /// the fabric, stolen fragments come from the node's cache, and idle
   /// passes mark the node starving for global load balancing.
+  ///
+  /// Neither the scheduler nor a worker is a thread. The scheduler is a
+  /// step (SchedulerStep) any body may run under the `stepping` claim;
+  /// worker t is an identity a body holds (`held[t]`) for a run of
+  /// passes. Either way the state behind it has one owner at a time.
   struct Node final : NodeEngine::Link {
     Impl* im = nullptr;
     uint32_t id = 0;
     std::unique_ptr<NodeEngine> engine;
+    std::vector<std::atomic<bool>> held;
+
+    // Scheduler-step state (owned by the body holding `stepping`).
+    std::atomic<bool> stepping{false};
+    /// Set by the step that sees the engine done and its inbox empty; no
+    /// step runs after it.
+    std::atomic<bool> finished{false};
+    uint64_t polls = 0;
+    /// An injected stall or crash skips the node's steps until this time
+    /// (UINT64_MAX: until teardown).
+    uint64_t silent_until = 0;
+    uint64_t last_hb_sent = 0;
+    std::vector<uint64_t> last_heard;
 
     // Global load balancing (scheduler-owned unless noted).
     std::atomic<bool> starving{false};           // DP: set by workers
@@ -267,6 +287,13 @@ struct ClusterExecutor::Impl {
         im->MarkStarving(*this, slot);
       }
     }
+
+    // What unblocks stuck pushes may be a step or another slot's work:
+    // step the schedulers, then let the body move on to other identities.
+    bool WhileStuck(uint32_t) override {
+      im->StepNodes(id);
+      return false;
+    }
   };
   std::vector<std::unique_ptr<Node>> nodes;
 
@@ -333,8 +360,6 @@ struct ClusterExecutor::Impl {
       cfg.node = n;
       cfg.nodes = opt.nodes;
       cfg.trace_slot_base = slot_of(n, 1);
-      // Schedulers wake the workers when work arrives, so they nap longer.
-      cfg.idle_nap_us = 500;
       cfg.keep_final = materialize_final;
       node->engine = std::make_unique<NodeEngine>(
           opt, plan, std::move(rows), widths, &builds, cfg, node.get());
@@ -354,6 +379,8 @@ struct ClusterExecutor::Impl {
       node->drain_requested.assign(nops, false);
       node->drain_acked.assign(nops, false);
       node->seen_seq.resize(opt.nodes);
+      node->held = std::vector<std::atomic<bool>>(opt.threads);
+      node->last_heard.assign(opt.nodes, opt.detect_faults ? MonoNs() : 0);
       node->repart_rows = std::vector<std::atomic<uint64_t>>(C);
       for (auto& r : node->repart_rows) r.store(0);
       nodes.push_back(std::move(node));
@@ -362,6 +389,7 @@ struct ClusterExecutor::Impl {
     coord_acks.assign(nops, 0);
     coord_drain.assign(nops, false);
     coord_terminated = nodes[0]->reported;
+    progress_since = opt.detect_faults ? MonoNs() : 0;
   }
 
   /// Moves every node's home buckets of each join this run builds for
@@ -384,7 +412,7 @@ struct ClusterExecutor::Impl {
   }
 
   /// First stop-observer tears the whole run down: every node's engine
-  /// releases its workers, and schedulers exit on `cancelled`.
+  /// stops its passes, and bodies exit on `cancelled`.
   void CancelAll() {
     cancelled.store(true, std::memory_order_release);
     for (auto& node : nodes) node->engine->Cancel();
@@ -462,130 +490,157 @@ struct ClusterExecutor::Impl {
   }
 
   // ------------------------------------------------------------------
-  // Scheduler side (one per node; node 0 doubles as coordinator).
+  // The team: N x T symmetric bodies.
+  //
+  // A body first tries its home node's identities, then every other
+  // node's, and runs passes on each one it claims while they find work;
+  // between passes it steps every node's scheduler no other body is
+  // stepping. So any single body, run alone, completes the query, and a
+  // node still runs at most T workers at once.
 
-  void SchedulerLoop(uint32_t id) {
-    Node& node = *nodes[id];
+  void Body(uint32_t k) {
+    const uint32_t N = opt.nodes;
+    const uint32_t T = opt.threads;
+    const uint32_t home = k / T;
+    while (true) {
+      if (ctx->StopRequested()) CancelAll();
+      if (cancelled.load(std::memory_order_acquire) ||
+          std::all_of(nodes.begin(), nodes.end(), [](const auto& n) {
+            return n->finished.load(std::memory_order_acquire);
+          })) {
+        return;
+      }
+      bool worked = StepNodes(home);
+      for (uint32_t i = 0; i < N; ++i) {
+        Node& node = *nodes[(home + i) % N];
+        for (uint32_t j = 0; j < T; ++j) {
+          const uint32_t slot = (k + j) % T;
+          if (node.held[slot].exchange(true, std::memory_order_acquire)) {
+            continue;
+          }
+          while (node.engine->Pass(slot)) {
+            worked = true;
+            StepNodes(home);
+          }
+          node.held[slot].store(false, std::memory_order_release);
+        }
+      }
+      if (!worked && !ctx->Park()) nodes[home]->engine->Nap();
+    }
+  }
+
+  /// Steps each unfinished node no other body is stepping, `first` first,
+  /// waking the node's napping bodies when its step worked. Returns
+  /// whether any step worked.
+  bool StepNodes(uint32_t first) {
+    bool worked = false;
+    for (uint32_t i = 0; i < opt.nodes; ++i) {
+      Node& node = *nodes[(first + i) % opt.nodes];
+      if (node.finished.load(std::memory_order_acquire) ||
+          node.stepping.exchange(true, std::memory_order_acquire)) {
+        continue;
+      }
+      if (SchedulerStep(node)) {
+        worked = true;
+        node.engine->Wake();
+      }
+      node.stepping.store(false, std::memory_order_release);
+    }
+    return worked;
+  }
+
+  // One step of a node's scheduler (node 0 doubles as coordinator):
+  // fabric delivery, end detection, global load balancing and liveness.
+  // Returns whether it did work (heartbeats and suppressed duplicates
+  // don't count).
+  bool SchedulerStep(Node& node) {
+    const uint32_t id = node.id;
     NodeEngine& engine = *node.engine;
     const bool detect = opt.detect_faults;
-    // Node-loop faults only fire where detection can catch them —
-    // otherwise an injected stall is a guaranteed hang, not a test.
-    const bool inject_loop_faults =
-        opt.injector != nullptr && detect && opt.nodes > 1;
-    const uint64_t hb_period_ns = uint64_t{opt.heartbeat_us} * 1000;
-    const uint64_t timeout_ns =
-        uint64_t{opt.liveness_timeout_ms} * 1'000'000;
-    uint64_t poll = 0;
-    uint64_t now = detect ? MonoNs() : 0;
-    std::vector<uint64_t> last_heard(opt.nodes, now);
-    uint64_t last_hb_sent = 0;
-    uint64_t last_progress = progress.load(std::memory_order_relaxed);
-    uint64_t progress_since = now;
-    // Handles one incoming message; returns whether it counted as work
-    // (heartbeats and suppressed duplicates don't).
-    auto consume = [&](Message&& m) {
-      if (detect && m.from < last_heard.size()) {
-        last_heard[m.from] = now;
+    // Node faults only fire where detection can catch them; otherwise an
+    // injected stall is a guaranteed hang, not a test. A stalled or
+    // crashed node skips its steps while its workers run on; peers detect
+    // the silence through heartbeats.
+    if (opt.injector != nullptr && detect && opt.nodes > 1) {
+      if (node.silent_until != 0) {
+        if (MonoNs() < node.silent_until) return false;
+        node.silent_until = 0;
+      } else if (opt.injector->ShouldCrashNode(static_cast<int>(id),
+                                               node.polls)) {
+        node.silent_until = UINT64_MAX;
+        return false;
+      } else if (opt.injector->ShouldStallNode(static_cast<int>(id),
+                                               node.polls)) {
+        const uint64_t ms = opt.injector->plan().stall_ms;
+        node.silent_until = ms == 0 ? UINT64_MAX : MonoNs() + ms * 1'000'000;
+        return false;
       }
-      if (m.type == MsgType::kHeartbeat) return false;
-      if (IsDuplicate(node, m)) return false;
+    }
+    ++node.polls;
+    const uint64_t now = detect ? MonoNs() : 0;
+    // 1. Queue arrivals that found full queues earlier.
+    bool worked = engine.FlushInbox();
+    // 2. Drain the mailbox.
+    Message m;
+    while (fabric.mailbox(id).TryPop(&m)) {
+      if (detect && m.from < node.last_heard.size()) {
+        node.last_heard[m.from] = now;
+      }
+      if (m.type == MsgType::kHeartbeat || IsDuplicate(node, m)) continue;
       HandleMessage(id, std::move(m));
       if (detect) progress.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    };
-    while (true) {
-      if (cancelled.load(std::memory_order_acquire)) return;
-      if (ctx->StopRequested()) {
-        CancelAll();
-        return;
+      worked = true;
+    }
+    // 3. End-detection reports.
+    worked |= CheckReports(node);
+    // 4. Global load balancing.
+    if (opt.global_lb) worked |= CheckStarving(node);
+    // 5. Liveness: announce ourselves, suspect silent peers, and (node
+    // 0) watch the global progress clock.
+    if (detect) {
+      const uint64_t timeout_ns =
+          uint64_t{opt.liveness_timeout_ms} * 1'000'000;
+      if (now - node.last_hb_sent >= uint64_t{opt.heartbeat_us} * 1000) {
+        node.last_hb_sent = now;
+        Message hb;
+        hb.type = MsgType::kHeartbeat;
+        fabric.Broadcast(id, hb).ok();
       }
-      if (inject_loop_faults) {
-        // Crash: the loop silently dies; peers detect the silence.
-        if (opt.injector->ShouldCrashNode(static_cast<int>(id), poll)) {
-          return;
+      for (uint32_t p = 0; p < opt.nodes; ++p) {
+        if (p == id || now - node.last_heard[p] <= timeout_ns) continue;
+        if (opt.recorder != nullptr) {
+          opt.recorder->Instant(obs::EventKind::kHeartbeatMiss,
+                                opt.recorder_query, now - node.last_heard[p],
+                                static_cast<int32_t>(p));
         }
-        if (opt.injector->ShouldStallNode(static_cast<int>(id), poll)) {
-          // Stall in small slices so teardown (CancelAll) still releases
-          // us; stall_ms == 0 stalls until detection fires.
-          const uint64_t t0 = MonoNs();
-          const uint64_t limit_ns =
-              uint64_t{opt.injector->plan().stall_ms} * 1'000'000;
-          while (!cancelled.load(std::memory_order_acquire) &&
-                 (limit_ns == 0 || MonoNs() - t0 < limit_ns)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        FailUnavailable("node " + std::to_string(p) +
+                        " unresponsive (no message for " +
+                        std::to_string(opt.liveness_timeout_ms) +
+                        " ms; suspected stall or crash)");
+        return worked;
+      }
+      if (id == 0) {
+        const uint64_t cur = progress.load(std::memory_order_relaxed);
+        if (cur != last_progress) {
+          last_progress = cur;
+          progress_since = now;
+        } else if (now - progress_since > timeout_ns) {
+          if (opt.recorder != nullptr) {
+            opt.recorder->Instant(obs::EventKind::kHeartbeatMiss,
+                                  opt.recorder_query, now - progress_since,
+                                  static_cast<int32_t>(id));
           }
-        }
-      }
-      ++poll;
-      if (detect) now = MonoNs();
-      // 1. Queue arrivals that found full queues earlier.
-      bool worked = engine.FlushInbox();
-      // 2. Drain the mailbox.
-      Message m;
-      while (fabric.mailbox(id).TryPop(&m)) {
-        worked |= consume(std::move(m));
-      }
-      // 3. End-detection reports.
-      worked |= CheckReports(node);
-      // 4. Global load balancing.
-      if (opt.global_lb) worked |= CheckStarving(node);
-      // 5. Liveness: announce ourselves, suspect silent peers, and (node
-      // 0) watch the global progress clock.
-      if (detect) {
-        if (now - last_hb_sent >= hb_period_ns) {
-          last_hb_sent = now;
-          Message hb;
-          hb.type = MsgType::kHeartbeat;
-          fabric.Broadcast(id, hb).ok();
-        }
-        for (uint32_t p = 0; p < opt.nodes; ++p) {
-          if (p == id) continue;
-          if (now - last_heard[p] > timeout_ns) {
-            if (opt.recorder != nullptr) {
-              opt.recorder->Instant(obs::EventKind::kHeartbeatMiss,
-                                    opt.recorder_query, now - last_heard[p],
-                                    static_cast<int32_t>(p));
-            }
-            FailUnavailable("node " + std::to_string(p) +
-                            " unresponsive (no message for " +
-                            std::to_string(opt.liveness_timeout_ms) +
-                            " ms; suspected stall or crash)");
-            return;
-          }
-        }
-        if (id == 0) {
-          const uint64_t cur = progress.load(std::memory_order_relaxed);
-          if (cur != last_progress) {
-            last_progress = cur;
-            progress_since = now;
-          } else if (now - progress_since > timeout_ns) {
-            if (opt.recorder != nullptr) {
-              opt.recorder->Instant(obs::EventKind::kHeartbeatMiss,
-                                    opt.recorder_query, now - progress_since,
-                                    static_cast<int32_t>(id));
-            }
-            FailUnavailable(
-                "cluster made no progress for " +
-                std::to_string(opt.liveness_timeout_ms) +
-                " ms (suspected message loss)");
-            return;
-          }
-        }
-      }
-      if (worked) engine.Wake();
-      if (engine.Done() && engine.InboxEmpty()) {
-        engine.Wake();
-        return;
-      }
-      if (!worked) {
-        // Idle nap, cut short by message arrival (the mailbox receive
-        // timeout — bounded wait, never an unbounded Pop).
-        if (fabric.mailbox(id).PopFor(&m, std::chrono::microseconds(50))) {
-          if (detect) now = MonoNs();
-          if (consume(std::move(m))) engine.Wake();
+          FailUnavailable("cluster made no progress for " +
+                          std::to_string(opt.liveness_timeout_ms) +
+                          " ms (suspected message loss)");
+          return worked;
         }
       }
     }
+    if (engine.Done() && engine.InboxEmpty()) {
+      node.finished.store(true, std::memory_order_release);
+    }
+    return worked;
   }
 
   // EndOfQueuesAtNode once an op drained here, and the drain ack once
@@ -1120,26 +1175,12 @@ Result<ResultDigest> ClusterExecutor::Execute(const PlanQuery& query,
   im.Setup(query, materialized != nullptr);
   for (auto& node : im.nodes) node->engine->Start();
 
-  // Rent one body per node scheduler plus one per node worker; slot k
-  // maps to node k / (T+1), role k % (T+1) (0 = scheduler).
-  // Gang mode: the node loops are mutually dependent (no body exits until
-  // the query terminates globally), so every body needs its own thread.
-  const uint32_t per_node = o.threads + 1;
-  im.ctx->SpawnWorkers(
-      o.nodes * per_node,
-      [&im, per_node](uint32_t k) {
-        const uint32_t node = k / per_node;
-        const uint32_t role = k % per_node;
-        if (role == 0) {
-          im.SchedulerLoop(node);
-        } else {
-          im.nodes[node]->engine->WorkerLoop(role - 1);
-        }
-      },
-      /*gang=*/true);
+  // One team of N x T symmetric bodies (Impl::Body).
+  im.ctx->SpawnWorkers(o.nodes * o.threads,
+                       [&im](uint32_t k) { im.Body(k); });
 
-  // Every gang body has exited, so the span cells are complete; emitting
-  // here covers the cancelled and failed exits below too.
+  // Every body has exited, so the span cells are complete; emitting here
+  // covers the cancelled and failed exits below too.
   for (auto& node : im.nodes) node->engine->EmitTraceCells();
 
   // Detection outranks the cancellation it triggers: a run torn down by

@@ -130,12 +130,15 @@ Result<mt::ResultDigest> ReferenceExecute(const PlanQuery& query);
 
 /// The engine fields (mt::EngineOptions) read per node here: `threads`
 /// is threads per node, `buckets` the global fragmentation (bucket home =
-/// b mod nodes). A session-provided `ctx` supplies gang workers (the node
-/// loops are mutually dependent, so each body keeps a dedicated thread),
-/// lends idle beats to other in-flight queries (Park) and carries the
-/// cancellation token; the cluster publishes no steal hook of its own,
-/// since its activations are node-homed. Trace slots are node x (T+1) +
-/// role. Each row crossing a capture point is offered once cluster-wide:
+/// b mod nodes). A session-provided `ctx` supplies one cooperative team of
+/// nodes x threads bodies: node workers and node schedulers are roles any
+/// body claims in turn, so one body alone completes the query and a
+/// saturated pool cannot deadlock it. The context also lends idle beats
+/// to other in-flight queries (Park) and carries the cancellation token;
+/// the cluster publishes no steal hook of its own, since its activations
+/// are node-homed. Trace slots are node x (T+1) + role (0 = the node's
+/// scheduler steps, t + 1 = worker t). Each row crossing a capture point
+/// is offered once cluster-wide:
 /// stolen activations offer on the thief, duplicates are suppressed
 /// before delivery.
 struct ClusterOptions : mt::EngineOptions {
@@ -152,19 +155,19 @@ struct ClusterOptions : mt::EngineOptions {
   uint32_t min_steal = 2;
 
   /// Optional fault injector (not owned; must outlive Execute). Forwarded
-  /// to the fabric for message faults; node stall/crash faults fire in
-  /// the per-node scheduler loops. Node-loop faults are only injected
-  /// when liveness detection can catch them (detect_faults on and
-  /// nodes > 1) — otherwise they would be guaranteed hangs.
+  /// to the fabric for message faults; node stall/crash faults silence
+  /// the node's scheduler steps. Node faults are only injected when
+  /// liveness detection can catch them (detect_faults on and nodes > 1)
+  /// — otherwise they would be guaranteed hangs.
   fault::FaultInjector* injector = nullptr;
 
-  /// Liveness detection. When on, every node's scheduler loop broadcasts
+  /// Liveness detection. When on, every node's scheduler step broadcasts
   /// kHeartbeat every heartbeat_us and tracks when it last heard from
   /// each peer; silence past liveness_timeout_ms fails the query with
   /// Status::Unavailable naming the suspect node. A global progress
   /// watchdog also fires Unavailable when no message is handled and no
   /// morsel executes for liveness_timeout_ms while the query is
-  /// unfinished (the dropped-kTupleBatch case, where every loop is alive
+  /// unfinished (the dropped-kTupleBatch case, where every node is alive
   /// but the query can no longer terminate).
   bool detect_faults = false;
   uint32_t heartbeat_us = 500;

@@ -6,8 +6,7 @@
 namespace hierdb {
 
 void ThreadSpawnContext::SpawnWorkers(
-    uint32_t n, const std::function<void(uint32_t)>& body, bool gang) {
-  (void)gang;  // every body gets a dedicated thread either way
+    uint32_t n, const std::function<void(uint32_t)>& body) {
   if (n == 0) return;
   std::vector<std::thread> threads;
   threads.reserve(n);

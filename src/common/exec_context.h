@@ -13,8 +13,10 @@
 //                           session's WorkerPool context *rents* pooled
 //                           threads instead (the renting caller always
 //                           participates, so every execution owns at
-//                           least one thread and can never deadlock
-//                           waiting for a saturated pool).
+//                           least one thread). Bodies are cooperative:
+//                           any one of them, run alone, completes the
+//                           work, so a saturated pool that runs them in
+//                           sequence on the caller never deadlocks.
 //
 //   Park()                  called by a worker that found no runnable
 //                           work. A pooling context uses the idle beat to
@@ -56,20 +58,13 @@ class ExecContext {
   virtual ~ExecContext() = default;
 
   /// Runs body(0), ..., body(n-1) to completion and returns once all of
-  /// them returned.
-  ///
-  /// `gang` declares the scheduling contract the bodies need:
-  ///   false  cooperative — any single body, run alone, still completes
-  ///          (mt::PipelineExecutor workers: one thread can finish the
-  ///          whole query). The context may run bodies sequentially on
-  ///          however many threads it has to spare.
-  ///   true   gang — bodies are mutually dependent and must all run
-  ///          concurrently (the cluster's per-node scheduler/worker
-  ///          loops: no body exits until the query terminates globally).
-  ///          The context must give every body its own thread.
+  /// them returned. The bodies must be cooperative: any single body, run
+  /// alone, completes (one mt::PipelineExecutor worker finishes the whole
+  /// query; so does one cluster body, which takes every node's worker and
+  /// scheduler roles in turn). The context may run bodies sequentially on
+  /// however many threads it has to spare.
   virtual void SpawnWorkers(uint32_t n,
-                            const std::function<void(uint32_t)>& body,
-                            bool gang = false) = 0;
+                            const std::function<void(uint32_t)>& body) = 0;
 
   /// Idle-worker hook: may run one activation of another in-flight
   /// execution. Returns true iff foreign work was executed.
@@ -99,8 +94,8 @@ class ThreadSpawnContext final : public ExecContext {
   explicit ThreadSpawnContext(const std::atomic<bool>* stop = nullptr)
       : stop_(stop) {}
 
-  void SpawnWorkers(uint32_t n, const std::function<void(uint32_t)>& body,
-                    bool gang = false) override;
+  void SpawnWorkers(uint32_t n,
+                    const std::function<void(uint32_t)>& body) override;
 
   bool StopRequested() const override {
     return stop_ != nullptr && stop_->load(std::memory_order_acquire);

@@ -2,8 +2,8 @@
 //
 // A FaultPlan is a declarative schedule of fault points: probabilistic
 // message faults on the fabric (drop / duplicate / delay), positional
-// node-loop faults in the cluster executor (stall / crash the Nth
-// scheduler poll of a given node), and probabilistic worker-thread death
+// node faults in the cluster executor (stall / crash a given node's
+// scheduler at its Nth step), and probabilistic worker-thread death
 // in the session worker pool. A FaultInjector evaluates the plan: every
 // decision for the Nth event at a given site is a pure hash of
 // (seed, site, n), so two injectors built from the same plan produce the
@@ -50,22 +50,23 @@ struct FaultPlan {
   double delay_prob = 0.0;   ///< sleep before delivery
   uint32_t delay_us = 200;   ///< delay length when a delay fires
 
-  // --- Cluster node-loop faults (positional, deterministic) ---
-  /// Stall `stall_node`'s scheduler loop once it has completed
-  /// `stall_after_polls` poll iterations. stall_ms == 0 stalls until the
-  /// query is cancelled/fails (i.e. until detection fires).
+  // --- Cluster node faults (positional, deterministic) ---
+  /// Once `stall_node`'s scheduler has completed `stall_after_polls`
+  /// steps, skip its steps for stall_ms (its workers run on; no thread
+  /// sleeps). stall_ms == 0 skips them until the query is cancelled or
+  /// fails (i.e. until detection fires).
   int stall_node = -1;
   uint64_t stall_after_polls = 0;
   uint32_t stall_ms = 0;
-  /// Crash (silently exit) `crash_node`'s scheduler loop after
-  /// `crash_after_polls` poll iterations.
+  /// Crash `crash_node`'s scheduler after `crash_after_polls` steps: it
+  /// never steps again.
   int crash_node = -1;
   uint64_t crash_after_polls = 0;
 
   // --- Worker pool faults ---
   /// Probability that a pool thread dies (skips the body) when picking up
-  /// a work slot. Never applied to renting callers or gang workers, so
-  /// forward progress is preserved.
+  /// a work slot. Never applied to renting callers, so forward progress
+  /// is preserved.
   double worker_death_prob = 0.0;
 
   /// True when any fault point is configured.
@@ -106,7 +107,7 @@ class FaultInjector {
   bool ShouldDelayMessage() { return Fire(Site::kFabricDelay, plan_.delay_prob); }
   bool ShouldKillWorker() { return Fire(Site::kWorkerDeath, plan_.worker_death_prob); }
 
-  /// Positional sites: `poll` is the node's own loop-iteration ordinal,
+  /// Positional sites: `poll` is the node's own scheduler-step ordinal,
   /// which the caller maintains, so these are pure predicates.
   bool ShouldStallNode(int node, uint64_t poll) {
     if (plan_.stall_node != node || poll != plan_.stall_after_polls) return false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 namespace hierdb::mt {
 
@@ -669,26 +668,35 @@ bool NodeEngine::TakeQueued(uint32_t op, uint32_t column, Activation* out) {
 // ---------------------------------------------------------------------
 // Workers.
 
+bool NodeEngine::Pass(uint32_t slot) {
+  if (done_.load(std::memory_order_acquire)) return false;
+  // Cooperative cancellation, checked once per activation: the first
+  // observer halts the whole run.
+  if (ctx_->StopRequested()) {
+    link_->Stop();
+    return false;
+  }
+  // A slot whose staged pushes are still stuck takes no new work.
+  if (!outbox_[slot].empty() && !FlushOutbox(slot)) return false;
+  const bool ran = RunOne(slot);
+  if (ran) FlushOutbox(slot);
+  link_->AfterPass(slot, ran);
+  if (!ran) stat_idle_.fetch_add(1, std::memory_order_relaxed);
+  return ran;
+}
+
 void NodeEngine::WorkerLoop(uint32_t slot) {
   while (!done_.load(std::memory_order_acquire)) {
-    // Cooperative cancellation, checked once per activation: the first
-    // observer halts the whole run.
-    if (ctx_->StopRequested()) {
-      link_->Stop();
-      break;
-    }
-    if (!outbox_[slot].empty()) FlushOutbox(slot);
-    const bool ran = RunOne(slot);
-    if (ran) FlushOutbox(slot);
-    link_->AfterPass(slot, ran);
-    if (ran) continue;
-    stat_idle_.fetch_add(1, std::memory_order_relaxed);
+    if (Pass(slot)) continue;
     // Nothing runnable here: lend this beat to another in-flight query
     // (cross-query steal) before napping.
-    if (ctx_->Park()) continue;
-    std::unique_lock<std::mutex> lock(state_mu_);
-    work_cv_.wait_for(lock, std::chrono::microseconds(cfg_.idle_nap_us));
+    if (!ctx_->Park()) Nap();
   }
+}
+
+void NodeEngine::Nap() {
+  std::unique_lock<std::mutex> lock(state_mu_);
+  work_cv_.wait_for(lock, std::chrono::microseconds(kIdleNapUs));
 }
 
 // A foreign thread (idle pool worker or a parked worker of another
@@ -1123,16 +1131,17 @@ void NodeEngine::Emit(uint32_t slot, uint32_t dest, uint32_t op,
 }
 
 // Drains the slot's outbox. While pushes are stuck the slot helps by
-// executing other activations (RunAllowedWhileStuck); if nothing allowed
-// is runnable for a long stretch the restriction is lifted so global
-// progress is guaranteed (the outbox absorbs the overflow).
-void NodeEngine::FlushOutbox(uint32_t slot) {
+// executing other activations (RunAllowedWhileStuck); when nothing allowed
+// is runnable the link decides whether to keep waiting (WhileStuck); if
+// that lasts a long stretch the restriction is lifted so global progress
+// is guaranteed (the outbox absorbs the overflow).
+bool NodeEngine::FlushOutbox(uint32_t slot) {
   auto& outbox = outbox_[slot];
   uint32_t stalls = 0;
   while (!outbox.empty()) {
     // A cancelled run abandons staged activations; normal completion
     // never ends with a non-empty outbox (pending keeps its op alive).
-    if (cancelled_.load(std::memory_order_relaxed)) return;
+    if (cancelled_.load(std::memory_order_relaxed)) return false;
     bool progressed = false;
     for (size_t i = 0; i < outbox.size();) {
       Activation& act = outbox[i];
@@ -1144,15 +1153,16 @@ void NodeEngine::FlushOutbox(uint32_t slot) {
         ++i;
       }
     }
-    if (outbox.empty()) return;
+    if (outbox.empty()) return true;
     if (progressed ||
         RunAllowedWhileStuck(slot, /*unrestricted=*/stalls > 10000)) {
       stalls = 0;
       continue;
     }
     ++stalls;
-    std::this_thread::yield();
+    if (!link_->WhileStuck(slot)) return false;
   }
+  return true;
 }
 
 // Executes one activation (or morsel) permitted while this slot has stuck

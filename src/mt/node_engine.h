@@ -56,6 +56,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -262,8 +263,16 @@ class NodeEngine {
     }
     /// A worker saw the stop token: tear the whole run down.
     virtual void Stop() = 0;
-    /// After every worker pass; `ran` = an activation executed.
+    /// After every worker pass that was not stuck; `ran` = an activation
+    /// executed.
     virtual void AfterPass(uint32_t /*slot*/, bool /*ran*/) {}
+    /// `slot`'s staged pushes are stuck and it may run nothing: advance
+    /// what could unblock them. True keeps the slot retrying; false makes
+    /// its pass give up, leaving the pushes staged for the next pass.
+    virtual bool WhileStuck(uint32_t /*slot*/) {
+      std::this_thread::yield();
+      return true;
+    }
   };
 
   struct Config {
@@ -273,8 +282,6 @@ class NodeEngine {
     uint32_t guests = 0;
     /// Trace sink slot of worker slot 0 (slot s records at base + s).
     uint32_t trace_slot_base = 0;
-    /// How long an idle worker naps when nothing wakes it.
-    uint32_t idle_nap_us = 200;
     /// Keep the final chain's output rows (ChainOutput) unless the plan
     /// aggregates them.
     bool keep_final = false;
@@ -298,11 +305,21 @@ class NodeEngine {
   NodeEngine(const NodeEngine&) = delete;
   NodeEngine& operator=(const NodeEngine&) = delete;
 
+  /// How long an idle worker naps when nothing wakes it.
+  static constexpr uint32_t kIdleNapUs = 200;
+
   /// Unblocks the initially runnable ops. Call once, before workers run.
   void Start();
-  /// Worker body for slot `slot` (< threads); returns when the node is
-  /// done or cancelled.
+  /// One pass of worker slot `slot` (< threads): flushes its staged
+  /// pushes, runs at most one activation and reports the pass to the
+  /// link. Returns whether an activation ran. The slot's state is the
+  /// caller's alone for the call: one thread per slot at a time.
+  bool Pass(uint32_t slot);
+  /// Worker body for slot `slot`: passes, parking and napping when idle,
+  /// until the node is done or cancelled.
   void WorkerLoop(uint32_t slot);
+  /// Idles the caller until Wake, a termination, a cancel or kIdleNapUs.
+  void Nap();
   /// Cross-query steal hook: runs at most one activation on a guest slot.
   bool RunForeign();
 
@@ -399,7 +416,9 @@ class NodeEngine {
   /// outbox when full; remotely through the link.
   void Emit(uint32_t slot, uint32_t dest, uint32_t op, uint32_t bucket,
             Batch&& rows);
-  void FlushOutbox(uint32_t slot);
+  /// Drains the slot's staged pushes; false if it gave up (cancelled, or
+  /// the link stopped waiting).
+  bool FlushOutbox(uint32_t slot);
   bool RunAllowedWhileStuck(uint32_t slot, bool unrestricted);
   /// Whether a capture sink is bound at plan point (chain, point).
   bool Captured(uint32_t chain, uint32_t point) const;

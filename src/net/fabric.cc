@@ -5,20 +5,8 @@
 namespace hierdb::net {
 
 void Mailbox::Push(Message&& m) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    items_.push_back(std::move(m));
-  }
-  cv_.notify_one();
-}
-
-bool Mailbox::Pop(Message* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  items_.push_back(std::move(m));
 }
 
 bool Mailbox::TryPop(Message* out) {
@@ -27,23 +15,6 @@ bool Mailbox::TryPop(Message* out) {
   *out = std::move(items_.front());
   items_.pop_front();
   return true;
-}
-
-bool Mailbox::PopFor(Message* out, std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait_for(lock, timeout, [&] { return !items_.empty() || closed_; });
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  return true;
-}
-
-void Mailbox::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
 }
 
 size_t Mailbox::ApproxSize() const {
@@ -150,10 +121,6 @@ Status Fabric::Broadcast(uint32_t from, const Message& m) {
     HIERDB_RETURN_NOT_OK(Send(from, to, m));
   }
   return Status::OK();
-}
-
-void Fabric::CloseAll() {
-  for (auto& mb : mailboxes_) mb->Close();
 }
 
 FabricStats Fabric::stats() const {

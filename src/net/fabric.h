@@ -4,7 +4,7 @@
 // cost model is: infinite bandwidth, 0.5 ms end-to-end delay, 10000
 // instructions of CPU per 8 KB sent and per 8 KB received (§5.1.1 table).
 // The Fabric reproduces the *interface* — message passing with per-node
-// mailboxes served by a scheduler thread — on one multi-core host, and
+// mailboxes served by each node's scheduler — on one multi-core host, and
 // accounts every message and byte so the real cluster executor can report
 // the same transfer-volume numbers the paper does. An optional injected
 // delay approximates the end-to-end latency for experiments that need it;
@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -66,32 +65,17 @@ struct FabricStats {
   uint64_t delayed = 0;
 };
 
-/// Blocking MPSC mailbox: many senders, one receiver (the node scheduler).
+/// MPSC mailbox: many senders, one receiver at a time (the node's
+/// scheduler step, which polls it and never blocks).
 class Mailbox {
  public:
   void Push(Message&& m);
-
-  /// Blocks until a message arrives; returns false after Close() once
-  /// drained.
-  bool Pop(Message* out);
-
-  /// Non-blocking variant.
   bool TryPop(Message* out);
-
-  /// Blocks up to `timeout` for a message; returns false on timeout or
-  /// after Close() once drained. The receive-timeout primitive fault
-  /// detection builds on: a receiver waiting on a dead sender wakes up
-  /// bounded instead of hanging.
-  bool PopFor(Message* out, std::chrono::microseconds timeout);
-
-  void Close();
   size_t ApproxSize() const;
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Message> items_;
-  bool closed_ = false;
 };
 
 class Fabric {
@@ -110,9 +94,6 @@ class Fabric {
   Status Broadcast(uint32_t from, const Message& m);
 
   Mailbox& mailbox(uint32_t node) { return *mailboxes_[node]; }
-
-  /// Closes every mailbox (shutdown path).
-  void CloseAll();
 
   FabricStats stats() const;
 

@@ -22,7 +22,7 @@
 //                        unblock dependents;
 //
 //   liveness (fault detection):
-//     kHeartbeat         node -> all: "my scheduler loop is alive", sent
+//     kHeartbeat         node -> all: "my scheduler is stepping", sent
 //                        on a fixed cadence when liveness detection is
 //                        enabled, so a stalled or crashed peer surfaces
 //                        as silence instead of a hang;

@@ -50,7 +50,7 @@ class FlightRecorder {
  public:
   struct Options {
     /// Ring pool size: distinct recording threads the session expects
-    /// (pool workers + lanes + reactor + node loops). Extra threads drop.
+    /// (pool workers + lanes + reactor + callers). Extra threads drop.
     uint32_t rings = 48;
     /// Events retained per ring (rounded up to a power of two). Oldest
     /// events are overwritten — the recorder keeps the recent past only.

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -111,23 +112,6 @@ TEST(WorkerPoolTest, IdlePoolThreadsRunStealHooks) {
   EXPECT_GE(pool.stats().foreign_steals, 50u);
 }
 
-TEST(WorkerPoolTest, GangTeamsGetDedicatedThreads) {
-  WorkerPool pool(1);
-  auto ctx = pool.Rent(nullptr);
-  // A gang of 4 mutually dependent bodies (a barrier) on a 1-thread pool:
-  // only dedicated threads can satisfy this without deadlock.
-  std::atomic<uint32_t> arrived{0};
-  ctx->SpawnWorkers(
-      4,
-      [&](uint32_t) {
-        arrived.fetch_add(1);
-        while (arrived.load() < 4) std::this_thread::yield();
-      },
-      /*gang=*/true);
-  EXPECT_EQ(arrived.load(), 4u);
-  EXPECT_EQ(pool.stats().gang_threads, 4u);
-}
-
 // ---------------------------------------------------------------------------
 // Pooled execution correctness.
 
@@ -211,7 +195,36 @@ TEST(PoolExecution, PooledClusterMatchesReference) {
   ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
   EXPECT_TRUE(pooled.value().reference_match);
   EXPECT_GT(pooled.value().result_rows, 0u);
-  EXPECT_GT(fx.db.pool_stats().gang_threads, 0u);
+}
+
+// A kCluster team is cooperative like every other team: with one pool
+// thread and two queries competing for it, each query finishes on
+// whatever threads it gets (its renting lane alone suffices), under DP
+// and FP. A deadlock fails the bounded wait instead of hanging the test.
+TEST(PoolExecution, ClusterQueriesFinishOnASaturatedOneThreadPool) {
+  for (Strategy strategy : {Strategy::kDP, Strategy::kFP}) {
+    SessionOptions so;
+    so.pool_threads = 1;
+    so.max_concurrent_queries = 2;
+    auto fx = std::make_unique<PoolFixture>(so, 8000);
+    ExecOptions opts = Opts(Backend::kCluster, 2, 2);
+    opts.strategy = strategy;
+    opts.validate = true;
+    std::vector<QueryHandle> handles;
+    for (uint32_t i = 0; i < 4; ++i) {
+      handles.push_back(fx->db.Submit(fx->ChainQuery(i % 2 + 2), opts));
+    }
+    for (QueryHandle& h : handles) {
+      if (!h.WaitFor(std::chrono::seconds(60))) {
+        fx.release();  // a deadlocked session cannot be torn down
+        FAIL() << StrategyName(strategy) << ": a query did not finish";
+      }
+      auto r = h.Take();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().report.reference_match) << StrategyName(strategy);
+    }
+    EXPECT_EQ(fx->db.pool_stats().pool_threads, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -241,43 +241,6 @@ TEST(Mailbox, FifoOrder) {
   EXPECT_FALSE(mb.TryPop(&out));
 }
 
-TEST(Mailbox, PopBlocksUntilPush) {
-  Mailbox mb;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    Message m;
-    m.type = MsgType::kOffer;
-    m.arg = 123;
-    mb.Push(std::move(m));
-  });
-  Message out;
-  ASSERT_TRUE(mb.Pop(&out));
-  EXPECT_EQ(out.arg, 123u);
-  producer.join();
-}
-
-TEST(Mailbox, CloseDrainsThenReturnsFalse) {
-  Mailbox mb;
-  Message m;
-  m.arg = 1;
-  mb.Push(std::move(m));
-  mb.Close();
-  Message out;
-  EXPECT_TRUE(mb.Pop(&out));
-  EXPECT_FALSE(mb.Pop(&out));
-}
-
-TEST(Mailbox, CloseWakesBlockedReceiver) {
-  Mailbox mb;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    mb.Close();
-  });
-  Message out;
-  EXPECT_FALSE(mb.Pop(&out));
-  closer.join();
-}
-
 // ------------------------------------------------------------ fabric -----
 
 TEST(Fabric, RoutesToDestination) {
@@ -352,16 +315,6 @@ TEST(Fabric, ConcurrentSendersAllDelivered) {
   EXPECT_EQ(fabric.stats().messages, 3u * kPerSender);
 }
 
-TEST(Fabric, CloseAllWakesReceivers) {
-  Fabric fabric({.nodes = 2});
-  std::thread receiver([&] {
-    Message out;
-    EXPECT_FALSE(fabric.mailbox(1).Pop(&out));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fabric.CloseAll();
-  receiver.join();
-}
 
 }  // namespace
 }  // namespace hierdb::net

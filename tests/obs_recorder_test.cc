@@ -279,6 +279,25 @@ TEST(Recorder, DisabledRecorderLeavesTheSessionFullyFunctional) {
   EXPECT_EQ(f.db.MetricsSnapshot().recorder.recorded, 0u);
 }
 
+// A kCluster query creates no thread of its own: its node workers and
+// schedulers are roles its pooled bodies take. So a stream of wide
+// cluster queries records through a bounded set of threads (the pool,
+// the event loop, the lanes and this caller) and the session's ring pool
+// never runs out.
+TEST(Recorder, ClusterStreamRecordsThroughABoundedSetOfThreads) {
+  SessionOptions so;
+  so.max_concurrent_queries = 4;
+  Fixture f(4000, so);
+  std::vector<Query> queries(40, f.Join2());
+  StreamReport sr = f.db.RunStream(queries, Opts(Backend::kCluster, 4, 3));
+  ASSERT_EQ(sr.succeeded, queries.size());
+  const obs::FlightRecorder::Stats rs = f.db.recorder()->stats();
+  EXPECT_EQ(rs.dropped, 0u);
+  const SchedulerStats ss = f.db.scheduler_stats();
+  EXPECT_LE(rs.rings_claimed, f.db.pool_stats().pool_threads +
+                                  ss.loop_threads + ss.lane_threads + 1);
+}
+
 TEST(Recorder, MetricsCarryRecorderCountersAndLoopHealthGauges) {
   Fixture f;
   ExecOptions o = Opts(Backend::kThreads, 1, 2);
