@@ -115,7 +115,7 @@ struct AggSpec {
   /// aggregates, so col < OutputWidth()), applied as groups are finalized
   /// — EmitFinal skips non-matching groups in both the row and the digest,
   /// which keeps every backend's funnel (thread merge, cluster node merge,
-  /// SP, the reference) bit-identical.
+  /// the reference executor) bit-identical.
   std::vector<Predicate> having;
 
   /// Internal partial-row width: group values + accumulator slots (AVG
@@ -157,7 +157,7 @@ class AggTable {
   bool initialized() const { return spec_ != nullptr; }
 
   /// Phase 1, one row at a time: folds one final-chain output row into
-  /// its group's partial (SP and the reference executor's oracle).
+  /// its group's partial (the reference executor's oracle).
   void Accumulate(const int64_t* row);
 
   /// Reusable tile buffers for AccumulateJoined.

@@ -236,8 +236,8 @@ struct NodeEngine::Op {
   std::atomic<bool> terminated{false};
 };
 
-// Per-slot scratch, pooled by re-entrancy depth (helping while stuck
-// nests activation executions).
+// Per-slot scratch, pooled by re-entrancy depth (SP's inline hand-offs
+// nest activation executions, at most one level per join).
 struct NodeEngine::Scratch {
   std::vector<Batch> bucket;  // buildscan: per-bucket insert batches
   std::vector<uint32_t> hit;
@@ -283,6 +283,7 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
       cfg_(config),
       link_(link),
       ctx_(options.ctx),
+      sp_(options.strategy == LocalStrategy::kSP),
       agg_(plan.agg.has_value() ? &*plan.agg : nullptr),
       slots_(options.threads + config.guests) {
   const uint32_t C = static_cast<uint32_t>(plan.chains.size());
@@ -356,7 +357,7 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
     if (chain.input.kind == Source::Kind::kChain) {
       s.blockers.push_back(chain_terminal_[chain.input.index]);
     }
-    if (opt_.apply_h1) {
+    if (opt_.apply_h1 || sp_) {
       for (uint32_t j = 0; j < k; ++j) s.blockers.push_back(base + k + j);
     }
     if (k > 0) s.consumer = scan + 1;
@@ -433,6 +434,7 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
   if (opt_.trace != nullptr) {
     trace_ = opt_.trace;
     trace_cells_.assign(static_cast<size_t>(slots_) * nops, obs::OpSpanAgg{});
+    traced_ns_.assign(slots_, 0);
   }
   fp_range_ = std::vector<std::atomic<uint64_t>>(nops);
   for (auto& r : fp_range_) r.store(0);
@@ -475,9 +477,13 @@ void NodeEngine::ResolveSourceLocked(Op& op) {
       (op.total_rows + opt_.morsel_rows - 1) / opt_.morsel_rows));
 }
 
+// Ops are published consumable in reverse id order: a consumer follows
+// its producer in the op space, so a worker that sees a trigger
+// consumable sees every consumer unblocked in the same pass too (SP's
+// inline hand-offs rely on it).
 void NodeEngine::UnblockLocked() {
-  for (auto& opp : ops_) {
-    Op& op = *opp;
+  for (auto it = ops_.rbegin(); it != ops_.rend(); ++it) {
+    Op& op = **it;
     if (op.terminated.load() || op.consumable.load()) continue;
     bool ready = true;
     for (uint32_t b : op.blockers) ready &= ops_[b]->terminated.load();
@@ -800,10 +806,14 @@ NodeEngine::Scratch& NodeEngine::AcquireScratch(uint32_t slot) {
   return *scratch_pool_[slot][d];
 }
 
-void NodeEngine::TraceActivation(uint32_t slot, uint32_t op, uint64_t t0,
-                                 uint64_t rows_in, uint64_t rows_out) {
+void NodeEngine::TraceActivation(uint32_t slot, uint32_t op,
+                                 const SpanStart& start, uint64_t rows_in,
+                                 uint64_t rows_out) {
+  const uint64_t t1 = trace_->NowNs();
+  const uint64_t own = t1 - start.t0 - (traced_ns_[slot] - start.traced0);
+  traced_ns_[slot] += own;
   trace_cells_[static_cast<size_t>(slot) * nops() + op].Add(
-      t0, trace_->NowNs(), rows_in, rows_out);
+      start.t0, t1, own, rows_in, rows_out);
 }
 
 bool NodeEngine::Captured(uint32_t chain, uint32_t point) const {
@@ -855,7 +865,7 @@ void NodeEngine::ExecuteMorsel(uint32_t slot, uint32_t op_id, size_t begin,
   const Batch& src = *op.src_batch;
   const Chain& chain = plan_.chains[op.chain];
   const uint32_t B = opt_.buckets;
-  const uint64_t tr0 = trace_ != nullptr ? trace_->NowNs() : 0;
+  const SpanStart span = trace_ != nullptr ? BeginSpan(slot) : SpanStart{};
   // Predicates and projection apply to base tables as their rows enter
   // the pipeline; chain sources were filtered and pruned when produced.
   // Plan column references are in projected coordinates.
@@ -962,7 +972,7 @@ void NodeEngine::ExecuteMorsel(uint32_t slot, uint32_t op_id, size_t begin,
     }
   }
   ReleaseScratch(slot);
-  if (trace_ != nullptr) TraceActivation(slot, op_id, tr0, n, m);
+  if (trace_ != nullptr) TraceActivation(slot, op_id, span, n, m);
 }
 
 void NodeEngine::ConsumeTerminal(uint32_t slot, uint32_t chain,
@@ -996,7 +1006,7 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
   const Op& op = *ops_[act.op];
   stat_data_.fetch_add(1, std::memory_order_relaxed);
   ++busy_[slot];
-  const uint64_t tr0 = trace_ != nullptr ? trace_->NowNs() : 0;
+  const SpanStart span = trace_ != nullptr ? BeginSpan(slot) : SpanStart{};
   const uint64_t rows_in = act.rows.rows();
 
   if (op.kind == Kind::kBuild) {
@@ -1006,7 +1016,7 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
       tables_[op.join][act.bucket].InsertBatch(act.rows);
     }
     if (trace_ != nullptr) {
-      TraceActivation(slot, act.op, tr0, rows_in, rows_in);
+      TraceActivation(slot, act.op, span, rows_in, rows_in);
     }
     FinishActivation(act.op);
     return;
@@ -1099,7 +1109,7 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
   }
   ReleaseScratch(slot);
   if (trace_ != nullptr) {
-    TraceActivation(slot, act.op, tr0, rows_in, produced);
+    TraceActivation(slot, act.op, span, rows_in, produced);
   }
   FinishActivation(act.op);
 }
@@ -1108,11 +1118,13 @@ void NodeEngine::FinishActivation(uint32_t op) {
   if (ops_[op]->pending.fetch_sub(1) == 1) MaybeDrained(op);
 }
 
-// Operator bodies never block: if the destination queue is full, the
-// activation is staged in the producing slot's outbox and FlushOutbox
-// drains it at the top level — the iterative form of the paper's
-// procedure-call suspension (Section 3.1), which keeps the stack bounded
-// however long the pipeline is.
+// Under SP a local hand-off is a procedure call: the consumer runs now,
+// in this slot, and its buffer returns to the producer for the next
+// chunk. Otherwise operator bodies never block: if the destination queue
+// is full, the activation is staged in the producing slot's outbox and
+// FlushOutbox drains it at the top level — the iterative form of the
+// paper's procedure-call suspension (Section 3.1), which keeps the stack
+// bounded however long the pipeline is.
 void NodeEngine::Emit(uint32_t slot, uint32_t dest, uint32_t op,
                       uint32_t bucket, Batch&& rows) {
   if (dest != cfg_.node) {
@@ -1120,6 +1132,12 @@ void NodeEngine::Emit(uint32_t slot, uint32_t dest, uint32_t op,
     return;
   }
   ops_[op]->pending.fetch_add(1);
+  if (sp_) {
+    Activation act{op, bucket, slot % opt_.threads, std::move(rows)};
+    ExecuteData(slot, std::move(act));
+    rows = std::move(act.rows);  // ExecuteData only read them
+    return;
+  }
   stat_emitted_.fetch_add(1, std::memory_order_relaxed);
   Activation act{op, bucket, QueueColumn(op, bucket == kMixed ? slot : bucket),
                  std::move(rows)};

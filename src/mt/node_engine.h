@@ -1,9 +1,10 @@
-// The intra-node engine: the paper's shared-memory DP/FP execution model
-// for one SM-node, on real threads and real data. Both real backends run
-// it: mt::PipelineExecutor drives one engine, cluster::ClusterExecutor
-// drives one per node and adds only the inter-node layer (fabric routing,
-// end detection, global load balancing, repartition accounting and the
-// distributed aggregation merge).
+// The intra-node engine: the paper's shared-memory execution model for
+// one SM-node, on real threads and real data, under each of its three
+// local strategies (DP, FP, SP). Both real backends run it:
+// mt::PipelineExecutor drives one engine, cluster::ClusterExecutor drives
+// one per node (DP and FP) and adds only the inter-node layer (fabric
+// routing, end detection, global load balancing, repartition accounting
+// and the distributed aggregation merge).
 //
 // Op space. A plan's chains compile chain by chain; chain c with k joins
 // owns 3k+1 ops from its base:
@@ -33,7 +34,15 @@
 // in its outbox and helps while stuck (procedure-call suspension, Section
 // 3.1). Under FP, threads are apportioned to the consumable ops by
 // estimated cost (largest remainder), recomputed whenever an op
-// terminates or unblocks.
+// terminates or unblocks. Under SP (synchronous pipelining, Shekita93)
+// nothing is queued: a local hand-off runs its consumer at once in the
+// emitting slot, so a morsel is carried buildscan -> build, or scan ->
+// probe -> ... -> terminal, by procedure calls. An inline call is legal
+// only into a consumable op; SP therefore implies H1 (a scan runs only
+// once every probe of its chain is consumable), and the recursion is
+// never deeper than the chain's join count. A trace span's busy time is
+// exclusive: an inline callee's time is not counted again in its
+// caller's.
 //
 // Operator bodies. A morsel filters, projects, and splits its rows by
 // destination node (scan: the first join key's home node; buildscan: the
@@ -92,7 +101,8 @@ struct EngineOptions {
   uint32_t batch_rows;      ///< max rows per data activation
   uint32_t queue_capacity;  ///< flow control (activations per queue)
   LocalStrategy strategy = LocalStrategy::kDP;
-  bool apply_h1 = true;  ///< H1: a chain's scan waits for its hash tables
+  /// H1: a chain's scan waits for its hash tables (always on under SP).
+  bool apply_h1 = true;
   /// H2: chains execute one at a time, in plan order; off lets a chain
   /// start as soon as its own source chains terminated.
   bool apply_h2 = true;
@@ -411,9 +421,11 @@ class NodeEngine {
   void ExecuteMorsel(uint32_t slot, uint32_t op, size_t begin, size_t end);
   void ExecuteData(uint32_t slot, Activation&& act);
   void FinishActivation(uint32_t op);
-  /// Queues rows for `op` on node `dest`: locally on the column of the
-  /// bucket (a mixed batch: of the producing slot), staged in the slot's
-  /// outbox when full; remotely through the link.
+  /// Hands rows to `op` on node `dest`. Locally, under SP, `op` runs at
+  /// once in this slot (it is consumable, see the header); otherwise the
+  /// rows queue on the column of the bucket (a mixed batch: of the
+  /// producing slot), staged in the slot's outbox when full. Remotely
+  /// they go through the link.
   void Emit(uint32_t slot, uint32_t dest, uint32_t op, uint32_t bucket,
             Batch&& rows);
   /// Drains the slot's staged pushes; false if it gave up (cancelled, or
@@ -432,7 +444,17 @@ class NodeEngine {
                        Scratch& sc);
   Scratch& AcquireScratch(uint32_t slot);
   void ReleaseScratch(uint32_t slot) { --scratch_depth_[slot]; }
-  void TraceActivation(uint32_t slot, uint32_t op, uint64_t t0,
+  /// An activation's trace start: its clock and the slot's traced time.
+  struct SpanStart {
+    uint64_t t0 = 0;
+    uint64_t traced0 = 0;
+  };
+  SpanStart BeginSpan(uint32_t slot) const {
+    return {trace_->NowNs(), traced_ns_[slot]};
+  }
+  /// Adds the activation to its (slot, op) span cell with its exclusive
+  /// busy time: the time of activations run inline inside it is theirs.
+  void TraceActivation(uint32_t slot, uint32_t op, const SpanStart& start,
                        uint64_t rows_in, uint64_t rows_out);
   uint32_t HomeOf(uint32_t bucket) const { return bucket % cfg_.nodes; }
 
@@ -443,6 +465,7 @@ class NodeEngine {
   const Config cfg_;
   Link* link_;
   ExecContext* ctx_;
+  const bool sp_;  // local hand-offs run inline (SP)
   const AggSpec* agg_;
   uint32_t slots_;
   uint32_t njoins_ = 0;
@@ -478,6 +501,7 @@ class NodeEngine {
 
   obs::TraceSink* trace_ = nullptr;
   std::vector<obs::OpSpanAgg> trace_cells_;  // [slot * nops + op]
+  std::vector<uint64_t> traced_ns_;          // per slot: busy ns traced
 
   std::mutex state_mu_;  // guards termination and unblocking
   std::condition_variable work_cv_;

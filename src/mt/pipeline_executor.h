@@ -17,13 +17,15 @@
 //        measures in Figures 6-8;
 //
 //   kSP  synchronous pipelining [Shekita93]: no inter-operator queues;
-//        each thread claims scan morsels and carries every tuple through
-//        the whole probe chain by procedure calls (shared-memory only).
+//        each thread claims morsels and carries every chunk through the
+//        whole chain (buildscan into build, scan through every probe) by
+//        procedure calls; H1 always applies (shared-memory only).
 //
-// DP and FP run one intra-node engine (mt/node_engine.h), the same engine
+// All three run one intra-node engine (mt/node_engine.h), the same engine
 // the cluster executor composes once per node: the op space, the
 // blockers (hash constraint, H1, H2, source chains), the worker loop, the
-// operator bodies and FP's thread apportionment all live there. This
+// operator bodies, FP's thread apportionment and SP's inline hand-off
+// all live there. This
 // executor is the one-node boundary: an op that drains on the node is
 // terminated at once, a finished cacheable build is published to the
 // build cache before its probes unblock, idle threads of other queries
@@ -82,11 +84,6 @@ class PipelineExecutor {
                                Batch* materialized = nullptr);
 
  private:
-  Result<ResultDigest> ExecuteSP(const PipelinePlan& plan,
-                                 const std::vector<const Table*>& tables,
-                                 ExecContext* ctx, PipelineStats* stats,
-                                 Batch* materialized);
-
   PipelineOptions options_;
 };
 

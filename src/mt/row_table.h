@@ -2,9 +2,10 @@
 // build table of the general pipeline executor — and the batched probe
 // kernel both real backends run over it.
 //
-// It is the one build layout of the real backends: DP/FP bucket tables,
-// SP, the build cache and the cluster's bucket fragments (shipped and
-// stolen fragments are rebuilt through Insert). A row's chain is
+// It is the one build layout of the real backends: the node engine's
+// bucket tables under every strategy, the build cache and the cluster's
+// bucket fragments (shipped and stolen fragments are rebuilt through
+// Insert). A row's chain is
 // SlotOf(HashKey(key), heads) (mt/hash.h), the top bits of the hash: a
 // bucket holds the keys with HashKey % B == b, so low-bit slots would
 // leave a bucket table on heads / B of its chains.
@@ -18,8 +19,8 @@
 // without a data-dependent branch. JoinMatches / ForEachJoinedChunk turn
 // a range of that list into joined rows in bulk where rows are stored or
 // shipped; JoinedMatches views it as joined rows for consumers that only
-// read them (the final digest and GROUP BY). SP and the tests
-// look keys up one at a time through ForEachMatch.
+// read them (the final digest and GROUP BY). Only the tests look keys
+// up one at a time, through ForEachMatch, as the probe kernel's oracle.
 
 #ifndef HIERDB_MT_ROW_TABLE_H_
 #define HIERDB_MT_ROW_TABLE_H_

@@ -96,10 +96,13 @@ struct OpSpanAgg {
   uint64_t rows_out = 0;
 
   bool empty() const { return activations == 0; }
-  void Add(uint64_t t0, uint64_t t1, uint64_t rin, uint64_t rout) {
+  /// One activation over [t0, t1], `busy` ns of it its own (less than
+  /// t1 - t0 when other activations ran nested inside it).
+  void Add(uint64_t t0, uint64_t t1, uint64_t busy, uint64_t rin,
+           uint64_t rout) {
     if (activations == 0) first_ns = t0;
     last_ns = t1;
-    busy_ns += t1 - t0;
+    busy_ns += busy;
     ++activations;
     rows_in += rin;
     rows_out += rout;

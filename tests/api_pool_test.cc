@@ -326,10 +326,12 @@ TEST(BuildReuse, SynthesizedGraphQueriesShareOnSeedAndSkew) {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation of running queries.
 
-void CancelRunningQuery(Backend backend, uint32_t nodes) {
+void CancelRunningQuery(Backend backend, uint32_t nodes,
+                        Strategy strategy = Strategy::kDP) {
   SessionOptions so;
   PoolFixture fx(so, 300000);
   ExecOptions opts = Opts(backend, nodes, 2);
+  opts.strategy = strategy;
   opts.reuse_builds = false;
 
   QueryHandle h = fx.db.Submit(fx.ChainQuery(3), opts);
@@ -354,6 +356,10 @@ void CancelRunningQuery(Backend backend, uint32_t nodes) {
 
 TEST(RunningCancel, ThreadsPooled) {
   CancelRunningQuery(Backend::kThreads, 1);
+}
+// SP stops through the same per-pass check of the node engine.
+TEST(RunningCancel, ThreadsPooledSP) {
+  CancelRunningQuery(Backend::kThreads, 1, Strategy::kSP);
 }
 TEST(RunningCancel, ClusterPooled) {
   CancelRunningQuery(Backend::kCluster, 2);

@@ -3,6 +3,7 @@
 // cancelled-trace drain guarantee at the executor level, and the
 // continuous session metrics.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -112,6 +113,63 @@ TEST(ObsTrace, ThreadsTraceSpansAndCards) {
     if (op.actual_rows == rep.result_rows && op.kind == "probe") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// Span busy time is exclusive: under SP a probe runs inside the scan
+// that handed it rows, and its time must not count again in the scan's
+// span. One worker lane is one thread, so its summed busy time fits in
+// its wall extent. The pool plus the renting caller are exactly the
+// rented workers, so no pool thread is left idle to help as a guest.
+TEST(ObsTrace, ThreadsSpanBusyTimeIsExclusivePerLane) {
+  constexpr uint32_t kThreads = 3;
+  SessionOptions so;
+  so.pool_threads = kThreads - 1;
+  Fixture f(20000, so);
+  for (Strategy strategy : {Strategy::kDP, Strategy::kFP, Strategy::kSP}) {
+    SCOPED_TRACE(StrategyName(strategy));
+    ExecOptions o = Opts(Backend::kThreads, 1, kThreads);
+    o.strategy = strategy;
+    o.reuse_builds = false;  // builds run (and under SP, nest) too
+    auto r = f.db.Execute(f.Join2(), o);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_NE(r.value().trace, nullptr);
+    const obs::QueryTrace& t = *r.value().trace;
+    std::vector<uint64_t> busy(kThreads, 0), first(kThreads, UINT64_MAX),
+        last(kThreads, 0);
+    std::vector<bool> guest(kThreads, false), op_span(t.ops.size(), false);
+    for (const obs::TraceEvent& ev : t.events) {
+      if (ev.kind != obs::EventKind::kSpan &&
+          ev.kind != obs::EventKind::kSteal) {
+        continue;
+      }
+      ASSERT_GE(ev.worker, 0);
+      ASSERT_LT(ev.worker, static_cast<int32_t>(kThreads));
+      const size_t w = static_cast<size_t>(ev.worker);
+      if (ev.kind == obs::EventKind::kSteal) {
+        guest[w] = true;
+        continue;
+      }
+      busy[w] += ev.detail;
+      first[w] = std::min(first[w], ev.start_ns);
+      last[w] = std::max(last[w], ev.end_ns);
+      op_span[static_cast<size_t>(ev.op)] = true;
+    }
+    for (uint32_t w = 0; w < kThreads; ++w) {
+      // Only DP publishes a steal hook; a guest that still slipped in
+      // before the team was claimed shares its lane with the worker.
+      if (guest[w]) {
+        EXPECT_EQ(strategy, Strategy::kDP) << "lane " << w;
+        continue;
+      }
+      if (busy[w] == 0) continue;
+      EXPECT_LE(busy[w], last[w] - first[w]) << "lane " << w;
+    }
+    for (const obs::TraceOp& op : t.ops) {
+      if (strategy == Strategy::kSP && op.kind == "probe") {
+        EXPECT_TRUE(op_span[op.id]) << "probe op " << op.id;
+      }
+    }
+  }
 }
 
 TEST(ObsTrace, TraceOffMeansNoTraceButCardsRemain) {

@@ -293,9 +293,18 @@ TEST(Executor, SPMatchesReferenceOnStarJoin) {
   StarFixture fx;
   auto ref = ReferenceExecute(fx.plan(), fx.tables()).ValueOrDie();
   PipelineExecutor exec(Opts(LocalStrategy::kSP, 4));
-  auto got = exec.Execute(fx.plan(), fx.tables());
+  PipelineStats stats;
+  auto got = exec.Execute(fx.plan(), fx.tables(), &stats);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), ref);
+  // SP queues nothing: every hand-off is a procedure call in the slot
+  // that produced the rows.
+  EXPECT_EQ(stats.batches_emitted, 0u);
+  EXPECT_EQ(stats.escapes, 0u);
+  EXPECT_EQ(stats.nonprimary, 0u);
+  EXPECT_GT(stats.morsels, 0u);
+  ASSERT_FALSE(stats.rows_per_chain.empty());
+  EXPECT_EQ(stats.rows_per_chain.back(), ref.count);
 }
 
 TEST(Executor, BushyFig2PlanAllStrategies) {
@@ -402,13 +411,17 @@ TEST(Executor, ConcurrentChainsWithH1H2Disabled) {
   Fig2Plan fig2 = MakeFig2BushyPlan(0, 1, 0, 1, 2, 2);
   auto tablev = Ptrs(tables);
   auto ref = ReferenceExecute(fig2.plan, tablev).ValueOrDie();
-  PipelineOptions o = Opts(LocalStrategy::kDP, 4);
-  o.apply_h1 = false;
-  o.apply_h2 = false;
-  PipelineExecutor exec(o);
-  auto got = exec.Execute(fig2.plan, tablev);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), ref);
+  // SP keeps H1 whatever the option says: its scans call into probes.
+  for (LocalStrategy s :
+       {LocalStrategy::kDP, LocalStrategy::kFP, LocalStrategy::kSP}) {
+    PipelineOptions o = Opts(s, 4);
+    o.apply_h1 = false;
+    o.apply_h2 = false;
+    PipelineExecutor exec(o);
+    auto got = exec.Execute(fig2.plan, tablev);
+    ASSERT_TRUE(got.ok()) << LocalStrategyName(s);
+    EXPECT_EQ(got.value(), ref) << LocalStrategyName(s);
+  }
 }
 
 TEST(Executor, FPWithDistortedCostsStillCorrect) {
