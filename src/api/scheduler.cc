@@ -360,11 +360,6 @@ void Scheduler::Pump() {
     ++in_flight_;
     stats_.max_in_flight = std::max(stats_.max_in_flight, in_flight_);
     queue_.OnDispatch(item->tenant);
-    if (recorder_ != nullptr) {
-      const uint64_t now = loop_.NowNs();
-      recorder_->Instant(obs::EventKind::kSchedule, state->seq,
-                         now > item->submit_ns ? now - item->submit_ns : 0);
-    }
     ready_.push_back(std::move(state));
     // Lanes never exit until shutdown, so keeping lanes_.size() >=
     // in_flight_ (bounded by the concurrency limit) guarantees a lane
@@ -529,10 +524,6 @@ void Scheduler::LaneLoop() {
         --in_flight_;
         queue_.OnComplete(state->tenant);
         ++stats_.retries;
-        if (recorder_ != nullptr) {
-          recorder_->Instant(obs::EventKind::kRetry, state->seq,
-                             state->attempt);
-        }
         retry_armed_[state->seq] = state;
         loop_.ArmTimer(state->seq | kRetryTimerBit,
                        loop_.NowNs() + BackoffNs(*state));

@@ -120,9 +120,11 @@ struct RetrySpec {
 class Scheduler {
  public:
   /// `recorder`, when non-null, receives a flight-recorder instant for
-  /// every admission event (submit, tenant reject, deadline arm/fire,
-  /// dispatch, retry) — the black box of the admission core. Not owned;
-  /// must outlive the scheduler (the session declares it first).
+  /// every admission event (submit, tenant reject, deadline arm/fire) —
+  /// the black box of the admission core. A dispatch (kSchedule) and a
+  /// re-dispatch (kRetry) are the attempt's own opening events: the run
+  /// closure writes them, inside its trace. Not owned; must outlive the
+  /// scheduler (the session declares it first).
   explicit Scheduler(const SessionOptions& options,
                      obs::FlightRecorder* recorder = nullptr);
   /// Drains: refuses new work and waits for every admitted query.

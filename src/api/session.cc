@@ -28,13 +28,6 @@ double WallSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Default FK selectivity: each join result about the larger input.
-double DefaultSelectivity(uint64_t ca, uint64_t cb) {
-  double a = static_cast<double>(ca), b = static_cast<double>(cb);
-  if (a <= 0 || b <= 0) return 1.0;
-  return std::max(a, b) / (a * b);
-}
-
 uint64_t MixU64(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
   return h == 0 ? 1 : h;
@@ -50,8 +43,9 @@ uint64_t DoubleBits(double d) {
 // Cardinality estimation and trace-plan builders (shared by the report's
 // chain_cards, the traced QueryTrace plan graphs, and ExplainDot).
 
-/// FK-default join selectivity over already-estimated (double) inputs.
-double JoinSelD(double a, double b) {
+/// Default FK selectivity over input cardinalities (base or estimated):
+/// each join result about the larger input.
+double DefaultSelectivity(double a, double b) {
   if (a <= 0 || b <= 0) return 1.0;
   return std::max(a, b) / (a * b);
 }
@@ -86,7 +80,7 @@ std::vector<double> EstimateChainRows(
     double e = SourceEst(filter_pass, tables, est, chain.input);
     for (const mt::JoinStep& j : chain.joins) {
       double b = SourceEst(filter_pass, tables, est, j.build);
-      e = e * b * JoinSelD(e, b);
+      e = e * b * DefaultSelectivity(e, b);
     }
     est.push_back(e);
   }
@@ -174,7 +168,7 @@ std::vector<obs::TraceOp> RealTraceOps(
       op.label = "probe " + SourceName(cat, chain.joins[j].build);
       op.chain = static_cast<int32_t>(c);
       double b = SourceEst(filter_pass, tables, chain_est, chain.joins[j].build);
-      e = e * b * JoinSelD(e, b);
+      e = e * b * DefaultSelectivity(e, b);
       op.est_rows = e;
       op.inputs = {prev, builds + j};
       prev = op.id;
@@ -222,37 +216,6 @@ std::vector<obs::TraceOp> SimTraceOps(const plan::PhysicalPlan& pplan) {
     ops.push_back(std::move(o));
   }
   return ops;
-}
-
-/// Chaos/robustness trace instants for one attempt: which attempt this
-/// was (kRetry), whether it ran degraded (kFallback), and how many
-/// injected faults fired during it (kFault).
-void RecordFaultInstants(obs::TraceSink& sink, fault::FaultInjector* inj,
-                         uint32_t attempt, bool fallback,
-                         uint64_t faults_before) {
-  if (attempt > 0) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kRetry;
-    ev.start_ns = ev.end_ns = sink.NowNs();
-    ev.detail = attempt;
-    sink.RecordShared(ev);
-  }
-  if (fallback) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kFallback;
-    ev.start_ns = ev.end_ns = sink.NowNs();
-    ev.detail = 1;
-    sink.RecordShared(ev);
-  }
-  const uint64_t fired =
-      inj != nullptr ? inj->counters().total() - faults_before : 0;
-  if (fired > 0) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kFault;
-    ev.start_ns = ev.end_ns = sink.NowNs();
-    ev.detail = fired;
-    sink.RecordShared(ev);
-  }
 }
 
 }  // namespace
@@ -507,6 +470,7 @@ namespace {
 /// Recorder geometry from the session knobs (0 keeps the defaults).
 obs::FlightRecorder::Options RecorderOptions(const SessionOptions& options) {
   obs::FlightRecorder::Options ro;
+  ro.armed = options.flight_recorder;
   if (options.recorder_rings != 0) ro.rings = options.recorder_rings;
   if (options.recorder_ring_events != 0) {
     ro.events_per_ring = options.recorder_ring_events;
@@ -517,10 +481,8 @@ obs::FlightRecorder::Options RecorderOptions(const SessionOptions& options) {
 }  // namespace
 
 Session::Session(const SessionOptions& options)
-    : recorder_(options.flight_recorder
-                    ? std::make_unique<obs::FlightRecorder>(
-                          RecorderOptions(options))
-                    : nullptr),
+    : recorder_(
+          std::make_unique<obs::FlightRecorder>(RecorderOptions(options))),
       pool_threads_(options.pool_threads != 0
                         ? options.pool_threads
                         : std::max(1u, std::thread::hardware_concurrency())),
@@ -843,7 +805,7 @@ Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
     fcat.AddRelation(rel.name, est, rel.tuple_bytes);
   }
   auto card = [&](RelId r) {
-    return fcat.relation(to_local.at(r)).cardinality;
+    return static_cast<double>(fcat.relation(to_local.at(r)).cardinality);
   };
 
   // Predicate graph over the local relations.
@@ -1260,38 +1222,52 @@ QueryHandle Session::Submit(const Query& q, const ExecOptions& opts) {
         auto t0 = std::chrono::steady_clock::now();
         FaultCtx fc;
         fc.injector = injector.get();
-        fc.attempt = attempt;
         fc.query_seq = seq;
         ExecOptions eff = opts;
-        if (rspec.fallback && attempt + 1 == rspec.max_attempts()) {
+        const bool fallback =
+            rspec.fallback && attempt + 1 == rspec.max_attempts();
+        if (fallback) {
           // Graceful degradation: the extra final attempt runs on the
           // fallback backend, single node.
           eff.backend = *opts.fallback_backend;
           eff.nodes = 1;
-          fc.fallback = true;
         }
         const uint64_t faults_before =
             injector != nullptr ? injector->counters().total() : 0;
-        auto r = RunPlanned(*planned, eff, queue_ms, stop, fc);
+        // A traced real-data attempt's trace is its share of the event
+        // stream: everything tagged `seq` from here to EndTrace, the
+        // attempt's opening and chaos instants included. (The simulator
+        // builds its virtual-time trace from its metrics.)
+        const bool traced = opts.trace && eff.backend != Backend::kSimulated;
+        if (traced) recorder_->BeginTrace(seq);
+        if (attempt > 0) {
+          recorder_->Instant(obs::EventKind::kRetry, seq, attempt);
+        }
+        recorder_->Instant(obs::EventKind::kSchedule, seq,
+                           static_cast<uint64_t>(queue_ms * 1e6));
+        auto r = RunPlanned(*planned, eff, stop, fc);
         const uint64_t faults_fired =
             injector != nullptr ? injector->counters().total() - faults_before
                                 : 0;
-        // Black-box mirrors of the per-trace chaos instants, tagged with
-        // the admission seq so the flight recorder tells attempts apart.
-        if (recorder_ != nullptr) {
-          if (fc.fallback) {
-            recorder_->Instant(obs::EventKind::kFallback, seq, 1);
-          }
-          if (faults_fired > 0) {
-            recorder_->Instant(obs::EventKind::kFault, seq, faults_fired);
-          }
+        if (fallback) {
+          recorder_->Instant(obs::EventKind::kFallback, seq, 1);
         }
+        if (faults_fired > 0) {
+          recorder_->Instant(obs::EventKind::kFault, seq, faults_fired);
+        }
+        std::vector<obs::TraceEvent> events;
+        if (traced) events = recorder_->EndTrace(seq);
         RecordCompletion(queue_ms, WallSince(t0) * 1000.0);
         if (r.ok()) {
           ExecutionReport& rep = r.value().report;
           rep.attempt = attempt;
-          rep.fallback_used = fc.fallback;
+          rep.fallback_used = fallback;
           rep.faults_injected = faults_fired;
+          if (traced && rep.trace != nullptr) {
+            auto qt = std::make_shared<obs::QueryTrace>(*rep.trace);
+            qt->events = std::move(events);
+            rep.trace = std::move(qt);
+          }
         }
         // Anomaly-triggered forensics: a missed deadline, an Unavailable
         // outcome (about to be retried or final), a retry that ran, a
@@ -1322,7 +1298,7 @@ QueryHandle Session::Submit(const Query& q, const ExecOptions& opts) {
             anomaly = "capture_mismatch";
           } else if (attempt > 0) {
             anomaly = "retry";
-          } else if (fc.fallback) {
+          } else if (fallback) {
             anomaly = "fallback";
           }
         }
@@ -1421,14 +1397,13 @@ mt::BuildCache::Stats Session::build_cache_stats() const {
 
 Result<QueryResult> Session::RunPlanned(const Planned& p,
                                         const ExecOptions& opts,
-                                        double queue_wait_ms,
                                         const std::atomic<bool>& stop,
                                         const FaultCtx& fc) const {
   switch (opts.backend) {
     case Backend::kSimulated: return RunSimulated(p, opts, stop);
     case Backend::kThreads:
     case Backend::kCluster:
-      return RunReal(p, opts, queue_wait_ms, stop, fc);
+      return RunReal(p, opts, stop, fc);
   }
   return Status::Internal("unknown backend");
 }
@@ -1543,7 +1518,7 @@ Result<QueryResult> Session::RunSimulated(
       if (op.id < m.op_tuples_in.size()) ev.rows_in = m.op_tuples_in[op.id];
       qt->events.push_back(ev);
     }
-    // Match TraceSink::Drain's ordering contract. Note a virtual span's
+    // A trace is sorted by start time. Note a virtual span's
     // busy time sums over every processor that worked the operator, so it
     // may exceed the span's wall extent — consumers see virtual_time.
     std::sort(qt->events.begin(), qt->events.end(),
@@ -1625,7 +1600,6 @@ Session::PlaceTables(const Planned& p, const ExecOptions& opts) const {
 
 Result<QueryResult> Session::RunReal(const Planned& p,
                                      const ExecOptions& opts,
-                                     double queue_wait_ms,
                                      const std::atomic<bool>& stop,
                                      const FaultCtx& fc) const {
   if (!p.has_real) return Status::InvalidArgument(p.real_gap);
@@ -1652,7 +1626,8 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     HIERDB_RETURN_NOT_OK(query.Validate(opts.nodes));
   }
 
-  std::unique_ptr<ExecContext> ctx = EnsurePool().Rent(&stop, fc.injector);
+  std::unique_ptr<ExecContext> ctx =
+      EnsurePool().Rent(&stop, fc.injector, fc.query_seq);
   mt::PipelineOptions po;
   cluster::ClusterOptions co;
   mt::EngineOptions& eo = on_cluster ? static_cast<mt::EngineOptions&>(co)
@@ -1705,44 +1680,21 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     eo.cache_seed_skew = p.cache_seed_skew;
   }
 
-  obs::TraceSink sink;
-  if (opts.trace) {
-    eo.trace = &sink;
-    obs::TraceEvent rent;
-    rent.kind = obs::EventKind::kPoolRent;
-    rent.start_ns = rent.end_ns = sink.NowNs();
-    sink.RecordShared(rent);
-    obs::TraceEvent sched;
-    sched.kind = obs::EventKind::kSchedule;
-    sched.start_ns = sched.end_ns = sink.NowNs();
-    sched.detail = static_cast<uint64_t>(queue_wait_ms * 1e6);
-    sink.RecordShared(sched);
-  }
-
-  // The executor outlives the report (as the rented context does), so
-  // its teardown stays out of wall_seconds.
+  // The executor outlives the report, so its teardown stays out of
+  // wall_seconds; the rental is returned as soon as the run ends.
   std::optional<mt::PipelineExecutor> threads_exec;
   std::optional<cluster::ClusterExecutor> cluster_exec;
   mt::PipelineStats tstats;
   cluster::ClusterStats cstats;
   QueryResult qr;
   mt::Batch* materialized = opts.materialize ? &qr.rows : nullptr;
-  const uint64_t faults_before =
-      fc.injector != nullptr ? fc.injector->counters().total() : 0;
   auto t0 = std::chrono::steady_clock::now();
   auto got = on_cluster ? cluster_exec.emplace(co).Execute(query, &cstats,
                                                             materialized)
                         : threads_exec.emplace(po).Execute(
                               plan, p.tables, &tstats, materialized);
   double wall = WallSince(t0);
-  if (opts.trace) {
-    obs::TraceEvent ret;
-    ret.kind = obs::EventKind::kPoolReturn;
-    ret.start_ns = ret.end_ns = sink.NowNs();
-    sink.RecordShared(ret);
-    RecordFaultInstants(sink, fc.injector, fc.attempt, fc.fallback,
-                        faults_before);
-  }
+  ctx.reset();
   const mt::EngineStats& es = on_cluster
                                  ? static_cast<const mt::EngineStats&>(cstats)
                                  : static_cast<const mt::EngineStats&>(tstats);
@@ -1810,8 +1762,7 @@ Result<QueryResult> Session::RunReal(const Planned& p,
     qt->ops = RealTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
                            rows_per_chain, on_cluster);
     qt->chains = rep.chain_cards;
-    qt->events = sink.Drain();
-    rep.trace = std::move(qt);
+    rep.trace = std::move(qt);  // Submit adds the attempt's events
   }
   if (opts.validate) {
     // One reference for both backends: the pruned plan over the whole
@@ -1914,7 +1865,7 @@ SessionMetrics Session::MetricsSnapshot() const {
   if (scheduler_ != nullptr) m.scheduler = scheduler_->stats();
   m.pool = pool_stats();
   m.build_cache = build_cache_.stats();
-  if (recorder_ != nullptr) m.recorder = recorder_->stats();
+  m.recorder = recorder_->stats();
   m.queries = exec_hist_.Count();
   m.exec_mean_ms = exec_hist_.MeanMs();
   m.exec_p50_ms = exec_hist_.PercentileMs(0.50);
@@ -1996,7 +1947,7 @@ std::string Session::WriteForensicBundle(
   // ring snapshot like any per-query trace.
   obs::QueryTrace flight;
   flight.backend = "recorder";
-  if (recorder_ != nullptr) flight.events = recorder_->Snapshot();
+  flight.events = recorder_->Snapshot();
   write("flight.json", obs::ChromeTraceJson(flight));
 
   // plan.json — the implicated query's plan graph (anomaly dumps; an

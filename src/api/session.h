@@ -213,12 +213,14 @@ struct ExecOptions {
   /// record the comparison in the report.
   bool validate = false;
 
-  /// Per-operator execution tracing: collect spans (per operator, worker
-  /// and node) plus steal/cache/pool/fabric instants into
-  /// ExecutionReport::trace, exportable as Chrome trace-event JSON or an
-  /// annotated plan (obs/export.h). kSimulated synthesizes spans from the
-  /// simulator's per-operator virtual times. Off (the default) the only
-  /// cost on the execution path is one null-pointer check per activation.
+  /// Per-operator execution tracing: ExecutionReport::trace gets the
+  /// attempt's share of the session's event stream (obs/recorder.h) —
+  /// spans per operator, worker and node plus the schedule, retry, pool,
+  /// steal, cache, fabric and fault instants tagged with this query —
+  /// exportable as Chrome trace-event JSON or an annotated plan
+  /// (obs/export.h). kSimulated synthesizes spans from the simulator's
+  /// per-operator virtual times. Off (the default) the only cost on the
+  /// execution path is one null-pointer check per activation.
   bool trace = false;
 
   /// Per-query deadline, measured from Submit (admission). 0 = none. The
@@ -513,8 +515,9 @@ struct SessionOptions {
 
   /// The session's always-on flight recorder (obs/recorder.h): a bounded
   /// black box of recent admission/pool/fabric/executor events, kept hot
-  /// whether or not any query traces. False disarms it entirely (the
-  /// recording sites degrade to one null/branch check).
+  /// whether or not any query traces. False disarms its rings (the
+  /// recording sites degrade to one branch); traced queries still get
+  /// their traces.
   bool flight_recorder = true;
   /// Ring pool size (distinct recording threads) and events retained per
   /// ring; 0 keeps the recorder defaults (48 rings x 1024 events).
@@ -968,7 +971,9 @@ class Session {
   SessionMetrics MetricsSnapshot() const;
 
   /// The session's flight recorder; null when SessionOptions disarmed it.
-  obs::FlightRecorder* recorder() const { return recorder_.get(); }
+  obs::FlightRecorder* recorder() const {
+    return recorder_->armed() ? recorder_.get() : nullptr;
+  }
 
   /// Explicitly dumps a forensic bundle (ring snapshot + metrics) right
   /// now, outside any anomaly — the "something looks off, grab the black
@@ -980,13 +985,10 @@ class Session {
   friend class Scheduler;
   struct Planned;
 
-  /// Per-attempt fault/retry context threaded into the backend runners:
-  /// the query's injector (null = no chaos), the attempt index, and
-  /// whether this attempt is the degraded-fallback one.
+  /// Per-attempt context threaded into the backend runners: the query's
+  /// injector (null = no chaos) and its admission seq.
   struct FaultCtx {
     fault::FaultInjector* injector = nullptr;
-    uint32_t attempt = 0;
-    bool fallback = false;
     /// Scheduler admission seq — the query tag recorder events carry.
     uint64_t query_seq = 0;
   };
@@ -998,11 +1000,8 @@ class Session {
   /// Backend-shape checks shared by Submit and Explain.
   Status ValidateOptions(const ExecOptions& opts) const;
   /// Runs a planned query on its backend (called from scheduler lanes;
-  /// `stop` is the query's cooperative cancel/deadline token and
-  /// `queue_wait_ms` the admission-queue wait, recorded as a kSchedule
-  /// trace instant on the real-data backends).
+  /// `stop` is the query's cooperative cancel/deadline token).
   Result<QueryResult> RunPlanned(const Planned& p, const ExecOptions& opts,
-                                 double queue_wait_ms,
                                  const std::atomic<bool>& stop,
                                  const FaultCtx& fc) const;
   Result<QueryResult> RunSimulated(const Planned& p, const ExecOptions& opts,
@@ -1017,13 +1016,14 @@ class Session {
   /// materialization, with only placement and the executor call per
   /// backend.
   Result<QueryResult> RunReal(const Planned& p, const ExecOptions& opts,
-                              double queue_wait_ms,
                               const std::atomic<bool>& stop,
                               const FaultCtx& fc) const;
 
-  /// The always-on black box (SessionOptions::flight_recorder). Declared
-  /// FIRST: every other subsystem (scheduler, pool, per-query executors)
-  /// holds a raw pointer into it and must be destroyed before it.
+  /// The session's one event sink: the black box
+  /// (SessionOptions::flight_recorder arms its rings) and the collector of
+  /// traced queries' events. Never null. Declared FIRST: every other
+  /// subsystem (scheduler, pool, per-query executors) holds a raw pointer
+  /// into it and must be destroyed before it.
   std::unique_ptr<obs::FlightRecorder> recorder_;
 
   catalog::Catalog catalog_;

@@ -46,10 +46,10 @@ void PinCurrentThread(int cpu) {
 class WorkerPool::Context final : public ExecContext {
  public:
   Context(WorkerPool* pool, const std::atomic<bool>* stop,
-          fault::FaultInjector* injector)
-      : pool_(pool), stop_(stop), injector_(injector) {
+          fault::FaultInjector* injector, uint64_t query)
+      : pool_(pool), stop_(stop), injector_(injector), query_(query) {
     if (pool_->recorder_ != nullptr) {
-      pool_->recorder_->Instant(obs::EventKind::kPoolRent, 0,
+      pool_->recorder_->Instant(obs::EventKind::kPoolRent, query_,
                                 pool_->threads());
     }
     std::lock_guard<std::mutex> lock(pool_->mu_);
@@ -58,7 +58,7 @@ class WorkerPool::Context final : public ExecContext {
 
   ~Context() override {
     if (pool_->recorder_ != nullptr) {
-      pool_->recorder_->Instant(obs::EventKind::kPoolReturn, 0, 0);
+      pool_->recorder_->Instant(obs::EventKind::kPoolReturn, query_, 0);
     }
     std::unique_lock<std::mutex> lock(pool_->mu_);
     if (hook_) --pool_->hooked_renters_;
@@ -75,6 +75,7 @@ class WorkerPool::Context final : public ExecContext {
     team->body = &body;
     team->total = n;
     team->unfinished = n;
+    team->query = query_;
     if (injector_ != nullptr && injector_->plan().worker_death_prob > 0.0) {
       team->injector = injector_;
     }
@@ -155,6 +156,7 @@ class WorkerPool::Context final : public ExecContext {
   WorkerPool* pool_;
   const std::atomic<bool>* stop_;
   fault::FaultInjector* injector_;
+  const uint64_t query_;
   // Guarded by pool_->mu_.
   std::function<bool()> hook_;
   uint32_t hook_inflight_ = 0;
@@ -203,8 +205,9 @@ PoolStats WorkerPool::stats() const {
 }
 
 std::unique_ptr<ExecContext> WorkerPool::Rent(const std::atomic<bool>* stop,
-                                              fault::FaultInjector* injector) {
-  return std::make_unique<Context>(this, stop, injector);
+                                              fault::FaultInjector* injector,
+                                              uint64_t query) {
+  return std::make_unique<Context>(this, stop, injector, query);
 }
 
 void WorkerPool::ThreadLoop() {
@@ -235,7 +238,8 @@ void WorkerPool::ThreadLoop() {
         team->requeued.push_back(idx);
         ++worker_deaths_;
         if (recorder_ != nullptr) {
-          recorder_->Instant(obs::EventKind::kWorkerDeath, 0, idx);
+          recorder_->Instant(obs::EventKind::kWorkerDeath, team->query,
+                             idx);
         }
         work_cv_.notify_all();
         team_cv_.notify_all();  // wake the renting caller to reclaim
@@ -293,10 +297,6 @@ bool WorkerPool::StealForeign(const Context* skip) {
     std::lock_guard<std::mutex> lock(mu_);
     if (--target->hook_inflight_ == 0) hook_cv_.notify_all();
     if (ran) ++foreign_steals_;
-  }
-  if (ran && recorder_ != nullptr) {
-    // detail = 1 activation ran; worker -1 (not slot-scoped).
-    recorder_->Instant(obs::EventKind::kSteal, 0, 1);
   }
   return ran;
 }

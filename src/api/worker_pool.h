@@ -62,8 +62,9 @@ struct PoolStats {
 class WorkerPool {
  public:
   /// `threads` == 0 is normalized to 1. `recorder`, when non-null, gets a
-  /// flight-recorder instant per rent/return/foreign-steal/worker-death
-  /// (obs/recorder.h; not owned, must outlive the pool).
+  /// flight-recorder instant per rent/return/worker-death, tagged with
+  /// the renting query's seq (obs/recorder.h; not owned, must outlive the
+  /// pool). A foreign steal is the executor's event: its hook records it.
   explicit WorkerPool(uint32_t threads,
                       obs::FlightRecorder* recorder = nullptr);
   ~WorkerPool();  // joins; requires all rented contexts destroyed
@@ -81,9 +82,12 @@ class WorkerPool {
   /// the slot is re-queued for another (possibly the same) claimer —
   /// death with recovery. Every body still runs exactly once, so teams
   /// whose slots each own essential work (per-partition merges) stay
-  /// correct; renting callers are never killed.
+  /// correct; renting callers are never killed. `query` (the admission
+  /// seq, 0 = untagged) tags the rental's recorder events; destroying the
+  /// context returns the rental.
   std::unique_ptr<ExecContext> Rent(const std::atomic<bool>* stop,
-                                    fault::FaultInjector* injector = nullptr);
+                                    fault::FaultInjector* injector = nullptr,
+                                    uint64_t query = 0);
 
  private:
   class Context;
@@ -97,6 +101,7 @@ class WorkerPool {
     uint32_t unfinished = 0;
     /// Fault injection for this team's execution (null = none).
     fault::FaultInjector* injector = nullptr;
+    uint64_t query = 0;  ///< the renter's seq, for worker-death events
     /// Slots dropped by a "dying" pool thread, waiting to be re-claimed.
     std::vector<uint32_t> requeued;
     bool has_slot() const { return next < total || !requeued.empty(); }

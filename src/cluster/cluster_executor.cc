@@ -160,14 +160,8 @@ struct ClusterExecutor::Impl {
   std::vector<std::vector<uint32_t>> repart_dst_ops;
   std::vector<int32_t> repart_src;
 
-  // ---- tracing (null disables the feature; see ClusterOptions) ----
-  // Slot node * (T+1) + role: role 0 is the node's scheduler, role t + 1
-  // the engine's worker t.
-  obs::TraceSink* trace = nullptr;
-
-  uint32_t slot_of(uint32_t node, uint32_t role) const {
-    return node * (opt.threads + 1) + role;
-  }
+  // ---- tracing: the recorder when it traces this query, else null ----
+  obs::FlightRecorder* trace = nullptr;
 
   // ---- fault detection state ----
   // Message faults are only forwarded to the fabric when detection is on:
@@ -264,9 +258,9 @@ struct ClusterExecutor::Impl {
     // until the scheduler sees it.
     void OnDrained(uint32_t) override {}
 
-    void Ship(uint32_t slot, uint32_t dest, uint32_t op, uint32_t bucket,
+    void Ship(uint32_t dest, uint32_t op, uint32_t bucket,
               Batch&& rows) override {
-      im->Ship(*this, slot, dest, op, bucket, std::move(rows));
+      im->Ship(*this, dest, op, bucket, std::move(rows));
     }
 
     const RowTable* Fragment(uint32_t join, uint32_t bucket) override {
@@ -345,9 +339,9 @@ struct ClusterExecutor::Impl {
 
     std::vector<uint32_t> widths;
     for (const PartitionedTable* t : q.tables) widths.push_back(t->width);
-    if (opt.trace != nullptr) {
-      trace = opt.trace;
-      trace->EnsureSlots(opt.nodes * (opt.threads + 1));
+    if (opt.recorder != nullptr &&
+        opt.recorder->Tracing(opt.recorder_query)) {
+      trace = opt.recorder;
     }
     nodes.clear();
     for (uint32_t n = 0; n < opt.nodes; ++n) {
@@ -359,7 +353,6 @@ struct ClusterExecutor::Impl {
       NodeEngine::Config cfg;
       cfg.node = n;
       cfg.nodes = opt.nodes;
-      cfg.trace_slot_base = slot_of(n, 1);
       cfg.keep_final = materialize_final;
       node->engine = std::make_unique<NodeEngine>(
           opt, plan, std::move(rows), widths, &builds, cfg, node.get());
@@ -450,9 +443,10 @@ struct ClusterExecutor::Impl {
 
   // Ships one data activation to a remote node as one kTupleBatch message
   // (the inter-node pipelined redistribution), counting a chain
-  // intermediate's rows as repartition traffic.
-  void Ship(Node& node, uint32_t slot, uint32_t dest, uint32_t op,
-            uint32_t bucket, Batch&& rows) {
+  // intermediate's rows as repartition traffic. The fabric records the
+  // send (kFabricSend).
+  void Ship(Node& node, uint32_t dest, uint32_t op, uint32_t bucket,
+            Batch&& rows) {
     if (repart_src[op] >= 0) {
       node.repart_rows[repart_src[op]].fetch_add(rows.rows(),
                                                  std::memory_order_relaxed);
@@ -462,16 +456,6 @@ struct ClusterExecutor::Impl {
     m.op = op;
     m.bucket = bucket;
     m.payload = net::EncodeBatch(rows);
-    if (trace != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kFabricSend;
-      ev.node = static_cast<int32_t>(node.id);
-      ev.worker = static_cast<int32_t>(slot);
-      ev.op = static_cast<int32_t>(op);
-      ev.start_ns = ev.end_ns = trace->NowNs();
-      ev.detail = rows.rows();
-      trace->Record(slot_of(node.id, slot + 1), ev);
-    }
     fabric.Send(node.id, dest, std::move(m)).ok();
   }
 
@@ -933,7 +917,8 @@ struct ClusterExecutor::Impl {
           ev.op = static_cast<int32_t>(op);
           ev.start_ns = ev.end_ns = trace->NowNs();
           ev.detail = bucket;
-          trace->Record(slot_of(node.id, 0), ev);
+          ev.query = opt.recorder_query;
+          trace->Record(ev);
         }
       } else {
         net::RowFragment frag;
@@ -991,18 +976,10 @@ struct ClusterExecutor::Impl {
     // m.arg: the provider's queued activations this bundle carries.
     node.steals.fetch_add(1, std::memory_order_relaxed);
     node.stolen_acts.fetch_add(m.arg, std::memory_order_relaxed);
-    if (trace != nullptr) {
-      obs::TraceEvent ev;
-      ev.kind = obs::EventKind::kSteal;
-      ev.node = static_cast<int32_t>(node.id);
-      ev.op = static_cast<int32_t>(op);
-      ev.start_ns = ev.end_ns = trace->NowNs();
-      ev.detail = m.arg;
-      trace->Record(slot_of(node.id, 0), ev);
-    }
     if (opt.recorder != nullptr) {
       opt.recorder->Instant(obs::EventKind::kSteal, opt.recorder_query,
-                            m.arg, static_cast<int32_t>(node.id));
+                            m.arg, static_cast<int32_t>(node.id), -1,
+                            static_cast<int32_t>(op));
     }
     for (auto& ra : bundle.value().activations) {
       e.Receive(op, ra.bucket, std::move(ra.rows));
@@ -1073,8 +1050,7 @@ struct ClusterExecutor::Impl {
           fabric.Send(n, home, std::move(m)).ok();
         }
       }
-      // One span per node for the repartition phase (the agg sentinel op;
-      // these bodies run on arbitrary pool threads, hence RecordShared).
+      // One span per node for the repartition phase (the agg sentinel op).
       if (trace != nullptr) {
         obs::TraceEvent ev;
         ev.node = static_cast<int32_t>(n);
@@ -1084,7 +1060,8 @@ struct ClusterExecutor::Impl {
         ev.activations = 1;
         ev.rows_out = repart;
         ev.detail = ev.end_ns - ev.start_ns;
-        trace->RecordShared(ev);
+        ev.query = opt.recorder_query;
+        trace->Record(ev);
       }
     });
     if (agg_cancelled.load() || ctx->StopRequested()) {
@@ -1131,7 +1108,8 @@ struct ClusterExecutor::Impl {
         ev.activations = 1;
         ev.rows_out = (*agg_out)[n].rows();
         ev.detail = ev.end_ns - ev.start_ns;
-        trace->RecordShared(ev);
+        ev.query = opt.recorder_query;
+        trace->Record(ev);
       }
     });
     if (agg_cancelled.load() || ctx->StopRequested()) {

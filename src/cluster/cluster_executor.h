@@ -84,7 +84,6 @@
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "net/fabric.h"
-#include "obs/trace.h"
 
 namespace hierdb::cluster {
 
@@ -136,11 +135,9 @@ Result<mt::ResultDigest> ReferenceExecute(const PlanQuery& query);
 /// saturated pool cannot deadlock it. The context also lends idle beats
 /// to other in-flight queries (Park) and carries the cancellation token;
 /// the cluster publishes no steal hook of its own, since its activations
-/// are node-homed. Trace slots are node x (T+1) + role (0 = the node's
-/// scheduler steps, t + 1 = worker t). Each row crossing a capture point
-/// is offered once cluster-wide:
-/// stolen activations offer on the thief, duplicates are suppressed
-/// before delivery.
+/// are node-homed. Each row crossing a capture point is offered once
+/// cluster-wide: stolen activations offer on the thief, duplicates are
+/// suppressed before delivery.
 struct ClusterOptions : mt::EngineOptions {
   ClusterOptions() : EngineOptions(2, 128, 8192, 512, 512) {}
 

@@ -7,49 +7,6 @@
 
 namespace hierdb::mt {
 
-void ColumnBatch::GatherFrom(const Batch& src, size_t begin,
-                             const uint32_t* sel, size_t n) {
-  const uint32_t w = src.width();
-  cols_.resize(w);
-  rows_ = n;
-  const size_t stride = w;
-  for (uint32_t c = 0; c < w; ++c) {
-    cols_[c].resize(n);
-    const int64_t* base = src.data().data() + begin * stride + c;
-    GatherStrided(base, stride, sel, n, cols_[c].data());
-  }
-}
-
-void ColumnBatch::GatherColumns(const Batch& src, size_t begin,
-                                const uint32_t* sel, size_t n,
-                                const uint32_t* cols, uint32_t ncols) {
-  cols_.resize(ncols);
-  rows_ = n;
-  const size_t stride = src.width();
-  for (uint32_t c = 0; c < ncols; ++c) {
-    cols_[c].resize(n);
-    const int64_t* base = src.data().data() + begin * stride + cols[c];
-    GatherStrided(base, stride, sel, n, cols_[c].data());
-  }
-}
-
-Batch ColumnBatch::ToBatch() const {
-  Batch out(width());
-  out.Reserve(rows_);
-  std::vector<int64_t> row(width());
-  for (size_t i = 0; i < rows_; ++i) {
-    for (uint32_t c = 0; c < width(); ++c) row[c] = cols_[c][i];
-    out.AppendRow(row.data());
-  }
-  return out;
-}
-
-ColumnBatch ColumnBatch::FromBatch(const Batch& src) {
-  ColumnBatch out(src.width());
-  out.GatherFrom(src, 0, nullptr, src.rows());
-  return out;
-}
-
 namespace {
 
 /// One compare loop per CmpOp: the switch is hoisted out of the row loop

@@ -1,10 +1,11 @@
-// Columnar data plane: column-major batches, selection vectors and the
-// strided kernels the executors' hot loops run on.
+// Columnar data plane: selection vectors and the strided kernels the
+// executors' hot loops run on.
 //
 // The executors keep activations row-major (a Batch is what queues,
 // digests and the cluster wire format understand), but the hot loops —
-// Where predicates, scatter/probe hashing, GROUP BY key mixing — are
-// restructured to run column-at-a-time over that storage:
+// Where predicates, scatter/probe hashing, GROUP BY key mixing — run
+// column-at-a-time over that storage, one strided column of the row-major
+// buffer at a time:
 //
 //   * FilterBatch evaluates a predicate conjunction as one tight compare
 //     loop per predicate, producing a selection vector (morsel-local row
@@ -12,10 +13,8 @@
 //   * HashStrided fills a hash column for the survivors in one pass; the
 //     scatter loop and the probe kernel (ProbeMatches) consume it instead
 //     of calling HashKey row-at-a-time.
-//   * ColumnBatch gathers selected rows into per-column vectors when a
-//     downstream pass genuinely wants contiguous columns (aggregation key
-//     mixing, benches); ToBatch() is the row-major compatibility shim, so
-//     digests are computed over identical rows either way.
+//   * GatherStrided copies one selected column out where a pass wants it
+//     contiguous.
 //
 // Everything here is deterministic and value-identical to the row-at-a-
 // time definitions the reference executor uses (MatchesAll, HashKey,
@@ -38,57 +37,10 @@ namespace hierdb::mt {
 /// to the batch slice a kernel ran over), in ascending order.
 using SelVec = std::vector<uint32_t>;
 
-/// A column-major batch: one int64 vector per column. The gather/scatter
-/// boundary of the vectorized data plane — built from (a selection over)
-/// a row-major Batch, handed to column-at-a-time passes, transposed back
-/// with ToBatch() where a row-major consumer remains.
-class ColumnBatch {
- public:
-  ColumnBatch() = default;
-  explicit ColumnBatch(uint32_t width) : cols_(width) {}
-
-  uint32_t width() const { return static_cast<uint32_t>(cols_.size()); }
-  size_t rows() const { return rows_; }
-  bool empty() const { return rows_ == 0; }
-
-  std::vector<int64_t>& col(uint32_t c) { return cols_[c]; }
-  const std::vector<int64_t>& col(uint32_t c) const { return cols_[c]; }
-
-  /// Resets to `width` empty columns.
-  void Reset(uint32_t width) {
-    cols_.assign(width, {});
-    rows_ = 0;
-  }
-  void Clear() {
-    for (auto& c : cols_) c.clear();
-    rows_ = 0;
-  }
-
-  /// Gathers `n` rows of `src` (rows begin+sel[i], or begin+i when sel is
-  /// null) into column-major storage, replacing the current contents.
-  void GatherFrom(const Batch& src, size_t begin, const uint32_t* sel,
-                  size_t n);
-
-  /// Same, but keeps only the source columns in `cols` (projection +
-  /// selection in one gather).
-  void GatherColumns(const Batch& src, size_t begin, const uint32_t* sel,
-                     size_t n, const uint32_t* cols, uint32_t ncols);
-
-  /// Row-major compatibility shim: transposes back into a Batch.
-  Batch ToBatch() const;
-
-  /// Full-width, no-selection gather of an entire row-major batch.
-  static ColumnBatch FromBatch(const Batch& src);
-
- private:
-  size_t rows_ = 0;
-  std::vector<std::vector<int64_t>> cols_;
-};
-
 // ---------------------------------------------------------------------------
 // Strided kernels. `base` points at the first value of one column inside a
-// row-major buffer and `stride` is the row width, so the same kernels run
-// over Batch storage (stride = width) and ColumnBatch storage (stride = 1).
+// row-major buffer and `stride` is the row width (stride 1 runs them over
+// a contiguous column).
 
 /// Dense filter: writes the indexes in [0, n) whose value passes
 /// `cmp value` into sel_out (capacity >= n) and returns how many passed.

@@ -105,15 +105,9 @@ ResolvedBuilds ResolveBuilds(const EngineOptions& options,
         }
         const obs::EventKind kind =
             hit ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss;
-        if (options.trace != nullptr) {
-          obs::TraceEvent ev;
-          ev.kind = kind;
-          ev.op = static_cast<int32_t>(build_op);
-          ev.start_ns = ev.end_ns = options.trace->NowNs();
-          options.trace->RecordShared(ev);
-        }
         if (options.recorder != nullptr) {
-          options.recorder->Instant(kind, options.recorder_query, build_op);
+          options.recorder->Instant(kind, options.recorder_query, 0, 0, -1,
+                                    static_cast<int32_t>(build_op));
         }
       }
       if (!hit && js.build.kind == Source::Kind::kChain) {
@@ -431,8 +425,9 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
   chain_outputs_.resize(C);
   busy_.assign(slots_, 0);
   chain_rows_.assign(static_cast<size_t>(C) * slots_, 0);
-  if (opt_.trace != nullptr) {
-    trace_ = opt_.trace;
+  if (opt_.recorder != nullptr &&
+      opt_.recorder->Tracing(opt_.recorder_query)) {
+    trace_ = opt_.recorder;
     trace_cells_.assign(static_cast<size_t>(slots_) * nops, obs::OpSpanAgg{});
     traced_ns_.assign(slots_, 0);
   }
@@ -720,19 +715,12 @@ bool NodeEngine::RunForeign() {
   }
   const bool ran = RunOne(slot);
   if (ran) FlushOutbox(slot);
-  if (ran && trace_ != nullptr) {
-    // Cross-query help is the session-level steal event.
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kSteal;
-    ev.node = static_cast<int32_t>(cfg_.node);
-    ev.worker = static_cast<int32_t>(slot % opt_.threads);
-    ev.start_ns = ev.end_ns = trace_->NowNs();
-    ev.detail = 1;
-    trace_->Record(cfg_.trace_slot_base + slot, ev);
-  }
   if (ran && opt_.recorder != nullptr) {
-    opt_.recorder->Instant(obs::EventKind::kSteal, opt_.recorder_query, 1, 0,
-                           static_cast<int32_t>(slot));
+    // Cross-query help is the session-level steal event, on the lane the
+    // guest slot's spans fold onto (EmitTraceCells).
+    opt_.recorder->Instant(obs::EventKind::kSteal, opt_.recorder_query, 1,
+                           static_cast<int32_t>(cfg_.node),
+                           static_cast<int32_t>(slot % opt_.threads));
   }
   {
     std::lock_guard<std::mutex> lock(guest_mu_);
@@ -1128,7 +1116,7 @@ void NodeEngine::FinishActivation(uint32_t op) {
 void NodeEngine::Emit(uint32_t slot, uint32_t dest, uint32_t op,
                       uint32_t bucket, Batch&& rows) {
   if (dest != cfg_.node) {
-    link_->Ship(slot, dest, op, bucket, std::move(rows));
+    link_->Ship(dest, op, bucket, std::move(rows));
     return;
   }
   ops_[op]->pending.fetch_add(1);
@@ -1306,7 +1294,8 @@ void NodeEngine::EmitTraceCells() {
       ev.rows_in = c.rows_in;
       ev.rows_out = c.rows_out;
       ev.detail = c.busy_ns;
-      trace_->Record(cfg_.trace_slot_base + s, ev);
+      ev.query = opt_.recorder_query;
+      trace_->Record(ev);
     }
   }
 }

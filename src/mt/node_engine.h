@@ -117,18 +117,16 @@ struct EngineOptions {
   /// Null (white-box callers) spawns a ThreadSpawnContext per Execute.
   ExecContext* ctx = nullptr;
 
-  /// Per-operator execution tracing: when set, every worker keeps
-  /// per-(slot, op) span aggregates (two clock reads per activation) and
-  /// the executor emits them — plus cache, steal and (cluster) fabric
-  /// instants — into the sink at run end, cancelled and failed runs
-  /// included. Null reduces the feature to one pointer check.
-  obs::TraceSink* trace = nullptr;
-
-  /// Session flight recorder (obs/recorder.h): steal, build-cache and
-  /// (cluster) fabric/heartbeat instants are mirrored into the always-on
-  /// black box. Null = one pointer check per site.
+  /// Session flight recorder (obs/recorder.h), the one sink of every
+  /// event the executor writes: steal, build-cache and (cluster)
+  /// fabric/heartbeat instants, each tagged with `recorder_query`. When
+  /// the recorder traces that query (FlightRecorder::BeginTrace), every
+  /// worker also keeps per-(slot, op) span aggregates (two clock reads
+  /// per activation), written at run end, cancelled and failed runs
+  /// included; the cluster adds its aggregation-phase spans and
+  /// fragment-cache hits. Null = one pointer check per site.
   obs::FlightRecorder* recorder = nullptr;
-  /// Query sequence tag for recorder events (0 = untagged).
+  /// The query's admission seq, the tag of its events (0 = untagged).
   uint64_t recorder_query = 0;
 
   /// Plan-point row captures (QueryBuilder::CapturePoint): every row
@@ -264,8 +262,8 @@ class NodeEngine {
     /// any dependent unblocks.
     virtual void OnTerminating(uint32_t /*op*/) {}
     /// Delivers rows bound for `op` to node `dest` (never this node).
-    virtual void Ship(uint32_t /*slot*/, uint32_t /*dest*/, uint32_t /*op*/,
-                      uint32_t /*bucket*/, Batch&& /*rows*/) {}
+    virtual void Ship(uint32_t /*dest*/, uint32_t /*op*/, uint32_t /*bucket*/,
+                      Batch&& /*rows*/) {}
     /// The build table of a bucket homed elsewhere (a stolen fragment),
     /// or null.
     virtual const RowTable* Fragment(uint32_t /*join*/, uint32_t /*bucket*/) {
@@ -290,8 +288,6 @@ class NodeEngine {
     uint32_t nodes = 1;
     /// Extra per-worker slots for cross-query helpers (RunForeign).
     uint32_t guests = 0;
-    /// Trace sink slot of worker slot 0 (slot s records at base + s).
-    uint32_t trace_slot_base = 0;
     /// Keep the final chain's output rows (ChainOutput) unless the plan
     /// aggregates them.
     bool keep_final = false;
@@ -401,7 +397,7 @@ class NodeEngine {
   /// Activations each of the first `n` slots executed.
   std::vector<uint64_t> BusyPerSlot(uint32_t n) const;
   uint64_t Busy() const;
-  /// Emits the span cells into the trace sink (after every worker left).
+  /// Writes the span cells into the recorder (after every worker left).
   void EmitTraceCells();
 
  private:
@@ -499,7 +495,7 @@ class NodeEngine {
   std::mutex guest_mu_;
   std::vector<uint32_t> guest_free_;
 
-  obs::TraceSink* trace_ = nullptr;
+  obs::FlightRecorder* trace_ = nullptr;  // the recorder, when traced
   std::vector<obs::OpSpanAgg> trace_cells_;  // [slot * nops + op]
   std::vector<uint64_t> traced_ns_;          // per slot: busy ns traced
 

@@ -78,7 +78,6 @@ Result<ResultDigest> PipelineExecutor::Execute(
   OneNodeLink link(&builds, o.build_cache);
   NodeEngine engine(o, plan, std::move(rows), widths, &builds, cfg, &link);
   link.Attach(&engine);
-  if (o.trace != nullptr) o.trace->EnsureSlots(T + cfg.guests);
   engine.Start();
 
   // Rent workers. The steal hook lets idle threads of other executions

@@ -43,19 +43,13 @@ Status Fabric::Send(uint32_t from, uint32_t to, Message m) {
   }
   m.from = from;
   m.seq = 1 + send_seq_[from]->fetch_add(1, std::memory_order_relaxed);
-  // Flight-recorder mirror: node = sender, worker = destination node,
+  // The send's one event: node = sender, worker = destination node,
   // detail = wire bytes.
   obs::FlightRecorder* rec = options_.recorder;
   if (rec != nullptr) {
-    obs::TraceEvent ev;
-    ev.kind = obs::EventKind::kFabricSend;
-    ev.node = static_cast<int32_t>(from);
-    ev.worker = static_cast<int32_t>(to);
-    ev.op = static_cast<int32_t>(m.op);
-    ev.start_ns = ev.end_ns = rec->NowNs();
-    ev.detail = m.wire_bytes();
-    ev.query = options_.recorder_query;
-    rec->Record(ev);
+    rec->Instant(obs::EventKind::kFabricSend, options_.recorder_query,
+                 m.wire_bytes(), static_cast<int32_t>(from),
+                 static_cast<int32_t>(to), static_cast<int32_t>(m.op));
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);

@@ -39,10 +39,9 @@ struct FabricOptions {
   /// own traffic: a lost heartbeat is already just absence of signal,
   /// and counting it as a dropped message would flag clean runs).
   fault::FaultInjector* injector = nullptr;
-  /// Session flight recorder (obs/recorder.h): Send mirrors every message
+  /// Session flight recorder (obs/recorder.h): Send records every message
   /// as a kFabricSend instant — and injected drops/duplicates as
-  /// kFabricDrop/kFabricDup — into the always-on black box. Null = one
-  /// pointer check per Send.
+  /// kFabricDrop/kFabricDup. Null = one pointer check per Send.
   obs::FlightRecorder* recorder = nullptr;
   /// Query sequence tag for recorder events (0 = untagged).
   uint64_t recorder_query = 0;

@@ -99,6 +99,58 @@ void FlightRecorder::Write(Ring& r, const TraceEvent& ev) {
   recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void FlightRecorder::BeginTrace(uint64_t query) {
+  std::lock_guard<std::mutex> lock(trace_mu_);
+  traces_.push_back({query, NowNs(), {}});
+  trace_mask_.fetch_or(TraceBit(query), std::memory_order_relaxed);
+}
+
+bool FlightRecorder::Tracing(uint64_t query) const {
+  if (!MayTrace(query)) return false;
+  std::lock_guard<std::mutex> lock(trace_mu_);
+  return std::any_of(traces_.begin(), traces_.end(),
+                     [&](const Collection& c) { return c.query == query; });
+}
+
+std::vector<TraceEvent> FlightRecorder::EndTrace(uint64_t query) {
+  Collection done;
+  {
+    std::lock_guard<std::mutex> lock(trace_mu_);
+    uint64_t mask = 0;
+    for (auto it = traces_.begin(); it != traces_.end();) {
+      if (it->query == query) {
+        done = std::move(*it);
+        it = traces_.erase(it);
+      } else {
+        mask |= TraceBit(it->query);
+        ++it;
+      }
+    }
+    trace_mask_.store(mask, std::memory_order_relaxed);
+  }
+  // An instant another thread stamped just before BeginTrace but wrote
+  // after it (a deadline firing at dispatch) reads as time 0.
+  for (TraceEvent& ev : done.events) {
+    ev.start_ns -= std::min(ev.start_ns, done.t0);
+    ev.end_ns -= std::min(ev.end_ns, done.t0);
+  }
+  std::stable_sort(done.events.begin(), done.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.start_ns < b.start_ns;
+                   });
+  return std::move(done.events);
+}
+
+void FlightRecorder::Collect(const TraceEvent& ev) {
+  std::lock_guard<std::mutex> lock(trace_mu_);
+  for (Collection& c : traces_) {
+    if (c.query == ev.query) {
+      c.events.push_back(ev);
+      return;
+    }
+  }
+}
+
 std::vector<TraceEvent> FlightRecorder::Snapshot() const {
   std::vector<TraceEvent> out;
   if (!armed_) return out;

@@ -29,28 +29,6 @@ const char* EventKindName(EventKind k) {
   return "?";
 }
 
-std::vector<TraceEvent> TraceSink::Drain() {
-  std::vector<TraceEvent> out;
-  size_t total = 0;
-  for (const auto& v : per_slot_) total += v.size();
-  {
-    std::lock_guard<std::mutex> lock(shared_mu_);
-    total += shared_.size();
-    out.reserve(total);
-    for (auto& v : per_slot_) {
-      out.insert(out.end(), v.begin(), v.end());
-      v.clear();
-    }
-    out.insert(out.end(), shared_.begin(), shared_.end());
-    shared_.clear();
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start_ns < b.start_ns;
-                   });
-  return out;
-}
-
 uint64_t QueryTrace::TotalBusyNs() const {
   uint64_t busy = 0;
   for (const TraceEvent& e : events) {

@@ -1,26 +1,26 @@
-// Observability: per-operator execution tracing.
+// Observability: the event schema and per-query traces.
 //
 // The paper's claims are about *where time goes* — which operator a
 // processor works on, when work migrates, where a chain stalls. The
 // end-of-query counters (PipelineStats / ClusterStats / RunMetrics) sum
-// that story away. This module records it:
+// that story away. This module holds the schema that tells it:
 //
-//   TraceSink    a per-query recorder the executors write into. Each
-//                worker slot owns a private event buffer (appends are
-//                lock-free because a slot has exactly one owner at a
-//                time); rare events from non-worker threads (pool
-//                rent/return, scheduler-side steals) go through a small
-//                mutex-protected shared buffer. Executors keep per-
-//                (slot, operator) running aggregates (OpSpanAgg) while
-//                tracing is on and emit one span event per non-empty cell
-//                at run end, so the hot path costs two clock reads per
-//                activation when tracing is enabled and a single null
-//                check when it is not.
+//   TraceEvent   one event: an instant (steal, cache hit, pool rent,
+//                fault, ...) or a span (a worker's aggregate of one
+//                operator). Every event is written once, into the
+//                session's flight recorder (obs/recorder.h), tagged with
+//                its query's admission seq. Executors keep per-(slot,
+//                operator) running aggregates (OpSpanAgg) while their
+//                query is traced and write one span per non-empty cell at
+//                run end, so the hot path costs two clock reads per
+//                activation when tracing and a single null check when not.
 //
-//   QueryTrace   the drained, backend-neutral result: the compiled
-//                operator graph (TraceOp — labels, kinds, inputs,
-//                estimated vs actual cardinalities) plus the recorded
-//                events, unified across the three backends (the
+//   QueryTrace   a traced query's share of that stream: every event with
+//                its seq written during the attempt (collected by the
+//                recorder as it is written, so it is complete whatever
+//                the ring size), plus the compiled operator graph
+//                (TraceOp — labels, kinds, inputs, estimated vs actual
+//                cardinalities), unified across the three backends (the
 //                simulator's per-op end times convert into virtual-time
 //                spans with no instrumentation at all).
 //
@@ -31,9 +31,7 @@
 #ifndef HIERDB_OBS_TRACE_H_
 #define HIERDB_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,14 +44,12 @@ enum class EventKind : uint8_t {
   kCacheMiss,   ///< cacheable build executed locally
   kPoolRent,    ///< workers rented from the session pool
   kPoolReturn,  ///< rental returned
-  kFabricSend,  ///< tuple batch pushed onto the cluster fabric
+  kFabricSend,  ///< message sent on the cluster fabric (`detail` = bytes)
   kSchedule,    ///< admission: dispatch after `detail` ns queued
   kFault,       ///< injected faults fired during an attempt (`detail`)
   kRetry,       ///< scheduler re-dispatch; `detail` = attempt number
   kFallback,    ///< degraded to the fallback backend after retries
-  // Flight-recorder instants (obs/recorder.h): the always-on black box
-  // records the admission core, pool, fabric and executors with these in
-  // addition to the kinds above.
+  // Admission-core, worker-death and fabric-fault instants.
   kSubmit,         ///< query admitted; `detail` = query seq
   kDeadlineArm,    ///< deadline timer armed; `detail` = deadline ns
   kDeadlineFire,   ///< deadline expired (queued or mid-run)
@@ -109,55 +105,6 @@ struct OpSpanAgg {
   }
 };
 
-/// The per-query recorder. Created by the session when ExecOptions::trace
-/// is set, handed to the executor as a raw pointer (null = tracing off),
-/// drained after the run — including cancelled and failed runs, so a
-/// trace of a query that died is still inspectable.
-class TraceSink {
- public:
-  TraceSink() : t0_(std::chrono::steady_clock::now()) {}
-
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  /// Nanoseconds since sink creation (monotonic).
-  uint64_t NowNs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
-            .count());
-  }
-
-  /// Sizes the per-slot buffers. Called once by the executor before any
-  /// worker starts (single-threaded setup); growing never invalidates
-  /// previously recorded slots.
-  void EnsureSlots(uint32_t slots) {
-    if (per_slot_.size() < slots) per_slot_.resize(slots);
-  }
-  uint32_t slots() const { return static_cast<uint32_t>(per_slot_.size()); }
-
-  /// Lock-free append from the slot's owning thread.
-  void Record(uint32_t slot, const TraceEvent& ev) {
-    per_slot_[slot].push_back(ev);
-  }
-
-  /// Append from a thread that owns no slot (session, pool bookkeeping).
-  void RecordShared(const TraceEvent& ev) {
-    std::lock_guard<std::mutex> lock(shared_mu_);
-    shared_.push_back(ev);
-  }
-
-  /// Moves every recorded event out, sorted by start time. Call after all
-  /// recording threads have quiesced (the executor has returned).
-  std::vector<TraceEvent> Drain();
-
- private:
-  std::chrono::steady_clock::time_point t0_;
-  std::vector<std::vector<TraceEvent>> per_slot_;
-  std::mutex shared_mu_;
-  std::vector<TraceEvent> shared_;
-};
-
 /// One compiled operator in the trace's plan graph.
 struct TraceOp {
   uint32_t id = 0;
@@ -177,7 +124,8 @@ struct ChainCard {
   bool has_actual = false;  ///< false: backend could not measure (sim)
 };
 
-/// The drained, backend-neutral trace of one query execution.
+/// The backend-neutral trace of one query execution (timestamps are ns
+/// since the traced attempt began).
 struct QueryTrace {
   std::string backend;   ///< "sim" | "threads" | "cluster"
   std::string strategy;  ///< "DP" | "FP" | "SP"

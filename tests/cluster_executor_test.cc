@@ -250,15 +250,17 @@ TEST(Cluster, ProbeActivationsDoNotGrowWithBuckets) {
     o.buckets = buckets[i];
     o.batch_rows = 64;
     o.global_lb = false;
-    obs::TraceSink sink;
-    o.trace = &sink;
+    obs::FlightRecorder rec({});
+    rec.BeginTrace(1);
+    o.recorder = &rec;
+    o.recorder_query = 1;
     ClusterExecutor exec(o);
     auto got = exec.Execute(fx.query);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(got.value(), ref) << "buckets=" << buckets[i];
     // Ops of a 2-join chain: buildscans 0-1, builds 2-3, scan 4, probes
     // 5-6.
-    for (const obs::TraceEvent& ev : sink.Drain()) {
+    for (const obs::TraceEvent& ev : rec.EndTrace(1)) {
       if (ev.kind == obs::EventKind::kSpan && (ev.op == 5 || ev.op == 6)) {
         acts[i] += ev.activations;
       }

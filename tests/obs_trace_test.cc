@@ -1,7 +1,9 @@
 // Tests for the observability subsystem: per-operator tracing through
 // api::Session on all three backends, exporter well-formedness, the
-// cancelled-trace drain guarantee at the executor level, and the
-// continuous session metrics.
+// cancelled-trace guarantee at the executor level, a trace as the
+// query's share of the flight recorder's one event stream (every event
+// written once, concurrent traces kept apart, independent of the rings),
+// and the continuous session metrics.
 
 #include <algorithm>
 #include <atomic>
@@ -67,7 +69,7 @@ void CheckSpans(const obs::QueryTrace& t) {
   size_t spans = 0;
   uint64_t prev_start = 0;
   for (const obs::TraceEvent& ev : t.events) {
-    // Drain() sorts by start time.
+    // A trace is sorted by start time.
     EXPECT_GE(ev.start_ns, prev_start);
     prev_start = ev.start_ns;
     EXPECT_LE(ev.start_ns, ev.end_ns);
@@ -250,7 +252,7 @@ TEST(ObsTrace, ClusterTraceTagsNodesAndAggPhase) {
 }
 
 // The cancelled-trace guarantee lives at the executor layer: span cells
-// are flushed into the sink on every exit path, so a query stopped
+// are written into the recorder on every exit path, so a query stopped
 // mid-flight still leaves an inspectable trace.
 TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
   mt::Table fact = mt::MakeTable("fact", 400000, 3, 2000, 3);
@@ -262,14 +264,16 @@ TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
   chain.joins.push_back({mt::Source::OfTable(1), 1, 0});
   plan.chains.push_back(chain);
 
-  obs::TraceSink sink;
+  obs::FlightRecorder rec({});
+  rec.BeginTrace(1);
   std::atomic<bool> stop{false};
   ThreadSpawnContext ctx(&stop);
   mt::PipelineOptions po;
   po.threads = 2;
   po.morsel_rows = 512;  // many activations => cancel lands mid-run
   po.ctx = &ctx;
-  po.trace = &sink;
+  po.recorder = &rec;
+  po.recorder_query = 1;
   mt::PipelineExecutor executor(po);
   std::thread canceller([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
@@ -278,8 +282,8 @@ TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
   auto got = executor.Execute(plan, tables);
   canceller.join();
   // Whether the cancel won the race or the query finished first, the
-  // sink holds whatever ran, monotonic and well-formed.
-  std::vector<obs::TraceEvent> events = sink.Drain();
+  // trace holds whatever ran, monotonic and well-formed.
+  std::vector<obs::TraceEvent> events = rec.EndTrace(1);
   ASSERT_FALSE(events.empty());
   for (const obs::TraceEvent& ev : events) {
     EXPECT_LE(ev.start_ns, ev.end_ns);
@@ -288,6 +292,170 @@ TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
     EXPECT_EQ(got.status().code(), StatusCode::kCancelled)
         << got.status().ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// A trace is the query's share of the recorder's one event stream.
+
+size_t CountKind(const std::vector<obs::TraceEvent>& evs, obs::EventKind k) {
+  return static_cast<size_t>(
+      std::count_if(evs.begin(), evs.end(),
+                    [k](const obs::TraceEvent& e) { return e.kind == k; }));
+}
+
+/// An event's identity apart from its clock: the trace's timestamps are
+/// relative to its attempt, the rings' to the session.
+std::vector<uint64_t> EventKey(const obs::TraceEvent& e, uint64_t base) {
+  return {static_cast<uint64_t>(e.kind),
+          static_cast<uint64_t>(static_cast<int64_t>(e.node)),
+          static_cast<uint64_t>(static_cast<int64_t>(e.worker)),
+          static_cast<uint64_t>(static_cast<int64_t>(e.op)),
+          e.start_ns - base, e.end_ns - e.start_ns, e.activations, e.rows_in,
+          e.rows_out, e.detail, e.query};
+}
+
+// Every event is written once: one schedule, rent and return per attempt,
+// one cache instant per resolved build, all tagged with the query's seq,
+// and the black box holds exactly the trace's events, not a second copy.
+TEST(ObsTrace, EveryEventIsWrittenOnceAndTaggedWithItsQuery) {
+  for (Backend b : {Backend::kThreads, Backend::kCluster}) {
+    SCOPED_TRACE(BackendName(b));
+    Fixture f;
+    ExecOptions traced =
+        b == Backend::kThreads ? Opts(b, 1, 4) : Opts(b, 2, 2);
+    ExecOptions warm = traced;
+    warm.trace = false;
+    ASSERT_TRUE(f.db.Execute(f.Join2(), warm).ok());  // fills the cache
+    auto r = f.db.Execute(f.Join2(), traced);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const ExecutionReport& rep = r.value();
+    ASSERT_NE(rep.trace, nullptr);
+    const std::vector<obs::TraceEvent>& evs = rep.trace->events;
+    ASSERT_FALSE(evs.empty());
+    const uint64_t seq = evs.front().query;
+    EXPECT_GT(seq, 0u);
+    for (const obs::TraceEvent& ev : evs) {
+      EXPECT_EQ(ev.query, seq) << obs::EventKindName(ev.kind);
+    }
+    EXPECT_EQ(CountKind(evs, obs::EventKind::kSchedule), 1u);
+    EXPECT_EQ(CountKind(evs, obs::EventKind::kPoolRent), 1u);
+    EXPECT_EQ(CountKind(evs, obs::EventKind::kPoolReturn), 1u);
+    // Build-cache instants name a build op; a kCluster fragment-cache hit
+    // names the probe that reused a stolen bucket.
+    size_t build_cache = 0;
+    for (const obs::TraceEvent& ev : evs) {
+      if ((ev.kind == obs::EventKind::kCacheHit ||
+           ev.kind == obs::EventKind::kCacheMiss) &&
+          rep.trace->ops.at(static_cast<size_t>(ev.op)).kind == "build") {
+        ++build_cache;
+      }
+    }
+    EXPECT_GT(rep.build_cache_hits, 0u);
+    EXPECT_EQ(build_cache, rep.build_cache_hits + rep.build_cache_misses);
+
+    std::vector<obs::TraceEvent> flight;
+    for (const obs::TraceEvent& ev : f.db.recorder()->Snapshot()) {
+      // Admission precedes the attempt, so it is not in the trace.
+      if (ev.query == seq && ev.kind != obs::EventKind::kSubmit) {
+        flight.push_back(ev);
+      }
+    }
+    ASSERT_EQ(flight.size(), evs.size());
+    std::vector<std::vector<uint64_t>> want, got;
+    for (const obs::TraceEvent& ev : evs) {
+      want.push_back(EventKey(ev, evs.front().start_ns));
+    }
+    for (const obs::TraceEvent& ev : flight) {
+      got.push_back(EventKey(ev, flight.front().start_ns));
+    }
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(want, got);
+  }
+}
+
+// Traced and untraced queries overlap on four clients: each trace holds
+// its own query's events only, one attempt's worth.
+TEST(ObsTrace, ConcurrentTracesStaySeparate) {
+  SessionOptions so;
+  so.max_concurrent_queries = 4;
+  Fixture f(8000, so);
+  constexpr int kClients = 4, kPerClient = 6;
+  std::vector<std::vector<std::shared_ptr<const obs::QueryTrace>>> traces(
+      kClients);
+  std::vector<std::thread> clients;
+  std::atomic<int> failed{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kPerClient; ++i) {
+        ExecOptions o = Opts(c % 2 == 0 ? Backend::kThreads : Backend::kCluster,
+                             c % 2 == 0 ? 1 : 2, 2);
+        o.trace = (c + i) % 2 == 0;
+        auto r = f.db.Execute(f.Join2GroupBy(), o);
+        if (!r.ok() || (r.value().trace != nullptr) != o.trace) {
+          failed.fetch_add(1);
+          continue;
+        }
+        if (o.trace) traces[c].push_back(r.value().trace);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  std::vector<uint64_t> seqs;
+  for (const auto& per_client : traces) {
+    for (const auto& t : per_client) {
+      ASSERT_FALSE(t->events.empty());
+      const uint64_t seq = t->events.front().query;
+      seqs.push_back(seq);
+      for (const obs::TraceEvent& ev : t->events) {
+        ASSERT_EQ(ev.query, seq) << obs::EventKindName(ev.kind);
+      }
+      EXPECT_EQ(CountKind(t->events, obs::EventKind::kSchedule), 1u);
+      EXPECT_EQ(CountKind(t->events, obs::EventKind::kPoolRent), 1u);
+      EXPECT_EQ(CountKind(t->events, obs::EventKind::kPoolReturn), 1u);
+      EXPECT_GT(CountKind(t->events, obs::EventKind::kSpan), 0u);
+    }
+  }
+  EXPECT_EQ(seqs.size(), static_cast<size_t>(kClients * kPerClient / 2));
+  std::sort(seqs.begin(), seqs.end());
+  EXPECT_EQ(std::unique(seqs.begin(), seqs.end()), seqs.end());
+}
+
+// A trace is collected as its events are written, so neither a ring too
+// small to hold it, nor a ring pool too small for the threads, nor a
+// disarmed black box loses any of it.
+TEST(ObsTrace, TracesDoNotDependOnTheRings) {
+  auto spans = [](const SessionOptions& so, size_t* events) {
+    Fixture f(20000, so);
+    // One lane and no steal hook (SP): the same (slot, op) cells run every
+    // time, so the span count is a property of the plan.
+    ExecOptions o = Opts(Backend::kThreads, 1, 1);
+    o.strategy = Strategy::kSP;
+    o.reuse_builds = false;
+    auto r = f.db.Execute(f.Join2(), o);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok() || r.value().trace == nullptr) return size_t{0};
+    *events = r.value().trace->events.size();
+    return CountKind(r.value().trace->events, obs::EventKind::kSpan);
+  };
+  size_t events = 0;
+  const size_t want = spans(SessionOptions{}, &events);
+  EXPECT_GT(want, 0u);
+
+  SessionOptions tiny;
+  tiny.recorder_rings = 1;
+  tiny.recorder_ring_events = 8;
+  size_t tiny_events = 0;
+  EXPECT_EQ(spans(tiny, &tiny_events), want);
+  EXPECT_GT(tiny_events, 8u);  // more than the one ring could hold
+  EXPECT_EQ(tiny_events, events);
+
+  SessionOptions off;
+  off.flight_recorder = false;
+  size_t off_events = 0;
+  EXPECT_EQ(spans(off, &off_events), want);
+  EXPECT_EQ(off_events, events);
 }
 
 TEST(ObsTrace, MetricsSnapshotAndJsonlExport) {

@@ -126,32 +126,6 @@ TEST(HashGatherKernels, HashAndGatherMatchScalarDefinitions) {
   }
 }
 
-TEST(ColumnBatchShim, RoundTripAndProjectedGather) {
-  Batch b = RandomBatch(600, 4, 100, 11);
-
-  // FromBatch / ToBatch is the identity on the row-major data.
-  ColumnBatch cb = ColumnBatch::FromBatch(b);
-  EXPECT_EQ(cb.width(), b.width());
-  EXPECT_EQ(cb.rows(), b.rows());
-  Batch back = cb.ToBatch();
-  EXPECT_EQ(back.data(), b.data());
-
-  // Projection + selection in one gather.
-  SelVec sel;
-  std::vector<Predicate> preds = {{1, CmpOp::kGe, 50}};
-  size_t m = FilterBatch(b, 0, b.rows(), preds, &sel);
-  ASSERT_GT(m, 0u);
-  const uint32_t cols[2] = {3, 0};
-  ColumnBatch proj;
-  proj.GatherColumns(b, 0, sel.data(), m, cols, 2);
-  ASSERT_EQ(proj.width(), 2u);
-  ASSERT_EQ(proj.rows(), m);
-  for (size_t i = 0; i < m; ++i) {
-    EXPECT_EQ(proj.col(0)[i], b.at(sel[i], 3));
-    EXPECT_EQ(proj.col(1)[i], b.at(sel[i], 0));
-  }
-}
-
 TEST(ColumnStatsTest, MinMaxAndDistinctEstimates) {
   // Empty batch: zeroed stats.
   Batch empty(3);
