@@ -123,18 +123,22 @@ void BM_EngineSmallPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSmallPlan);
 
-// The batched probe kernel as the executors run it: a 200k-row fact with a
+// The batched probe as the executors run it: a 200k-row fact with a
 // Zipf(0.8) foreign key, in 1024-row probe batches, against a bucketed
-// build. Build shapes (range(1)): 0 = 1k unique keys at B = 64, 1 = 8k
-// unique keys at B = 128, 2 = 1k rows over 250 keys (four matches per
-// key) at B = 64. Consumers (range(0)): 0 = probe only, 1 = non-final
-// (joined batch_rows batches handed on), 2 = final digest and 3 = final
-// GROUP BY over joined batch_rows batches, 4 = final digest and 5 = final
-// GROUP BY fused (read from the match list, as the engine's terminal
-// probe runs them). Reports ns per probe row.
+// build, through the lookup the engine would choose (mt::ProbeBatch with
+// the one-node DenseIndex the build proves, or the chained tables when it
+// proves none). Build shapes (range(1)): 0 = 1k unique keys at B = 64 and
+// 1 = 8k unique keys at B = 128 take the index; 2 = 1k rows over 250 keys
+// (four matches per key) at B = 64 keeps the chained tables. Consumers
+// (range(0)): 0 = probe only, 1 = non-final (joined batch_rows batches
+// handed on), 2 = final digest and 3 = final GROUP BY over joined
+// batch_rows batches, 4 = final digest and 5 = final GROUP BY fused (read
+// from the match list, as the engine's terminal probe runs them). Reports
+// ns per probe row; `direct` is 1 when the index served the batches.
 struct ProbeFixture {
   std::vector<mt::RowTable> tables;
   uint32_t buckets = 0;
+  mt::DenseIndex dense;
   std::vector<mt::Batch> batches;
 };
 
@@ -151,6 +155,7 @@ ProbeFixture MakeProbeFixture(int64_t shape) {
                             static_cast<int64_t>(r)};
     f.tables[mt::HashKey(row[0]) % f.buckets].Insert(row);
   }
+  f.dense.Build(f.tables.data(), f.buckets, 0, 1);
   mt::Table fact = mt::MakeSkewedTable("fact", kFactRows, 3, keys, 1, 0.8, 5);
   for (size_t at = 0; at < kFactRows; at += kBatchRows) {
     mt::Batch b(3);
@@ -171,23 +176,21 @@ void BM_ProbeKernel(benchmark::State& state) {
   mt::AggTable agg(&spec);
   mt::AggTable::Scratch agg_scratch;
   std::vector<int64_t> keys;
-  std::vector<uint64_t> hashes;
   mt::ProbeScratch scratch;
   mt::Matches matches;
   mt::Batch joined;
   size_t rows = 0;
+  bool direct = false;
   for (auto _ : state) {
     mt::ResultDigest digest;
     uint64_t out_rows = 0;
     for (const mt::Batch& b : f.batches) {
       const size_t n = b.rows();
       keys.resize(n);
-      hashes.resize(n);
       mt::GatherStrided(b.data().data() + kProbeCol, b.width(), nullptr, n,
                         keys.data());
-      mt::HashStrided(keys.data(), 1, nullptr, n, hashes.data());
-      mt::ProbeMatches(f.tables.data(), f.buckets, keys.data(),
-                       hashes.data(), n, &scratch, &matches);
+      direct = mt::ProbeBatch(&f.dense, f.tables.data(), f.buckets,
+                              keys.data(), n, &scratch, &matches);
       rows += n;
       if (consumer == 0 || consumer >= 4) {
         out_rows += matches.size();
@@ -218,10 +221,33 @@ void BM_ProbeKernel(benchmark::State& state) {
   state.counters["per_row"] = benchmark::Counter(
       static_cast<double>(rows),
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["direct"] = direct ? 1 : 0;
 }
 BENCHMARK(BM_ProbeKernel)
     ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
+
+// The build's check and index for BM_ProbeKernel's unique shapes (range(0)
+// = 0: 1k keys at B = 64, 1: 8k keys at B = 128), over one node's home
+// buckets (range(1) nodes, node 0): what a completed build pays before
+// its probe unblocks. Reports ns per build row of the whole build.
+void BM_DenseIndexBuild(benchmark::State& state) {
+  const ProbeFixture f = MakeProbeFixture(state.range(0));
+  const auto nodes = static_cast<uint32_t>(state.range(1));
+  size_t rows = 0;
+  for (const mt::RowTable& t : f.tables) rows += t.rows();
+  size_t built = 0;
+  for (auto _ : state) {
+    mt::DenseIndex dense;
+    built += dense.Build(f.tables.data(), f.buckets, 0, nodes);
+    benchmark::DoNotOptimize(dense);
+  }
+  if (built != state.iterations()) state.SkipWithError("no index built");
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows * state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DenseIndexBuild)->ArgsProduct({{0, 1}, {1, 2, 4}});
 
 // Phase-1 GROUP BY alone: 200k rows (id, key, value) in 1,024-row batches,
 // the key over range(0) groups, uniform (range(1) = 0) or Zipf(0.8)

@@ -1725,6 +1725,8 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   rep.idle_waits = es.idle_waits;
   rep.build_cache_hits = es.build_cache_hits;
   rep.build_cache_misses = es.build_cache_misses;
+  rep.direct_probes = es.direct_probes;
+  rep.chained_probes = es.chained_probes;
   rep.agg_groups = es.agg_groups;
   rep.agg_partials = es.agg_partials;
   if (on_cluster) {

@@ -349,6 +349,11 @@ struct ExecutionReport {
   /// Real backends: chains not run because every build consuming their
   /// output hit the cache (their chain_cards carry no actual).
   uint32_t chains_reused = 0;
+  /// Real backends: probe batches served by a direct-address index (the
+  /// build proved its key unique and dense) and by the chained bucket
+  /// tables (mt::EngineStats::direct_probes / chained_probes).
+  uint64_t direct_probes = 0;
+  uint64_t chained_probes = 0;
 
   /// Real backends: rows dropped by scan-level Where predicates.
   uint64_t rows_filtered = 0;

@@ -386,19 +386,24 @@ struct ClusterExecutor::Impl {
   }
 
   /// Moves every node's home buckets of each join this run builds for
-  /// the cache into one B-bucket entry and publishes it. Only after a
-  /// successful run: the tables are complete once the chains terminated.
+  /// the cache, and each node's index over them, into one B-bucket entry
+  /// and publishes it. Only after a successful run: the tables are
+  /// complete once the chains terminated. Moving a table keeps its pool,
+  /// so the indexes' row pointers stay valid.
   void PublishBuilds() {
     const uint32_t N = opt.nodes;
     for (uint32_t g = 0; g < builds.publish.size(); ++g) {
       if (!builds.publish[g]) continue;
       builds.publish[g] = 0;
-      auto entry = std::make_shared<mt::BucketTables>(opt.buckets);
+      auto entry = std::make_shared<mt::JoinBuild>();
+      entry->tables.resize(opt.buckets);
+      entry->dense.resize(N);
       for (uint32_t n = 0; n < N; ++n) {
         mt::BucketTables local = nodes[n]->engine->TakeTables(g);
         for (uint32_t b = n; b < opt.buckets; b += N) {
-          (*entry)[b] = std::move(local[b]);
+          entry->tables[b] = std::move(local[b]);
         }
+        entry->dense[n] = nodes[n]->engine->TakeIndex(g);
       }
       opt.build_cache->Publish(builds.keys[g], std::move(entry));
     }

@@ -13,12 +13,6 @@ namespace {
 constexpr auto kWaitPoll = std::chrono::milliseconds(2);
 constexpr auto kWaitCap = std::chrono::seconds(5);
 
-uint64_t TablesBytes(const BucketTables& tables) {
-  uint64_t b = 0;
-  for (const RowTable& t : tables) b += t.bytes();
-  return b;
-}
-
 uint64_t Mix(uint64_t h, uint64_t v) {
   h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
   return h;
@@ -144,7 +138,7 @@ BuildCache::Acquired BuildCache::Acquire(
 }
 
 void BuildCache::Publish(const BuildKey& key,
-                         std::shared_ptr<const BucketTables> tables) {
+                         std::shared_ptr<const JoinBuild> tables) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.insertions;
   auto [it, inserted] = map_.try_emplace(key);
@@ -155,7 +149,7 @@ void BuildCache::Publish(const BuildKey& key,
     lru_.erase(e.lru);
   }
   e.building = false;
-  e.bytes = TablesBytes(*tables);
+  e.bytes = tables->bytes();
   e.tables = std::move(tables);
   lru_.push_front(key);
   e.lru = lru_.begin();

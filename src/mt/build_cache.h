@@ -28,10 +28,18 @@
 // `seed/skew` folds in the synthesis parameters for catalog-only
 // relations bound at plan time (two queries share a synthesized build
 // only when seed, skew and bind scale all match). BuildCacheKeyFor is the
-// one definition of both key kinds. An entry holds all `buckets` tables
-// whichever backend built it: the threads executor builds them in one
-// address space, the cluster executor publishes its nodes' home buckets
-// as one entry and each node reads only its home buckets of a hit.
+// one definition of both key kinds.
+//
+// An entry (JoinBuild) holds all `buckets` tables whichever backend built
+// it: the threads executor builds them in one address space, the cluster
+// executor publishes its nodes' home buckets as one entry and each node
+// reads only its home buckets of a hit. Beside the tables it holds, per
+// node of the layout that published it, that node's direct-address index
+// over its home buckets (mt/row_table.h: DenseIndex; unbuilt where the
+// build did not prove its key unique and dense). A hit from the same node
+// count probes through those indexes and builds nothing; a hit from
+// another node count builds its own per query and does not store it, so
+// an entry never changes after Publish.
 //
 // A session owns one cache; both real executors (mt::PipelineExecutor,
 // cluster::ClusterExecutor) consult it through mt::ResolveBuilds
@@ -58,7 +66,8 @@
 // Capacity is bounded by an optional byte budget (SetByteBudget,
 // SessionOptions::build_cache_bytes): published entries are kept on an
 // LRU list ordered by last hit, and publishing evicts least-recently-hit
-// entries until the resident hash-table bytes fit the budget again (the
+// entries until the resident bytes (every entry's tables and indexes,
+// JoinBuild::bytes) fit the budget again (the
 // newest entry itself is never evicted, so a single oversized build still
 // serves its own stream). Session::AddTable clears the cache
 // (conservative invalidation; content-hash keys would stay correct,
@@ -123,6 +132,22 @@ struct BuildKeyHash {
 /// One join's per-bucket hash tables, sized to BuildKey::buckets.
 using BucketTables = std::vector<RowTable>;
 
+/// One join's completed build as the cache shares it (see the header
+/// comment): the bucket tables and, per node of the publishing layout,
+/// that node's index over its home buckets.
+struct JoinBuild {
+  BucketTables tables;
+  std::vector<DenseIndex> dense;  ///< [node]
+
+  /// Resident bytes: every table and every index.
+  uint64_t bytes() const {
+    uint64_t b = 0;
+    for (const RowTable& t : tables) b += t.bytes();
+    for (const DenseIndex& d : dense) b += d.bytes();
+    return b;
+  }
+};
+
 /// The one definition of which builds are cacheable and what they key on
 /// (see the header comment), shared by every executor path: they must stay
 /// field-for-field identical or they stop sharing entries. `table_ids`
@@ -146,14 +171,14 @@ class BuildCache {
                                  ///< in-flight build instead of rebuilding
     uint64_t evictions = 0;      ///< entries dropped by the byte budget
     uint64_t entries = 0;        ///< snapshot: published entries
-    uint64_t bytes = 0;          ///< snapshot: resident hash-table bytes
+    uint64_t bytes = 0;          ///< snapshot: resident JoinBuild bytes
   };
 
   /// What Acquire resolved the key to.
   struct Acquired {
     /// Non-null: a published entry (hit — possibly after waiting out
     /// another query's in-flight build).
-    std::shared_ptr<const BucketTables> tables;
+    std::shared_ptr<const JoinBuild> tables;
     /// True: the caller owns the in-flight entry and must Publish or
     /// Abandon it. False with null tables: build solo, do not publish
     /// (the wait was cancelled or timed out).
@@ -172,9 +197,8 @@ class BuildCache {
                    const std::function<bool()>& cancelled = nullptr,
                    bool allow_wait = true);
 
-  /// Publishes a builder's completed tables and wakes the key's waiters.
-  void Publish(const BuildKey& key,
-               std::shared_ptr<const BucketTables> tables);
+  /// Publishes a builder's completed build and wakes the key's waiters.
+  void Publish(const BuildKey& key, std::shared_ptr<const JoinBuild> tables);
 
   /// Drops an in-flight entry whose builder will not publish; the next
   /// waiter becomes the builder. No-op once the key is published.
@@ -191,7 +215,7 @@ class BuildCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const BucketTables> tables;  ///< null while building
+    std::shared_ptr<const JoinBuild> tables;  ///< null while building
     bool building = true;
     uint64_t bytes = 0;
     std::list<BuildKey>::iterator lru;  ///< valid once published

@@ -411,6 +411,16 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
       }
     }
   }
+  // A hit published by another node count carries no index for this
+  // node's home buckets: check them for this run (Start unblocks the
+  // probe). A local build gets its index when its build op terminates.
+  dense_.resize(njoins_);
+  for (uint32_t g = 0; g < njoins_; ++g) {
+    const auto& shared = builds_->tables[g];
+    if (shared != nullptr && shared->dense.size() != cfg_.nodes) {
+      dense_[g].Build(shared->tables.data(), B, cfg_.node, cfg_.nodes);
+    }
+  }
 
   for (uint32_t g = T; g < slots_; ++g) guest_free_.push_back(g);
   outbox_.resize(slots_);
@@ -451,12 +461,25 @@ void NodeEngine::AddPending(uint32_t op, int64_t delta) {
 
 const RowTable* NodeEngine::JoinTables(uint32_t join) const {
   const auto& shared = builds_->tables[join];
-  return shared != nullptr ? shared->data() : tables_[join].data();
+  return shared != nullptr ? shared->tables.data() : tables_[join].data();
+}
+
+const DenseIndex& NodeEngine::JoinIndex(uint32_t join) const {
+  const auto& shared = builds_->tables[join];
+  return shared != nullptr && shared->dense.size() == cfg_.nodes
+             ? shared->dense[cfg_.node]
+             : dense_[join];
 }
 
 BucketTables NodeEngine::TakeTables(uint32_t join) {
   BucketTables out = std::move(tables_[join]);
   tables_[join] = BucketTables{};
+  return out;
+}
+
+DenseIndex NodeEngine::TakeIndex(uint32_t join) {
+  DenseIndex out = std::move(dense_[join]);
+  dense_[join] = DenseIndex{};
   return out;
 }
 
@@ -532,6 +555,13 @@ void NodeEngine::Terminate(uint32_t op_id) {
         part = Batch();
       }
       chain_outputs_[op.chain] = std::move(merged);
+    }
+    // A completed build is checked for a unique, dense key over this
+    // node's home buckets before its probe can unblock (and before the
+    // link may publish the index with the tables).
+    if (op.kind == Kind::kBuild) {
+      dense_[op.join].Build(tables_[op.join].data(), opt_.buckets, cfg_.node,
+                            cfg_.nodes);
     }
     link_->OnTerminating(op_id);
     op.terminated.store(true);
@@ -1010,12 +1040,16 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
     return;
   }
 
-  // Probe. A mixed batch looks each row up in its own bucket's table; a
-  // stolen piece uses the one table of its bucket (homed here, or a
-  // fragment acquired with it).
+  // Probe. A mixed batch looks its keys up in the join's direct-address
+  // index when the build proved one, else each row in its own bucket's
+  // table; a stolen piece uses the one table of its bucket (homed here,
+  // or a fragment acquired with it).
   const RowTable* tables = JoinTables(op.join);
+  const DenseIndex* dense = nullptr;
   uint32_t ntables = opt_.buckets;
-  if (act.bucket != kMixed) {
+  if (act.bucket == kMixed) {
+    dense = &JoinIndex(op.join);
+  } else {
     tables = HomeOf(act.bucket) == cfg_.node
                  ? tables + act.bucket
                  : link_->Fragment(op.join, act.bucket);
@@ -1031,16 +1065,16 @@ void NodeEngine::ExecuteData(uint32_t slot, Activation&& act) {
   const uint32_t in_w = act.rows.width();
   const uint32_t build_w = width_at_[op.chain][op.step + 1] - in_w;
   Scratch& sc = AcquireScratch(slot);
-  // Gather the key column, hash it in one pass, and turn the whole batch
-  // into one match list; the consumers below work on that list in bulk.
+  // Gather the key column and turn the whole batch into one match list;
+  // the consumers below work on that list in bulk.
   const size_t n = act.rows.rows();
   sc.keys.resize(n);
-  sc.hashes.resize(n);
   GatherStrided(act.rows.data().data() + js.probe_col, in_w, nullptr, n,
                 sc.keys.data());
-  HashStrided(sc.keys.data(), 1, nullptr, n, sc.hashes.data());
-  ProbeMatches(tables, ntables, sc.keys.data(), sc.hashes.data(), n,
-               &sc.probe, &sc.matches);
+  const bool direct = ProbeBatch(dense, tables, ntables, sc.keys.data(), n,
+                                 &sc.probe, &sc.matches);
+  (direct ? stat_direct_ : stat_chained_)
+      .fetch_add(1, std::memory_order_relaxed);
   const Matches& matches = sc.matches;
   const uint64_t produced = matches.size();
   // Output of probe step s (0-based) = capture point s + 1.
@@ -1257,6 +1291,8 @@ void NodeEngine::AddStats(EngineStats* s) const {
   s->idle_waits += stat_idle_.load();
   s->fp_safety_escapes += stat_fp_safety_.load();
   s->rows_filtered += stat_filtered_.load();
+  s->direct_probes += stat_direct_.load();
+  s->chained_probes += stat_chained_.load();
   for (size_t c = 0; c < s->rows_per_chain.size(); ++c) {
     for (uint32_t slot = 0; slot < slots_; ++slot) {
       s->rows_per_chain[c] += chain_rows_[c * slots_ + slot];

@@ -47,8 +47,18 @@
 // Operator bodies. A morsel filters, projects, and splits its rows by
 // destination node (scan: the first join key's home node; buildscan: the
 // bucket, homed at bucket mod nodes). A probe batch becomes one match list
-// (ProbeMatches). A non-final probe joins it in chunks of at most
-// batch_rows rows and routes each chunk to the next join key's home node.
+// (ProbeBatch, mt/row_table.h). When a join's build completes on this
+// node (its build op terminates, or the build cache hands it over at
+// construction), the engine checks, before the probe can become
+// consumable, whether the key is unique and dense over this node's home
+// buckets; if so, a mixed probe batch looks its keys up in that
+// direct-address index (no hash, no chain walk). A cache hit carries the
+// index of its publishing layout; a hit from another node count gets its
+// own for this run. A stolen piece (one bucket, a fragment) and a build
+// that failed the check keep the chained tables. EngineStats counts the
+// probe batches each lookup served. A non-final probe joins the match
+// list in chunks of at most batch_rows rows and routes each chunk to the
+// next join key's home node.
 // A terminal probe hands the match list itself to its consumer: the final
 // digest (ResultDigest::AddJoined) and the GROUP BY partial
 // (AggTable::AccumulateJoined) read probe and build rows in place, and
@@ -164,8 +174,8 @@ std::vector<uint32_t> ChainOpBases(const PipelinePlan& plan);
 /// One run's build-cache resolution, indexed by global join id and by
 /// chain.
 struct ResolvedBuilds {
-  /// Non-null: the join's bucket tables, shared from the cache (a hit).
-  std::vector<std::shared_ptr<const BucketTables>> tables;
+  /// Non-null: the join's build, shared from the cache (a hit).
+  std::vector<std::shared_ptr<const JoinBuild>> tables;
   /// Set: this run is the builder of keys[join] and must Publish it or
   /// Abandon it.
   std::vector<char> publish;
@@ -214,6 +224,11 @@ struct EngineStats {
   uint64_t agg_partials = 0;      ///< partial-table entries merged
   uint64_t build_cache_hits = 0;  ///< builds satisfied from the shared cache
   uint64_t build_cache_misses = 0;///< cacheable builds executed by this run
+  /// Probe batches looked up through a direct-address index (the build
+  /// proved its key unique and dense) and through the chained bucket
+  /// tables (it did not, or the batch was a stolen piece).
+  uint64_t direct_probes = 0;
+  uint64_t chained_probes = 0;
   /// Per chain: elided because every build consuming it hit the cache
   /// (rows_per_chain then reads 0 without having been measured).
   std::vector<bool> chain_reused;
@@ -382,6 +397,9 @@ class NodeEngine {
   /// Moves this node's locally built tables of `join` out (B entries,
   /// home buckets filled).
   BucketTables TakeTables(uint32_t join);
+  /// Moves this node's index over those home buckets out (unbuilt when
+  /// the key was not unique and dense).
+  DenseIndex TakeIndex(uint32_t join);
 
   // ---- results ----
   /// This node's output of chain `c` (complete once its terminal op
@@ -406,6 +424,10 @@ class NodeEngine {
   class Queue;
 
   const RowTable* JoinTables(uint32_t join) const;
+  /// The direct-address index a mixed probe batch of `join` uses on this
+  /// node: the shared entry's for this node when its layout matches,
+  /// else this engine's own (either may be unbuilt).
+  const DenseIndex& JoinIndex(uint32_t join) const;
   void ResolveSourceLocked(Op& op);
   /// Makes every op whose blockers all terminated consumable.
   void UnblockLocked();
@@ -477,10 +499,13 @@ class NodeEngine {
   std::deque<Activation> inbox_;
   uint32_t rx_hint_ = 0;
 
-  // Per join: B bucket tables (home buckets initialized and filled) and
-  // the home buckets' insert locks ([bucket / nodes]).
+  // Per join: B bucket tables (home buckets initialized and filled), the
+  // home buckets' insert locks ([bucket / nodes]) and the index over them
+  // (or over a hit's home buckets when the hit carries none for this
+  // layout), built before the join's probe becomes consumable.
   std::vector<BucketTables> tables_;
   std::vector<std::unique_ptr<std::mutex[]>> bucket_mu_;
+  std::vector<DenseIndex> dense_;
 
   // Per-slot state.
   std::vector<std::deque<Activation>> outbox_;
@@ -516,6 +541,8 @@ class NodeEngine {
   std::atomic<uint64_t> stat_idle_{0};
   std::atomic<uint64_t> stat_fp_safety_{0};
   std::atomic<uint64_t> stat_filtered_{0};
+  std::atomic<uint64_t> stat_direct_{0};
+  std::atomic<uint64_t> stat_chained_{0};
 };
 
 }  // namespace hierdb::mt

@@ -25,7 +25,9 @@ class OneNodeLink final : public NodeEngine::Link {
     const uint32_t g = engine_->JoinOf(op);
     if (!builds_->publish[g]) return;
     builds_->publish[g] = 0;
-    auto published = std::make_shared<BucketTables>(engine_->TakeTables(g));
+    auto published = std::make_shared<JoinBuild>();
+    published->tables = engine_->TakeTables(g);
+    published->dense.push_back(engine_->TakeIndex(g));
     builds_->tables[g] = published;
     cache_->Publish(builds_->keys[g], std::move(published));
   }

@@ -1,26 +1,34 @@
-// Chained hash table over one column of fixed-width rows — the per-bucket
-// build table of the general pipeline executor — and the batched probe
-// kernel both real backends run over it.
+// The build side of the real backends' joins and the batched probe
+// kernels both of them run over it.
 //
-// It is the one build layout of the real backends: the node engine's
-// bucket tables under every strategy, the build cache and the cluster's
-// bucket fragments (shipped and stolen fragments are rebuilt through
-// Insert). A row's chain is
-// SlotOf(HashKey(key), heads) (mt/hash.h), the top bits of the hash: a
-// bucket holds the keys with HashKey % B == b, so low-bit slots would
-// leave a bucket table on heads / B of its chains.
-//
-// Rows live in a flat pool (append-only during the build phase); chains
-// are index-linked. One bucket's table is written under the executor's
+// RowTable, a chained hash table over one column of fixed-width rows, is
+// the storage of every build: the node engine's bucket tables under
+// every strategy, the build cache and the cluster's bucket fragments
+// (shipped and stolen fragments are rebuilt through Insert). A row's
+// chain is SlotOf(HashKey(key), heads) (mt/hash.h), the top bits of the
+// hash: a bucket holds the keys with HashKey % B == b, so low-bit slots
+// would leave a bucket table on heads / B of its chains. Rows live in a
+// flat pool (append-only during the build phase); chains are
+// index-linked. One bucket's table is written under the executor's
 // per-bucket exclusivity and probed read-only afterwards, so no internal
 // synchronization is needed.
 //
-// Probing: ProbeMatches turns a whole probe batch into one match list
-// without a data-dependent branch. JoinMatches / ForEachJoinedChunk turn
-// a range of that list into joined rows in bulk where rows are stored or
-// shipped; JoinedMatches views it as joined rows for consumers that only
-// read them (the final digest and GROUP BY). Only the tests look keys
-// up one at a time, through ForEachMatch, as the probe kernel's oracle.
+// DenseIndex is the lookup a completed build may add on top of its
+// tables: when the build key of a node's home buckets is unique and
+// dense, slot[key - min] holds the key's one build row (a pointer into
+// the tables' pools) or null. The build proves both properties exactly
+// (DenseIndex::Build); a build that fails either keeps the chained
+// lookup, so a wrong guess costs speed, never a row.
+//
+// Probing: ProbeBatch turns a whole probe batch into one match list
+// through the index when the build has one (one branch-free round, no
+// hash) and through ProbeMatches over the chained tables otherwise (one
+// hash pass, then a branch-free walk of every chain). JoinMatches /
+// ForEachJoinedChunk turn a range of that list into joined rows in bulk
+// where rows are stored or shipped; JoinedMatches views it as joined rows
+// for consumers that only read them (the final digest and GROUP BY). Only
+// the tests look keys up one at a time, through ForEachMatch, as the
+// probe kernels' oracle.
 
 #ifndef HIERDB_MT_ROW_TABLE_H_
 #define HIERDB_MT_ROW_TABLE_H_
@@ -47,8 +55,10 @@ struct Matches {
   size_t size() const { return count; }
 };
 
-/// ProbeMatches's active-row lists, reused across probe batches.
+/// ProbeBatch's key hashes and ProbeMatches's active-row lists, reused
+/// across probe batches.
 struct ProbeScratch {
+  std::vector<uint64_t> hash;          ///< HashKey of each probe key
   std::vector<uint32_t> row;           ///< probe row index
   std::vector<uint32_t> entry;         ///< chain link to visit next
   std::vector<const RowTable*> table;  ///< table that chain belongs to
@@ -98,6 +108,7 @@ class RowTable {
 
   size_t rows() const { return width_ == 0 ? 0 : pool_.size() / width_; }
   uint32_t width() const { return width_; }
+  uint32_t key_col() const { return key_col_; }
   uint64_t bytes() const {
     return pool_.size() * sizeof(int64_t) +
            (next_.size() + heads_.size()) * sizeof(uint32_t);
@@ -195,6 +206,129 @@ inline void ProbeMatches(const RowTable* tables, uint32_t buckets,
     active = next;
   }
   out->count = m;
+}
+
+/// Direct-address lookup over a build whose key is unique and dense:
+/// slot[key - min] is the key's one build row, or null.
+///
+/// Sizing. A node's home buckets hold a hash-random 1/N of the build's
+/// keys, so a dense key range (a dimension's id column) leaves them at
+/// density about 1, 1/2 and 1/4 on 1, 2 and 4 nodes: their span is the
+/// whole range. The density floor admits a span of up to kSpanPerRow
+/// slots per row plus kSpanSlack, twice the 4-node span, so hash noise
+/// over a small build does not flip the decision; the slack covers
+/// builds of a few rows. At the floor an index costs 64 bytes per build
+/// row (a width-2 RowTable costs 22 to 24); at density 1 it costs 8. The
+/// memory cap, kMaxSlots (32 MiB of slots), bounds one index whatever the
+/// row count.
+class DenseIndex {
+ public:
+  static constexpr uint64_t kSpanPerRow = 8;
+  static constexpr uint64_t kSpanSlack = 64;
+  static constexpr uint64_t kMaxSlots = uint64_t{1} << 22;
+
+  /// Indexes the rows of tables[first], tables[first + stride], ... below
+  /// `count` (a node's home buckets: first = node, stride = nodes) when
+  /// their keys are pairwise distinct and their span fits the density
+  /// floor and the memory cap; returns whether it did. Otherwise, and for
+  /// a build of no rows, the index stays unbuilt. The row pointers point
+  /// into the tables' pools, so the tables must outlive the index and
+  /// receive no further Insert (moving a table keeps its pool).
+  bool Build(const RowTable* tables, uint32_t count, uint32_t first,
+             uint32_t stride) {
+    slot_ = {};
+    size_t rows = 0;
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    ForEachRow(tables, count, first, stride, [&](const int64_t*,
+                                                  int64_t key) {
+      lo = std::min(lo, key);
+      hi = std::max(hi, key);
+      ++rows;
+    });
+    if (rows == 0) return false;
+    // hi - lo in uint64_t is exact for any pair; the span is one more,
+    // which overflows only when it is 2^64 (and the cap rejects it first).
+    const uint64_t last = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    if (last >= kMaxSlots || last >= kSpanPerRow * rows + kSpanSlack) {
+      return false;
+    }
+    std::vector<const int64_t*> slot(last + 1, nullptr);
+    const uint64_t base = static_cast<uint64_t>(lo);
+    bool duplicate = false;
+    ForEachRow(tables, count, first, stride, [&](const int64_t* row,
+                                                  int64_t key) {
+      const int64_t*& s = slot[static_cast<uint64_t>(key) - base];
+      duplicate |= s != nullptr;
+      s = row;
+    });
+    if (duplicate) return false;
+    min_ = base;
+    slot_ = std::move(slot);
+    return true;
+  }
+
+  bool built() const { return !slot_.empty(); }
+  uint64_t bytes() const { return slot_.capacity() * sizeof(const int64_t*); }
+
+  /// Fills `out` with every (i, build row) whose key equals keys[i], i in
+  /// [0, n), in probe order: one round, no data-dependent branch (a key
+  /// outside the span reads slot 0 and is then masked out). Pre: built().
+  void Probe(const int64_t* keys, size_t n, Matches* out) const {
+    if (out->probe.size() < n) {
+      out->probe.resize(n);
+      out->build.resize(n);
+    }
+    uint32_t* probe = out->probe.data();
+    const int64_t** build = out->build.data();
+    const int64_t* const* slot = slot_.data();
+    const uint64_t span = slot_.size();
+    size_t m = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t off = static_cast<uint64_t>(keys[i]) - min_;
+      const bool in = off < span;
+      const int64_t* row = slot[in ? off : 0];
+      row = in ? row : nullptr;
+      probe[m] = static_cast<uint32_t>(i);
+      build[m] = row;
+      m += row != nullptr;
+    }
+    out->count = m;
+  }
+
+ private:
+  template <typename Fn>
+  static void ForEachRow(const RowTable* tables, uint32_t count,
+                         uint32_t first, uint32_t stride, Fn&& fn) {
+    for (uint32_t b = first; b < count; b += stride) {
+      const RowTable& t = tables[b];
+      const int64_t* row = t.pool().data();
+      for (size_t r = 0; r < t.rows(); ++r, row += t.width()) {
+        fn(row, row[t.key_col()]);
+      }
+    }
+  }
+
+  uint64_t min_ = 0;  ///< the smallest key, as uint64_t
+  std::vector<const int64_t*> slot_;
+};
+
+/// The probe of one batch through the lookup its build chose: the
+/// direct-address index when `dense` is non-null and built, else
+/// ProbeMatches over `buckets` chained tables after one hash pass over
+/// the keys. Returns whether the index served it. The engine and the
+/// probe microbench both call this, so they make the same choice.
+inline bool ProbeBatch(const DenseIndex* dense, const RowTable* tables,
+                       uint32_t buckets, const int64_t* keys, size_t n,
+                       ProbeScratch* scratch, Matches* out) {
+  if (dense != nullptr && dense->built()) {
+    dense->Probe(keys, n, out);
+    return true;
+  }
+  if (scratch->hash.size() < n) scratch->hash.resize(n);
+  uint64_t* hash = scratch->hash.data();
+  for (size_t i = 0; i < n; ++i) hash[i] = HashKey(keys[i]);
+  ProbeMatches(tables, buckets, keys, hash, n, scratch, out);
+  return false;
 }
 
 /// Every match of `matches` as a joined-row view over `probe` and the

@@ -28,13 +28,15 @@ BuildKey Key(uint64_t table) {
   return k;
 }
 
-/// Bucket tables holding `rows` two-column rows (known, nonzero bytes).
-std::shared_ptr<const BucketTables> MakeTables(size_t rows) {
-  auto out = std::make_shared<BucketTables>(4);
-  for (RowTable& t : *out) t.Init(2, 0);
+/// A build of four bucket tables holding `rows` two-column rows (known,
+/// nonzero bytes) and no index.
+std::shared_ptr<const JoinBuild> MakeTables(size_t rows) {
+  auto out = std::make_shared<JoinBuild>();
+  out->tables.resize(4);
+  for (RowTable& t : out->tables) t.Init(2, 0);
   for (size_t i = 0; i < rows; ++i) {
     int64_t row[2] = {static_cast<int64_t>(i), 1};
-    (*out)[i % 4].Insert(row);
+    out->tables[i % 4].Insert(row);
   }
   return out;
 }
@@ -100,8 +102,7 @@ TEST(BuildCacheDedup, CancelledWaiterProceedsSolo) {
 TEST(BuildCacheLru, ByteBudgetEvictsLeastRecentlyHit) {
   BuildCache cache;
   auto tables = MakeTables(64);
-  uint64_t one = 0;
-  for (const RowTable& t : *tables) one += t.bytes();
+  const uint64_t one = tables->bytes();
   cache.SetByteBudget(one * 2 + one / 2);  // room for two entries
 
   auto a = cache.Acquire(Key(10));
@@ -144,6 +145,43 @@ TEST(BuildCacheLru, OversizedEntryIsKeptAlone) {
   auto s = cache.stats();
   EXPECT_EQ(s.entries, 1u);
   EXPECT_GE(s.evictions, 1u);
+}
+
+/// MakeTables(rows) with the one-node index over its tables (rows keyed
+/// 0..rows-1: unique and dense).
+std::shared_ptr<const JoinBuild> MakeIndexedTables(size_t rows) {
+  auto out = std::make_shared<JoinBuild>(*MakeTables(rows));
+  out->dense.resize(1);
+  EXPECT_TRUE(out->dense[0].Build(out->tables.data(), 4, 0, 1));
+  return out;
+}
+
+// An entry's resident bytes are its tables' and its indexes': a budget
+// that holds two entries' tables but not their indexes evicts, and one
+// byte more does not.
+TEST(BuildCacheLru, IndexBytesCountTowardTheBudget) {
+  const auto sample = MakeIndexedTables(64);
+  uint64_t table_bytes = 0;
+  for (const RowTable& t : sample->tables) table_bytes += t.bytes();
+  const uint64_t one = sample->bytes();
+  ASSERT_EQ(one, table_bytes + sample->dense[0].bytes());
+  ASSERT_GT(sample->dense[0].bytes(), 0u);
+  for (uint64_t budget : {2 * one - 1, 2 * one}) {
+    SCOPED_TRACE(budget);
+    ASSERT_GE(budget, 2 * table_bytes);
+    BuildCache cache;
+    cache.SetByteBudget(budget);
+    ASSERT_TRUE(cache.Acquire(Key(40)).builder);
+    cache.Publish(Key(40), MakeIndexedTables(64));
+    ASSERT_TRUE(cache.Acquire(Key(41)).builder);
+    cache.Publish(Key(41), MakeIndexedTables(64));
+    const auto s = cache.stats();
+    const bool over = 2 * one > budget;
+    EXPECT_EQ(s.evictions, over ? 1u : 0u);
+    EXPECT_EQ(s.entries, over ? 1u : 2u);
+    EXPECT_EQ(s.bytes, over ? one : 2 * one);
+    EXPECT_NE(cache.Acquire(Key(41)).tables, nullptr);  // newest stays
+  }
 }
 
 TEST(BuildCacheDedup, ClearWakesWaitersAsBuilders) {
@@ -610,6 +648,83 @@ TEST(BuildCacheReuse, FaultedClusterAttemptPublishesNothing) {
   api::ExecutionReport reused = RunMatching(s.db, q, o, "reused");
   EXPECT_EQ(reused.chains_reused, 2u);
   EXPECT_EQ(reused.result_checksum, fresh.result_checksum);
+}
+
+// The direct-address index follows the key set through refreshes: a
+// unique dim takes it, a refreshed version with a duplicated key falls
+// back, a refreshed unique version over shifted keys takes it again; a
+// cache hit serves the published index. Every answer is the reference's.
+TEST(BuildCacheReuse, RefreshBetweenQueriesChangesTheKeySet) {
+  for (const Backend& be : kBackends) {
+    SCOPED_TRACE(be.name);
+    api::Session db;
+    const catalog::RelId fact = db.AddTable(MakeTable("F", 6000, 2, 400, 81));
+    const catalog::RelId v1 = db.AddTable(MakeTable("D", 400, 2, 10, 82));
+    const api::ExecOptions o = Opts(be);
+    const bool threads = be.backend == api::Backend::kThreads;
+    auto query = [&](catalog::RelId dim) {
+      return db.NewQuery().Scan(fact).Probe(dim, 1, 0).Build();
+    };
+
+    api::ExecutionReport first = RunMatching(db, query(v1), o, "v1");
+    EXPECT_GT(first.direct_probes, 0u);
+    if (threads) EXPECT_EQ(first.chained_probes, 0u);
+    api::ExecutionReport hit = RunMatching(db, query(v1), o, "v1 again");
+    EXPECT_EQ(hit.build_cache_hits, 1u);
+    EXPECT_GT(hit.direct_probes, 0u);
+    if (threads) EXPECT_EQ(hit.chained_probes, 0u);
+
+    Table dup = MakeTable("D", 400, 2, 10, 83);
+    dup.batch.data()[399 * 2] = 11;  // key 11 twice
+    const catalog::RelId v2 = db.AddTable(dup);
+    api::ExecutionReport fallback = RunMatching(db, query(v2), o, "v2");
+    EXPECT_EQ(fallback.build_cache_hits, 0u);
+    EXPECT_GT(fallback.chained_probes, 0u);
+    api::ExecutionReport fallback_hit =
+        RunMatching(db, query(v2), o, "v2 again");
+    EXPECT_EQ(fallback_hit.build_cache_hits, 1u);
+    EXPECT_GT(fallback_hit.chained_probes, 0u);
+
+    Table shifted = MakeTable("D", 400, 2, 10, 84);
+    for (size_t r = 0; r < shifted.rows(); ++r) {
+      shifted.batch.data()[r * 2] += 150;  // keys 150..549
+    }
+    const catalog::RelId v3 = db.AddTable(shifted);
+    api::ExecutionReport moved = RunMatching(db, query(v3), o, "v3");
+    EXPECT_GT(moved.direct_probes, 0u);
+    if (threads) EXPECT_EQ(moved.chained_probes, 0u);
+    EXPECT_LT(moved.result_rows, first.result_rows);
+  }
+}
+
+// An entry carries the indexes of the node count that published it. A
+// hit from another node count (same fragmentation) indexes its own home
+// buckets for the run, and stores nothing into the shared entry.
+TEST(BuildCacheReuse, HitFromAnotherNodeCountIndexesItsOwnHomeBuckets) {
+  for (bool threads_first : {true, false}) {
+    SCOPED_TRACE(threads_first ? "threads publish" : "cluster publishes");
+    api::Session db;
+    const catalog::RelId fact = db.AddTable(MakeTable("F", 6000, 2, 400, 91));
+    const catalog::RelId dim = db.AddTable(MakeTable("D", 400, 2, 10, 92));
+    const api::Query q = db.NewQuery().Scan(fact).Probe(dim, 1, 0).Build();
+    api::ExecOptions t = Opts(kBackends[0]);
+    api::ExecOptions c = Opts(kBackends[1]);
+    c.global_lb = false;
+    t.buckets = c.buckets = 32;
+    const api::ExecOptions& publisher = threads_first ? t : c;
+    const api::ExecOptions& reader = threads_first ? c : t;
+    api::ExecutionReport built = RunMatching(db, q, publisher, "publish");
+    EXPECT_EQ(built.build_cache_misses, 1u);
+    const uint64_t bytes = db.build_cache_stats().bytes;
+    for (int run = 0; run < 2; ++run) {
+      api::ExecutionReport r = RunMatching(db, q, reader, "hit");
+      EXPECT_EQ(r.build_cache_hits, 1u);
+      EXPECT_GT(r.direct_probes, 0u);
+      EXPECT_EQ(r.chained_probes, 0u);
+      EXPECT_EQ(r.result_checksum, built.result_checksum);
+      EXPECT_EQ(db.build_cache_stats().bytes, bytes);
+    }
+  }
 }
 
 }  // namespace

@@ -657,6 +657,66 @@ TEST(MultiChain, ValidateRejectsMalformedPlans) {
   EXPECT_FALSE(exec.Execute(unconsumed).ok());
 }
 
+// ------------------------------------------------ direct-address probe ---
+
+// chain0's output (S ⋈ R) is built on S's key, unique and dense: every
+// node indexes its home buckets of that chain-output build as it does
+// the base-table builds of R and T. With global LB off no batch is a
+// stolen piece, so every probe batch takes an index.
+TEST(DenseProbe, UniqueChainOutputBuildTakesTheIndex) {
+  for (uint32_t nodes : {1u, 2u, 3u}) {
+    SCOPED_TRACE(std::to_string(nodes) + " nodes");
+    BushyFixture fx(nodes, 9000, 17);
+    auto ref = ReferenceExecute(fx.query).ValueOrDie();
+    for (LocalStrategy s : {LocalStrategy::kDP, LocalStrategy::kFP}) {
+      ClusterOptions o = Opts(nodes, 2, s);
+      o.global_lb = false;
+      ClusterStats stats;
+      auto got = ClusterExecutor(o).Execute(fx.query, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.value(), ref) << LocalStrategyName(s);
+      EXPECT_GT(stats.direct_probes, 0u) << LocalStrategyName(s);
+      EXPECT_EQ(stats.chained_probes, 0u) << LocalStrategyName(s);
+    }
+  }
+}
+
+// Global LB on over a unique dim, every fact row at node 0 and every key
+// homed at node 1: mixed batches take node 1's index, a stolen piece
+// (one bucket, a fragment) the chained tables, and the answer is the
+// reference's. Whether a steal happens depends on timing, so only its
+// consequence is asserted.
+TEST(DenseProbe, GlobalLBOverUniqueDimsKeepsTheDigest) {
+  ClusterOptions o = Opts(4, 2);
+  o.queue_capacity = 128;
+  std::vector<int64_t> hot;
+  for (int64_t key = 0; key < 400; ++key) {
+    if (mt::HashKey(key) % o.buckets % o.nodes == 1) hot.push_back(key);
+  }
+  ASSERT_FALSE(hot.empty());
+  PartitionedTable fact_parts;
+  fact_parts.width = 2;
+  fact_parts.parts.assign(4, mt::Batch(2));
+  for (int64_t i = 0; i < 60000; ++i) {
+    const int64_t row[] = {i, hot[static_cast<size_t>(i) % hot.size()]};
+    fact_parts.parts[0].AppendRow(row);
+  }
+  mt::Table dim = MakeTable("dim", 400, 2, 10, 53);
+  PartitionedTable dim_parts = PartitionByHash(dim, 4, 0);
+  PlanQuery q = OneChainQuery(&fact_parts, {{&dim_parts, 1, 0}});
+  auto ref = ReferenceExecute(q).ValueOrDie();
+  EXPECT_EQ(ref.count, 60000u);
+  for (int run = 0; run < 5; ++run) {
+    ClusterStats stats;
+    auto got = ClusterExecutor(o).Execute(q, &stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ref) << "run " << run;
+    EXPECT_EQ(stats.late_steals, 0u);
+    EXPECT_GT(stats.direct_probes, 0u);
+    if (stats.stolen_activations > 0) EXPECT_GT(stats.chained_probes, 0u);
+  }
+}
+
 // --------------------------------------------------------- sweeps --------
 
 // Strategies x nodes x threads x placement skew x data-activation sizes.

@@ -335,6 +335,50 @@ TEST(Executor, BushyFig2PlanAllStrategies) {
   }
 }
 
+// A bushy plan whose final chain probes chain0's output (S ⋈ R, columns
+// [S.key, S.fk, R.key, R.attr]) on column `out_col`: S.key (0) is unique
+// and dense, so that chain-output build takes the direct-address index
+// like the base-table builds; S.fk (1) repeats, so it keeps the chained
+// tables. Every strategy returns the reference digest either way.
+TEST(DenseProbe, ChainOutputBuildOnBothSidesOfTheDecision) {
+  std::vector<Table> tables;
+  tables.push_back(MakeTable("R", 300, 2, 50, 1));    // R(key, attr)
+  tables.push_back(MakeTable("S", 4000, 2, 300, 2));  // S(key, fk->R)
+  tables.push_back(MakeTable("T", 200, 2, 50, 3));    // T(key, attr)
+  tables.push_back(MakeTable("U", 5000, 3, 200, 4));  // U(key, fk->T, fk2)
+  const auto tablev = Ptrs(tables);
+  for (uint32_t out_col : {0u, 1u}) {
+    PipelinePlan plan;
+    Chain c0;
+    c0.input = Source::OfTable(1);
+    c0.joins.push_back({Source::OfTable(0), 1, 0});
+    Chain fin;
+    fin.input = Source::OfTable(3);
+    fin.joins.push_back({Source::OfTable(2), 1, 0});
+    fin.joins.push_back({Source::OfChain(0), 2, out_col});
+    plan.chains.push_back(std::move(c0));
+    plan.chains.push_back(std::move(fin));
+    ASSERT_TRUE(plan.Validate(tablev).ok());
+    auto ref = ReferenceExecute(plan, tablev).ValueOrDie();
+    EXPECT_GT(ref.count, 0u);
+    for (LocalStrategy s :
+         {LocalStrategy::kDP, LocalStrategy::kFP, LocalStrategy::kSP}) {
+      SCOPED_TRACE(std::string(LocalStrategyName(s)) + " column " +
+                   std::to_string(out_col));
+      PipelineStats stats;
+      auto got = PipelineExecutor(Opts(s, 4)).Execute(plan, tablev, &stats);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), ref);
+      EXPECT_GT(stats.direct_probes, 0u);
+      if (out_col == 0) {
+        EXPECT_EQ(stats.chained_probes, 0u);
+      } else {
+        EXPECT_GT(stats.chained_probes, 0u);
+      }
+    }
+  }
+}
+
 TEST(Executor, PureScanChainDigestsInput) {
   std::vector<Table> tables;
   tables.push_back(MakeTable("t", 5000, 3, 10, 5));

@@ -368,6 +368,222 @@ TEST(ProbeMatchesEquiv, JoinedChunksConcatenateEveryMatch) {
   EXPECT_EQ(joined.data(), expected.data());
 }
 
+// The direct-address lookup against ForEachMatch. LookupMatches probes
+// through ProbeBatch, the engine's lookup choice, with an index built over
+// every table (one node) and reports which lookup served the batch;
+// HomeMatches is the oracle restricted to one node's home buckets.
+MatchSet LookupMatches(const std::vector<RowTable>& tables,
+                       const DenseIndex& dense,
+                       const std::vector<int64_t>& keys, bool* direct,
+                       ProbeScratch* scratch, Matches* m) {
+  *direct = ProbeBatch(&dense, tables.data(),
+                       static_cast<uint32_t>(tables.size()), keys.data(),
+                       keys.size(), scratch, m);
+  MatchSet out;
+  for (size_t k = 0; k < m->size(); ++k) {
+    EXPECT_EQ(m->build[k][0], keys[m->probe[k]]);
+    out.emplace_back(m->probe[k], m->build[k]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+MatchSet LookupMatches(const std::vector<RowTable>& tables,
+                       const DenseIndex& dense,
+                       const std::vector<int64_t>& keys, bool* direct) {
+  ProbeScratch scratch;
+  Matches m;
+  return LookupMatches(tables, dense, keys, direct, &scratch, &m);
+}
+
+MatchSet HomeMatches(const std::vector<RowTable>& tables, uint32_t node,
+                     uint32_t nodes, const std::vector<int64_t>& keys) {
+  MatchSet out;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const uint64_t b = HashKey(keys[i]) % tables.size();
+    if (b % nodes != node) continue;
+    tables[b].ForEachMatch(keys[i], [&](const int64_t* brow) {
+      out.emplace_back(static_cast<uint32_t>(i), brow);
+    });
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<int64_t> Shuffled(int64_t lo, int64_t hi, uint64_t seed) {
+  std::vector<int64_t> keys;
+  for (int64_t k = lo; k < hi; ++k) keys.push_back(k);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(seed));
+  return keys;
+}
+
+// Builds `buckets` tables over `build` and reports whether the one-node
+// index over them was built; the lookup must agree with ForEachMatch
+// either way, and use the index exactly when it was built.
+bool CheckOneNodeLookup(const std::vector<int64_t>& build,
+                        const std::vector<int64_t>& probe,
+                        uint32_t buckets = 64) {
+  std::vector<RowTable> tables(buckets, RowTable(2, 0));
+  Fill(&tables, build);
+  DenseIndex dense;
+  const bool built = dense.Build(tables.data(), buckets, 0, 1);
+  EXPECT_EQ(dense.built(), built);
+  bool direct = false;
+  EXPECT_EQ(LookupMatches(tables, dense, probe, &direct),
+            ReferenceMatches(tables, probe));
+  EXPECT_EQ(direct, built);
+  return built;
+}
+
+TEST(DenseIndexEquiv, UniqueDenseBuildMatchesChainedProbe) {
+  // Keys 0..999 in random insertion order; probe keys below, inside and
+  // above the span, and the two extremes of int64_t.
+  const std::vector<int64_t> build = Shuffled(0, 1000, 3);
+  std::vector<int64_t> probe = RandomKeys(3000, 1200, 5);
+  for (int64_t& k : probe) k -= 100;
+  probe.insert(probe.end(), {INT64_MIN, INT64_MIN + 1, -1, 0, 999, 1000,
+                             INT64_MAX - 1, INT64_MAX});
+  for (uint32_t buckets : {1u, 64u}) {
+    EXPECT_TRUE(CheckOneNodeLookup(build, probe, buckets)) << buckets;
+  }
+  // Scratch reused from a larger batch: stale entries must not leak.
+  std::vector<RowTable> tables(64, RowTable(2, 0));
+  Fill(&tables, build);
+  DenseIndex dense;
+  ASSERT_TRUE(dense.Build(tables.data(), 64, 0, 1));
+  EXPECT_EQ(dense.bytes(), 1000 * sizeof(const int64_t*));
+  ProbeScratch scratch;
+  Matches m;
+  bool direct = false;
+  EXPECT_EQ(LookupMatches(tables, dense, probe, &direct, &scratch, &m).size(),
+            probe.size() - std::count_if(probe.begin(), probe.end(),
+                                         [](int64_t k) {
+                                           return k < 0 || k >= 1000;
+                                         }));
+  const std::vector<int64_t> small = {5, -5, 7};
+  EXPECT_EQ(LookupMatches(tables, dense, small, &direct, &scratch, &m),
+            ReferenceMatches(tables, small));
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(DenseIndexEquiv, EachNodeIndexesItsHomeBuckets) {
+  // A node's home buckets hold about 1/N of a dense key range, spread
+  // over the whole range: density 1/2, 1/3 and 1/4 stay above the floor.
+  const std::vector<int64_t> build = Shuffled(0, 1000, 7);
+  std::vector<int64_t> probe = Shuffled(-20, 1020, 9);
+  std::vector<RowTable> tables(64, RowTable(2, 0));
+  Fill(&tables, build);
+  for (uint32_t nodes : {2u, 3u, 4u}) {
+    for (uint32_t node = 0; node < nodes; ++node) {
+      SCOPED_TRACE(std::to_string(node) + " of " + std::to_string(nodes));
+      DenseIndex dense;
+      ASSERT_TRUE(dense.Build(tables.data(), 64, node, nodes));
+      bool direct = false;
+      const MatchSet got = LookupMatches(tables, dense, probe, &direct);
+      EXPECT_TRUE(direct);
+      EXPECT_EQ(got, HomeMatches(tables, node, nodes, probe));
+      EXPECT_GT(got.size(), 1000 / nodes / 2);
+    }
+  }
+}
+
+TEST(DenseIndexEquiv, DuplicateKeyFallsBack) {
+  // One duplicated key among 1,000 unique ones: no index on one node, and
+  // on two nodes none for the node homing that key's bucket only.
+  std::vector<int64_t> build = Shuffled(0, 1000, 11);
+  build.push_back(500);
+  const std::vector<int64_t> probe = RandomKeys(2000, 1100, 13);
+  EXPECT_FALSE(CheckOneNodeLookup(build, probe));
+  std::vector<RowTable> tables(64, RowTable(2, 0));
+  Fill(&tables, build);
+  const uint32_t dup_node = HashKey(500) % 64 % 2;
+  for (uint32_t node = 0; node < 2; ++node) {
+    DenseIndex dense;
+    EXPECT_EQ(dense.Build(tables.data(), 64, node, 2), node != dup_node);
+  }
+  // Every key duplicated (four rows per key).
+  std::vector<int64_t> fourfold;
+  for (int copy = 0; copy < 4; ++copy) {
+    const std::vector<int64_t> keys = Shuffled(0, 250, 17 + copy);
+    fourfold.insert(fourfold.end(), keys.begin(), keys.end());
+  }
+  EXPECT_FALSE(CheckOneNodeLookup(fourfold, probe));
+}
+
+TEST(DenseIndexEquiv, NegativeAndSparseKeysAgainstTheDensityFloor) {
+  const std::vector<int64_t> probe = RandomKeys(3000, 2000, 19);
+  std::vector<int64_t> shifted = probe;
+  for (int64_t& k : shifted) k -= 1000;
+  EXPECT_TRUE(CheckOneNodeLookup(Shuffled(-500, 500, 23), shifted));
+  // 100 rows span at most kSpanPerRow * 100 + kSpanSlack = 864 slots.
+  static_assert(DenseIndex::kSpanPerRow * 100 + DenseIndex::kSpanSlack ==
+                864);
+  auto spaced = [](int64_t step) {
+    std::vector<int64_t> keys;
+    for (int64_t i = 0; i < 100; ++i) keys.push_back(i * step);
+    return keys;
+  };
+  EXPECT_TRUE(CheckOneNodeLookup(spaced(8), probe));    // span 793
+  EXPECT_FALSE(CheckOneNodeLookup(spaced(9), probe));   // span 892
+  std::vector<int64_t> edge = Shuffled(0, 99, 29);
+  edge.push_back(863);  // span 864: at the floor
+  EXPECT_TRUE(CheckOneNodeLookup(edge, probe));
+  edge.back() = 864;  // span 865: one past it
+  EXPECT_FALSE(CheckOneNodeLookup(edge, probe));
+}
+
+TEST(DenseIndexEquiv, ExtremeKeysAndSpanOverflow) {
+  const std::vector<int64_t> probe = {INT64_MIN,      INT64_MIN + 5,
+                                      INT64_MIN + 10, -1,
+                                      0,              INT64_MAX - 10,
+                                      INT64_MAX - 5,  INT64_MAX};
+  // Both extremes: the span is 2^64, which no uint64_t holds.
+  std::vector<int64_t> both = Shuffled(0, 100, 31);
+  both.push_back(INT64_MIN);
+  both.push_back(INT64_MAX);
+  EXPECT_FALSE(CheckOneNodeLookup(both, probe));
+  // Dense runs at either end index fine; the far end's keys wrap to
+  // offsets past the span and miss.
+  std::vector<int64_t> top, bottom;
+  for (int64_t i = 0; i < 10; ++i) {
+    top.push_back(INT64_MAX - i);
+    bottom.push_back(INT64_MIN + i);
+  }
+  EXPECT_TRUE(CheckOneNodeLookup(top, probe));
+  EXPECT_TRUE(CheckOneNodeLookup(bottom, probe));
+}
+
+TEST(DenseIndexEquiv, EmptyAndOneRowBuilds) {
+  const std::vector<int64_t> probe = {41, 42, 43, 42, INT64_MIN};
+  EXPECT_FALSE(CheckOneNodeLookup({}, probe));
+  EXPECT_TRUE(CheckOneNodeLookup({42}, probe));
+  std::vector<RowTable> one(8, RowTable(2, 0));
+  Fill(&one, {42});
+  DenseIndex dense;
+  ASSERT_TRUE(dense.Build(one.data(), 8, 0, 1));
+  bool direct = false;
+  EXPECT_EQ(LookupMatches(one, dense, probe, &direct).size(), 2u);
+  // A node whose home buckets hold no row indexes nothing.
+  const uint32_t home = HashKey(42) % 8 % 2;
+  EXPECT_FALSE(dense.Build(one.data(), 8, 1 - home, 2));
+  EXPECT_FALSE(dense.built());
+}
+
+TEST(DenseIndexEquiv, MemoryCapRejectsASpanTheFloorAdmits) {
+  // kMaxSlots / kSpanPerRow + 1 keys at stride kSpanPerRow: the density
+  // floor admits the span (kMaxSlots + 1), the memory cap does not.
+  constexpr int64_t kStep = DenseIndex::kSpanPerRow;
+  constexpr int64_t kRows = DenseIndex::kMaxSlots / kStep + 1;
+  std::vector<RowTable> tables(1, RowTable(2, 0));
+  for (int64_t i = 0; i < kRows; ++i) {
+    const int64_t row[2] = {i * kStep, i};
+    tables[0].Insert(row);
+  }
+  DenseIndex dense;
+  EXPECT_FALSE(dense.Build(tables.data(), 1, 0, 1));
+  EXPECT_EQ(dense.bytes(), 0u);
+}
+
 // The GROUP BY kernel's join-less identity form against the scalar
 // Accumulate: dense rows split at a non-tile boundary, and a selection
 // passed as probe-row indexes.
@@ -892,6 +1108,44 @@ TEST(VectorizedParity, EmptyAndAllPassSelections) {
   ExecutionReport plain = ExpectReferenceMatch(fx.db, fx.Joined().Build(), dp);
   EXPECT_EQ(a.rows_filtered, 0u);
   EXPECT_EQ(a.result_checksum, plain.result_checksum);
+}
+
+// The direct-address probe on both sides of its decision, on every
+// placement: unique dims take the index, a dim with one duplicated key or
+// with keys at both ends of int64_t keeps the chained tables (on a
+// cluster, on the nodes whose home buckets fail the check), and every
+// digest is the reference's. kThreads steals no one-bucket piece, so
+// there the split is exact.
+TEST(DenseProbe, EveryPlacementOnBothSidesOfTheDecision) {
+  StarFixture fx(6000, 17);
+  mt::Table dup = mt::MakeTable("dup", 500, 2, 50, 31);
+  dup.batch.data()[499 * 2] = 7;  // key 7 twice, key 499 gone
+  const RelId dup_id = fx.db.AddTable(dup);
+  mt::Table wide = mt::MakeTable("wide", 500, 2, 50, 37);
+  wide.batch.data()[498 * 2] = INT64_MIN;
+  wide.batch.data()[499 * 2] = INT64_MAX;
+  const RelId wide_id = fx.db.AddTable(wide);
+
+  const Query unique = fx.Joined().Build();
+  const Query mixed = fx.db.NewQuery()
+                          .Scan(fx.fact)
+                          .Probe(dup_id, 1, 0)
+                          .Probe(fx.d2, 2, 0)
+                          .Build();
+  const Query overflow =
+      fx.db.NewQuery().Scan(fx.fact).Probe(wide_id, 1, 0).Build();
+  for (const Placement& pl : kEveryPlacement) {
+    const bool threads = pl.backend == Backend::kThreads;
+    ExecutionReport u = ExpectReferenceMatch(fx.db, unique, {pl});
+    EXPECT_GT(u.direct_probes, 0u);
+    if (threads) EXPECT_EQ(u.chained_probes, 0u);
+    ExecutionReport m = ExpectReferenceMatch(fx.db, mixed, {pl});
+    EXPECT_GT(m.direct_probes, 0u);
+    EXPECT_GT(m.chained_probes, 0u);
+    ExecutionReport o = ExpectReferenceMatch(fx.db, overflow, {pl});
+    EXPECT_GT(o.chained_probes, 0u);
+    if (threads) EXPECT_EQ(o.direct_probes, 0u);
+  }
 }
 
 // The terminal probe's digest and GROUP BY read its match list; rows are
