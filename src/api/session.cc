@@ -1,22 +1,19 @@
 #include "api/session.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 
 #include "api/scheduler.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "mt/plan.h"
 #include "mt/prune.h"
-#include "mt/query_bind.h"
 #include "obs/export.h"
 
 namespace hierdb::api {
@@ -28,194 +25,47 @@ double WallSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h == 0 ? 1 : h;
+/// The real bridge's plan graph as a QueryTrace without events: estimated
+/// cardinalities, plus the measured chain outputs when `actual` is given
+/// (`reused` marks chains the run elided).
+obs::QueryTrace PlanTrace(const Planned& p, const ExecOptions& opts,
+                          const std::vector<uint64_t>& actual = {},
+                          const std::vector<bool>* reused = nullptr) {
+  obs::QueryTrace qt;
+  qt.backend = BackendName(opts.backend);
+  qt.strategy = StrategyName(opts.strategy);
+  qt.nodes = opts.nodes;
+  qt.workers_per_node = opts.threads_per_node;
+  qt.ops = RealTraceOps(p, actual, opts.backend == Backend::kCluster);
+  qt.chains = ChainCards(p, &actual, reused);
+  return qt;
 }
 
-uint64_t DoubleBits(double d) {
-  uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-// ---------------------------------------------------------------------
-// Cardinality estimation and trace-plan builders (shared by the report's
-// chain_cards, the traced QueryTrace plan graphs, and ExplainDot).
-
-/// Default FK selectivity over input cardinalities (base or estimated):
-/// each join result about the larger input.
-double DefaultSelectivity(double a, double b) {
-  if (a <= 0 || b <= 0) return 1.0;
-  return std::max(a, b) / (a * b);
-}
-
-/// Per-relation filter pass fraction from the plan-time estimates
-/// (Planned::filter_pass — stats-driven where column statistics exist,
-/// System R defaults otherwise); relations outside the vector (or with
-/// predicates already pushed into their bind) pass everything.
-double PassOf(const std::vector<double>& filter_pass, uint32_t idx) {
-  return idx < filter_pass.size() ? filter_pass[idx] : 1.0;
-}
-
-/// Estimated rows entering the pipeline from `s`: filtered table size for
-/// base relations, the producing chain's estimate for chain sources.
-double SourceEst(const std::vector<double>& filter_pass,
-                 const std::vector<const mt::Table*>& tables,
-                 const std::vector<double>& chain_est, const mt::Source& s) {
-  if (s.kind == mt::Source::Kind::kTable) {
-    return static_cast<double>(tables[s.index]->rows()) *
-           PassOf(filter_pass, s.index);
+/// Backend-shape checks shared by Submit, Explain and ExplainDot.
+Status ValidateOptions(const ExecOptions& opts) {
+  if (opts.strategy == Strategy::kSP && opts.nodes > 1) {
+    return Status::InvalidArgument(
+        "SP (synchronous pipelining) is shared-memory only: nodes must be 1");
   }
-  return s.index < chain_est.size() ? chain_est[s.index] : 0.0;
-}
-
-/// Cardinality-estimate walk over the bound pipeline plan: the estimated
-/// output cardinality of every chain, in chain order.
-std::vector<double> EstimateChainRows(
-    const mt::PipelinePlan& plan, const std::vector<double>& filter_pass,
-    const std::vector<const mt::Table*>& tables) {
-  std::vector<double> est;
-  for (const mt::Chain& chain : plan.chains) {
-    double e = SourceEst(filter_pass, tables, est, chain.input);
-    for (const mt::JoinStep& j : chain.joins) {
-      double b = SourceEst(filter_pass, tables, est, j.build);
-      e = e * b * DefaultSelectivity(e, b);
-    }
-    est.push_back(e);
+  if (opts.backend == Backend::kCluster &&
+      opts.strategy == Strategy::kSP) {
+    return Status::InvalidArgument(
+        "the cluster backend supports DP and FP only");
   }
-  return est;
-}
-
-/// `reused` (optional) marks chains a real backend elided: their output
-/// came from the build cache, so they have no measured actual.
-std::vector<obs::ChainCard> MakeChainCards(
-    const std::vector<double>& est, const std::vector<uint64_t>* actual,
-    const std::vector<bool>* reused = nullptr) {
-  std::vector<obs::ChainCard> cards;
-  for (uint32_t c = 0; c < est.size(); ++c) {
-    obs::ChainCard card;
-    card.chain = c;
-    card.est_rows = est[c];
-    const bool elided =
-        reused != nullptr && c < reused->size() && (*reused)[c];
-    if (actual != nullptr && c < actual->size() && !elided) {
-      card.actual_rows = (*actual)[c];
-      card.has_actual = true;
-    }
-    cards.push_back(card);
+  if (opts.backend == Backend::kThreads && opts.nodes != 1) {
+    return Status::InvalidArgument(
+        "the threads backend is one SM-node (nodes must be 1); use "
+        "Backend::kCluster for multi-node runs");
   }
-  return cards;
-}
-
-std::string SourceName(const catalog::Catalog& cat, const mt::Source& s) {
-  if (s.kind == mt::Source::Kind::kTable) return cat.relation(s.index).name;
-  return "chain" + std::to_string(s.index);
-}
-
-/// Trace-plan graph matching the real backends' compiled op space (one
-/// layout for both, mt/node_engine.h); on the cluster, aggregated plans
-/// append the distributed-aggregation sentinel op (id = compiled op
-/// count) its agg-phase spans reference. When `actual` is non-empty each
-/// chain's terminal op is annotated with its measured output rows.
-std::vector<obs::TraceOp> RealTraceOps(
-    const mt::PipelinePlan& plan, const std::vector<double>& filter_pass,
-    const std::vector<const mt::Table*>& tables, const catalog::Catalog& cat,
-    const std::vector<double>& chain_est, const std::vector<uint64_t>& actual,
-    bool cluster) {
-  std::vector<obs::TraceOp> ops;
-  std::vector<uint32_t> terminal;  ///< per chain: its last dataflow op
-  uint32_t base = 0;
-  for (uint32_t c = 0; c < plan.chains.size(); ++c) {
-    const mt::Chain& chain = plan.chains[c];
-    const uint32_t k = static_cast<uint32_t>(chain.joins.size());
-    // The compiled op space (mt/node_engine.h): buildscans, builds, scan,
-    // probes.
-    for (uint32_t layer = 0; layer < 2; ++layer) {
-      for (uint32_t j = 0; j < k; ++j) {
-        const mt::Source& src = chain.joins[j].build;
-        obs::TraceOp op;
-        op.id = base + layer * k + j;
-        op.kind = layer == 0 ? "buildscan" : "build";
-        op.label = op.kind + " " + SourceName(cat, src);
-        op.chain = static_cast<int32_t>(c);
-        op.est_rows = SourceEst(filter_pass, tables, chain_est, src);
-        if (layer > 0) {
-          op.inputs.push_back(base + j);
-        } else if (src.kind == mt::Source::Kind::kChain) {
-          op.inputs.push_back(terminal[src.index]);
-        }
-        ops.push_back(std::move(op));
-      }
-    }
-    const uint32_t builds = base + k;
-    obs::TraceOp scan;
-    scan.id = base + 2 * k;
-    scan.kind = "scan";
-    scan.label = "scan " + SourceName(cat, chain.input);
-    scan.chain = static_cast<int32_t>(c);
-    scan.est_rows = SourceEst(filter_pass, tables, chain_est, chain.input);
-    if (chain.input.kind == mt::Source::Kind::kChain) {
-      scan.inputs.push_back(terminal[chain.input.index]);
-    }
-    double e = scan.est_rows;
-    uint32_t prev = scan.id;
-    ops.push_back(std::move(scan));
-    for (uint32_t j = 0; j < k; ++j) {
-      obs::TraceOp op;
-      op.id = prev + 1;
-      op.kind = "probe";
-      op.label = "probe " + SourceName(cat, chain.joins[j].build);
-      op.chain = static_cast<int32_t>(c);
-      double b = SourceEst(filter_pass, tables, chain_est, chain.joins[j].build);
-      e = e * b * DefaultSelectivity(e, b);
-      op.est_rows = e;
-      op.inputs = {prev, builds + j};
-      prev = op.id;
-      ops.push_back(std::move(op));
-    }
-    terminal.push_back(prev);
-    if (c < actual.size()) ops[prev].actual_rows = actual[c];
-    base = prev + 1;
+  if (opts.nodes == 0 || opts.threads_per_node == 0) {
+    return Status::InvalidArgument("machine shape must be at least 1x1");
   }
-  if (cluster && plan.agg.has_value()) {
-    obs::TraceOp op;
-    op.id = base;  // the executor's agg-phase sentinel (== compiled ops)
-    op.kind = "agg";
-    op.label = "aggregate";
-    op.est_rows = plan.agg->group_cols.empty()
-                      ? 1.0
-                      : std::max(1.0, std::sqrt(chain_est.empty()
-                                                    ? 0.0
-                                                    : chain_est.back()));
-    if (!terminal.empty()) op.inputs.push_back(terminal.back());
-    ops.push_back(std::move(op));
+  if (opts.materialize && opts.backend == Backend::kSimulated) {
+    return Status::InvalidArgument(
+        "the simulated backend has no rows to materialize (use "
+        "Backend::kThreads or Backend::kCluster)");
   }
-  return ops;
-}
-
-/// Trace-plan graph of the simulator's physical plan (operators map 1:1).
-std::vector<obs::TraceOp> SimTraceOps(const plan::PhysicalPlan& pplan) {
-  std::vector<obs::TraceOp> ops;
-  for (const plan::Operator& op : pplan.ops) {
-    obs::TraceOp o;
-    o.id = op.id;
-    o.label = op.label;
-    switch (op.kind) {
-      case plan::OpKind::kScan: o.kind = "scan"; break;
-      case plan::OpKind::kBuild: o.kind = "build"; break;
-      case plan::OpKind::kProbe: o.kind = "probe"; break;
-      case plan::OpKind::kAggPartial:
-      case plan::OpKind::kAggMerge: o.kind = "agg"; break;
-    }
-    o.chain = static_cast<int32_t>(op.chain);
-    o.est_rows =
-        op.kind == plan::OpKind::kBuild ? op.input_card : op.output_card;
-    if (op.input != plan::kNoOp) o.inputs.push_back(op.input);
-    if (op.build_op != plan::kNoOp) o.inputs.push_back(op.build_op);
-    ops.push_back(std::move(o));
-  }
-  return ops;
+  return Status::OK();
 }
 
 }  // namespace
@@ -373,94 +223,6 @@ std::string SessionMetrics::ToString() const {
 }
 
 // ---------------------------------------------------------------------------
-// QueryBuilder
-
-QueryBuilder& QueryBuilder::Join(RelId a, RelId b, double selectivity) {
-  q_.edges_.push_back({a, b, selectivity, 0, 0, false});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::JoinOn(RelId a, uint32_t col_a, RelId b,
-                                   uint32_t col_b, double selectivity) {
-  q_.edges_.push_back({a, b, selectivity, col_a, col_b, true});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Tree(plan::JoinTree tree) {
-  q_.tree_ = std::move(tree);
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Shape(opt::TreeShape shape,
-                                  uint32_t segment_length) {
-  q_.shape_.shape = shape;
-  q_.shape_.segment_length = segment_length;
-  q_.shape_set_ = true;
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Scan(RelId input) {
-  q_.chain_ = true;
-  q_.has_input_ = true;
-  q_.input_ = input;
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Probe(RelId build, uint32_t probe_col,
-                                  uint32_t build_col, double selectivity) {
-  q_.chain_ = true;
-  q_.steps_.push_back({build, probe_col, build_col, selectivity});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::CapturePoint(std::string name) {
-  q_.captures_.push_back(
-      {std::move(name), static_cast<uint32_t>(q_.steps_.size())});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Where(RelId rel, uint32_t col, CmpOp cmp,
-                                  int64_t value) {
-  q_.filters_.push_back({rel, col, cmp, value});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::GroupBy(RelId rel, uint32_t col) {
-  q_.group_by_.push_back({rel, col});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Agg(AggFn fn, RelId rel, uint32_t col) {
-  q_.agg_items_.push_back({fn, rel, col, /*has_col=*/fn != AggFn::kCount});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Count() {
-  q_.agg_items_.push_back({AggFn::kCount, 0, 0, /*has_col=*/false});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Having(AggFn fn, RelId rel, uint32_t col,
-                                   CmpOp cmp, int64_t value) {
-  q_.having_.push_back({/*on_agg=*/true, fn, rel, col,
-                        /*has_col=*/fn != AggFn::kCount, cmp, value});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::Having(RelId rel, uint32_t col, CmpOp cmp,
-                                   int64_t value) {
-  q_.having_.push_back(
-      {/*on_agg=*/false, AggFn::kCount, rel, col, false, cmp, value});
-  return *this;
-}
-
-QueryBuilder& QueryBuilder::HavingCount(CmpOp cmp, int64_t value) {
-  q_.having_.push_back(
-      {/*on_agg=*/true, AggFn::kCount, 0, 0, false, cmp, value});
-  return *this;
-}
-
-// ---------------------------------------------------------------------------
 // Session
 
 Session::Session() : Session(SessionOptions{}) {}
@@ -500,24 +262,11 @@ Session::~Session() {
 
 RelId Session::AddRelation(std::string name, uint64_t cardinality,
                            uint32_t tuple_bytes) {
-  RelId id = catalog_.AddRelation(std::move(name), cardinality, tuple_bytes);
-  tables_.emplace_back();
-  return id;
+  return db_.AddRelation(std::move(name), cardinality, tuple_bytes);
 }
 
 RelId Session::AddTable(mt::Table table) {
-  RelId id = catalog_.AddRelation(
-      table.name, table.rows(),
-      table.width() * static_cast<uint32_t>(sizeof(int64_t)));
-  TableSlot slot;
-  // Hashed once at registration (one linear pass, amortized over every
-  // query that may later share this table's builds through the cache).
-  slot.content_hash = mt::TableContentHash(table.batch);
-  // Per-column min/max + KMV distinct sketches: one more linear pass,
-  // feeding the planner's always-true/always-false predicate folds.
-  slot.stats = mt::ComputeColumnStats(table.batch);
-  slot.table = std::move(table);
-  tables_.push_back(std::move(slot));
+  RelId id = db_.AddTable(std::move(table));
   // Conservative invalidation: registration changes what "the same
   // table" means, so drop every cached build (in-flight executions keep
   // their shared_ptrs; content-hash keys would remain correct, clearing
@@ -528,665 +277,27 @@ RelId Session::AddTable(mt::Table table) {
   return id;
 }
 
-const mt::Table* Session::table(RelId id) const {
-  if (id >= tables_.size() || !tables_[id].table.has_value()) return nullptr;
-  return &*tables_[id].table;
-}
+const mt::Table* Session::table(RelId id) const { return db_.table(id); }
 
 const std::vector<mt::ColumnStats>* Session::table_stats(RelId id) const {
-  if (id >= tables_.size() || !tables_[id].table.has_value()) return nullptr;
-  return &tables_[id].stats;
-}
-
-/// The bridged representations of one planned query: the local (dense)
-/// catalog over the query's relations, the chosen join tree, the simulated
-/// physical plan, and — when real data is available or synthesizable — the
-/// table set and pipeline plan the real backends execute.
-struct Session::Planned {
-  catalog::Catalog cat;               ///< local catalog (dense rel ids)
-  std::vector<RelId> to_global;       ///< local rel id -> session rel id
-  plan::JoinTree tree;
-  plan::PhysicalPlan pplan;
-
-  bool has_real = false;
-  std::string real_gap;               ///< why real execution is unavailable
-  std::vector<mt::Table> owned;       ///< synthesized tables (if any)
-  std::vector<const mt::Table*> tables;  ///< local rel id -> data
-  mt::PipelinePlan mtplan;
-
-  bool has_agg = false;
-  /// Admission cost (cost-ordered policies): the join tree's cost plus
-  /// the estimated aggregation work for GroupBy/Agg queries, over the
-  /// filter-adjusted cardinalities.
-  double plan_cost = 0.0;
-
-  /// Per-local-relation filter pass fractions (stats-driven where column
-  /// statistics exist, System R defaults otherwise; 1.0 once a filter was
-  /// pushed into the bind) — the single source the chain-card estimates
-  /// and trace plans read, so they stay consistent with the planning
-  /// catalog.
-  std::vector<double> filter_pass;
-  /// Rows dropped at bind time by pushing Where predicates into the
-  /// synthesized tables (ExecutionReport::rows_prefiltered).
-  uint64_t prefiltered_rows = 0;
-
-  /// Build-cache identities aligned with `tables` (0 = uncacheable), plus
-  /// the synthesis identity (seed/skew/bind parameters) folded into every
-  /// key when the tables were synthesized rather than registered.
-  std::vector<uint64_t> cache_ids;
-  uint64_t cache_seed_skew = 0;
-
-  /// Plan-point capture specs (QueryBuilder::CapturePoint), resolved to
-  /// (chain, point) coordinates on mtplan (chain queries compile to one
-  /// chain, so chain is always 0).
-  struct CapturePointSpec {
-    std::string name;
-    uint32_t chain = 0;
-    uint32_t point = 0;
-  };
-  std::vector<CapturePointSpec> captures;
-};
-
-Status Session::PlanQuery(const Query& q, const ExecOptions& opts,
-                          bool want_real, Planned* out) const {
-  if (q.edges_.empty() && q.steps_.empty()) {
-    return Status::InvalidArgument("query has no joins");
-  }
-  if (q.chain_ && !q.edges_.empty()) {
-    return Status::InvalidArgument(
-        "query mixes chain form (Scan/Probe) and graph form (Join)");
-  }
-  if (q.chain_ && !q.has_input_) {
-    return Status::InvalidArgument("chain query has no Scan()");
-  }
-  if (!q.captures_.empty()) {
-    // Plan-point capture samples real rows at chain positions; the graph
-    // form has no builder-order plan points and the simulator no rows.
-    if (!q.chain_) {
-      return Status::InvalidArgument(
-          "CapturePoint requires the chain form (Scan/Probe)");
-    }
-    if (opts.backend == Backend::kSimulated) {
-      return Status::InvalidArgument(
-          "the simulated backend has no rows to capture (use "
-          "Backend::kThreads or Backend::kCluster)");
-    }
-    for (const auto& cs : q.captures_) {
-      out->captures.push_back({cs.name, 0, cs.point});
-    }
-  }
-
-  // Collect the referenced relations and build the dense local catalog.
-  std::vector<RelId> rels;
-  auto touch = [&](RelId r) { rels.push_back(r); };
-  if (q.chain_) {
-    touch(q.input_);
-    for (const auto& s : q.steps_) touch(s.build);
-  } else {
-    for (const auto& e : q.edges_) {
-      touch(e.a);
-      touch(e.b);
-    }
-  }
-  std::sort(rels.begin(), rels.end());
-  for (RelId r : rels) {
-    if (r >= catalog_.size()) {
-      return Status::InvalidArgument("query references unknown relation id " +
-                                     std::to_string(r));
-    }
-  }
-  if (q.chain_) {
-    // A relation scanned or probed twice would duplicate its leaf bit in
-    // the join tree and break every RelSet invariant downstream; reject
-    // it by name (self-joins need table aliases, which are unsupported).
-    auto dup = std::adjacent_find(rels.begin(), rels.end());
-    if (dup != rels.end()) {
-      return Status::InvalidArgument(
-          "relation '" + catalog_.relation(*dup).name +
-          "' appears more than once in the chain; self-joins are "
-          "unsupported (register the table twice to alias it)");
-    }
-  }
-  rels.erase(std::unique(rels.begin(), rels.end()), rels.end());
-  if (rels.size() > 64) {
-    return Status::InvalidArgument("queries support at most 64 relations");
-  }
-  std::unordered_map<RelId, uint32_t> to_local;
-  for (RelId r : rels) {
-    const auto& rel = catalog_.relation(r);
-    to_local[r] = out->cat.AddRelation(rel.name, rel.cardinality,
-                                       rel.tuple_bytes);
-    out->to_global.push_back(r);
-  }
-  auto local = [&](RelId r) { return to_local.at(r); };
-
-  // Resolve scan-level filters: map the (rel, col) predicates onto local
-  // table indexes and estimate per-relation pass fractions (System R
-  // defaults: 1/10 for equality, 1/3 for ranges, 9/10 for inequality) so
-  // the optimizer, the SCF admission cost and the simulator all price
-  // filtered scans.
-  std::vector<std::vector<mt::Predicate>> filters(rels.size());
-  std::vector<double> filter_sel(rels.size(), 1.0);
-  // Registered tables carry per-column [min, max] stats (AddTable), which
-  // fold predicates before any row is scanned: an always-true predicate is
-  // dropped outright, and an always-false one replaces the relation's
-  // whole conjunction — one impossible compare rejects every row with no
-  // further predicate evaluation. Semantics-preserving.
-  std::vector<char> always_false(rels.size(), 0);
-  for (const auto& f : q.filters_) {
-    auto it = to_local.find(f.rel);
-    if (it == to_local.end()) {
-      return Status::InvalidArgument(
-          "Where references relation id " + std::to_string(f.rel) +
-          ", which the query does not join");
-    }
-    const mt::Table* t = table(f.rel);
-    if (t != nullptr && f.col >= t->width()) {
-      return Status::OutOfRange(
-          "Where column " + std::to_string(f.col) + " >= width " +
-          std::to_string(t->width()) + " of relation '" +
-          catalog_.relation(f.rel).name + "'");
-    }
-    const uint32_t lrel = it->second;
-    if (always_false[lrel]) continue;
-    const mt::Predicate pred{f.col, f.cmp, f.value};
-    const std::vector<mt::ColumnStats>* stats = table_stats(f.rel);
-    if (stats != nullptr && f.col < stats->size() && t->rows() > 0) {
-      switch (mt::ClassifyPredicate(pred, (*stats)[f.col])) {
-        case mt::PredicateFold::kAlwaysTrue:
-          continue;  // cannot reject any row: drop it
-        case mt::PredicateFold::kAlwaysFalse:
-          always_false[lrel] = 1;
-          filters[lrel].assign(1, pred);
-          filter_sel[lrel] = 1e-4;
-          continue;
-        case mt::PredicateFold::kKeep:
-          break;
-      }
-    }
-    filters[lrel].push_back(pred);
-    // Pass fraction: the KMV distinct counts and [min, max] envelopes
-    // from AddTable price the predicate against the actual data
-    // distribution; the System R constants (1/10 equality, 1/3 range,
-    // 9/10 inequality) remain the fallback for catalog-only relations.
-    double s;
-    if (stats != nullptr && f.col < stats->size() && t->rows() > 0) {
-      s = mt::EstimateSelectivity(pred, (*stats)[f.col]);
-    } else {
-      s = f.cmp == CmpOp::kEq ? 0.1
-          : f.cmp == CmpOp::kNe ? 0.9
-                                : 1.0 / 3.0;
-    }
-    filter_sel[lrel] = std::max(1e-4, filter_sel[lrel] * s);
-  }
-  // The GroupBy/Agg references must join-in, and columns into registered
-  // tables are bounds-checked here so the simulated backend rejects the
-  // same typos the real ones do (catalog-only relations carry no column
-  // schema — their references are checked against the synthesized widths
-  // on the real path only).
-  out->has_agg = q.has_agg();
-  auto check_colref = [&](const char* what, RelId rel,
-                          uint32_t col) -> Status {
-    if (to_local.find(rel) == to_local.end()) {
-      return Status::InvalidArgument(
-          std::string(what) + " references relation id " +
-          std::to_string(rel) + ", which the query does not join");
-    }
-    const mt::Table* t = table(rel);
-    if (t != nullptr && col >= t->width()) {
-      return Status::OutOfRange(
-          std::string(what) + " column " + std::to_string(col) +
-          " >= width " + std::to_string(t->width()) + " of relation '" +
-          catalog_.relation(rel).name + "'");
-    }
-    return Status::OK();
-  };
-  for (const auto& g : q.group_by_) {
-    HIERDB_RETURN_NOT_OK(check_colref("GroupBy", g.rel, g.col));
-  }
-  for (const auto& a : q.agg_items_) {
-    if (a.has_col) {
-      HIERDB_RETURN_NOT_OK(check_colref("Agg", a.rel, a.col));
-    }
-  }
-  // HAVING resolves against the declared grouping/aggregate items: the
-  // output row is [group values..., aggregates...], so a matched GroupBy
-  // is its index and a matched Agg is group count + its index. Resolved
-  // here (not in the real-data bridge) so the simulated backend rejects
-  // the same mistakes the real ones do.
-  std::vector<mt::Predicate> having_preds;
-  for (const auto& h : q.having_) {
-    if (!out->has_agg) {
-      return Status::InvalidArgument(
-          "Having requires a GroupBy/Agg query (it filters aggregate "
-          "output rows)");
-    }
-    uint32_t slot = UINT32_MAX;
-    if (h.on_agg) {
-      for (size_t i = 0; i < q.agg_items_.size(); ++i) {
-        const auto& a = q.agg_items_[i];
-        if (a.fn != h.fn || a.has_col != h.has_col) continue;
-        if (a.has_col && (a.rel != h.rel || a.col != h.col)) continue;
-        slot = static_cast<uint32_t>(q.group_by_.size() + i);
-        break;
-      }
-      if (slot == UINT32_MAX) {
-        return Status::InvalidArgument(
-            std::string("Having references aggregate ") + AggFnName(h.fn) +
-            (h.has_col ? "(col)" : "(*)") +
-            ", which no Agg()/Count() call declares");
-      }
-    } else {
-      for (size_t i = 0; i < q.group_by_.size(); ++i) {
-        if (q.group_by_[i].rel == h.rel && q.group_by_[i].col == h.col) {
-          slot = static_cast<uint32_t>(i);
-          break;
-        }
-      }
-      if (slot == UINT32_MAX) {
-        return Status::InvalidArgument(
-            "Having references a grouping column that no GroupBy() call "
-            "declares");
-      }
-    }
-    having_preds.push_back({slot, h.cmp, h.value});
-  }
-
-  // Planning catalog with filter-adjusted cardinality estimates: the tree
-  // choice, edge-selectivity defaults and plan cost see the filters, while
-  // synthesis and the simulator's scan inputs keep the true catalog.
-  catalog::Catalog fcat;
-  for (RelId r : rels) {
-    const auto& rel = catalog_.relation(r);
-    uint64_t est = std::max<uint64_t>(
-        1, static_cast<uint64_t>(std::llround(
-               static_cast<double>(rel.cardinality) *
-               filter_sel[to_local.at(r)])));
-    fcat.AddRelation(rel.name, est, rel.tuple_bytes);
-  }
-  auto card = [&](RelId r) {
-    return static_cast<double>(fcat.relation(to_local.at(r)).cardinality);
-  };
-
-  // Predicate graph over the local relations.
-  std::vector<plan::JoinEdge> edges;
-  if (q.chain_) {
-    // Map each probe_col back to the relation whose columns occupy that
-    // range of the pipelined row (input columns first, then each build's
-    // columns appended in step order), so snowflake chains — a probe on a
-    // previous build's column — model the right edge. Catalog-only
-    // relations have unknown widths and fall back to the driving input.
-    struct Range {
-      RelId rel;
-      uint32_t begin, end;
-    };
-    std::vector<Range> ranges;
-    uint32_t width = 0;
-    auto push_range = [&](RelId r) {
-      const mt::Table* t = table(r);
-      uint32_t w = t ? t->width() : 0;
-      ranges.push_back({r, width, width + w});
-      width += w;
-    };
-    push_range(q.input_);
-    for (const auto& s : q.steps_) {
-      RelId probe_rel = q.input_;
-      for (const auto& rg : ranges) {
-        if (rg.begin <= s.probe_col && s.probe_col < rg.end) {
-          probe_rel = rg.rel;
-          break;
-        }
-      }
-      double sel = s.selectivity > 0
-                       ? s.selectivity
-                       : DefaultSelectivity(card(probe_rel), card(s.build));
-      edges.push_back({local(probe_rel), local(s.build), sel});
-      push_range(s.build);
-    }
-  } else {
-    for (const auto& e : q.edges_) {
-      double sel = e.selectivity > 0
-                       ? e.selectivity
-                       : DefaultSelectivity(card(e.a), card(e.b));
-      edges.push_back({local(e.a), local(e.b), sel});
-    }
-  }
-  plan::JoinGraph graph(static_cast<uint32_t>(rels.size()), edges);
-  // With duplicate chain relations rejected above, both query forms build
-  // acyclic connected predicate graphs and share one validation.
-  HIERDB_RETURN_NOT_OK(graph.Validate());
-
-  // Choose the join tree: explicit > chain spine > shaped optimization.
-  if (q.tree_.has_value()) {
-    // Remap the caller's tree (session rel ids) onto local ids.
-    plan::JoinTree tree = *q.tree_;
-    if (tree.root < 0 ||
-        static_cast<size_t>(tree.root) >= tree.nodes.size()) {
-      return Status::InvalidArgument("explicit tree is empty or malformed");
-    }
-    for (auto& node : tree.nodes) {
-      if (node.IsLeaf()) {
-        auto it = to_local.find(node.rel);
-        if (it == to_local.end()) {
-          return Status::InvalidArgument(
-              "explicit tree references a relation outside the join graph");
-        }
-        node.rel = it->second;
-        node.rels = plan::RelBit(node.rel);
-      } else if (node.left < 0 || node.right < 0 ||
-                 static_cast<size_t>(node.left) >= tree.nodes.size() ||
-                 static_cast<size_t>(node.right) >= tree.nodes.size()) {
-        return Status::InvalidArgument(
-            "explicit tree has a child index out of range");
-      }
-    }
-    // Recompute subtree relation sets bottom-up (children precede parents
-    // is not guaranteed, so walk from the root). A node reached twice
-    // means the "tree" shares nodes or contains a cycle.
-    std::vector<char> seen(tree.nodes.size(), 0);
-    bool malformed = false;
-    std::function<plan::RelSet(int32_t)> rebuild =
-        [&](int32_t idx) -> plan::RelSet {
-      if (malformed) return 0;
-      if (seen[idx]) {
-        malformed = true;
-        return 0;
-      }
-      seen[idx] = 1;
-      auto& node = tree.nodes[idx];
-      if (!node.IsLeaf()) {
-        node.rels = rebuild(node.left) | rebuild(node.right);
-      }
-      return node.rels;
-    };
-    rebuild(tree.root);
-    if (malformed) {
-      return Status::InvalidArgument(
-          "explicit tree shares nodes or contains a cycle");
-    }
-    out->tree = std::move(tree);
-  } else if (q.chain_) {
-    // Left-deep spine with the builds as right children: macro-expansion
-    // with build_on_right_child keeps it one maximal pipeline chain.
-    plan::JoinTree tree;
-    auto add_leaf = [&](uint32_t r) {
-      plan::JoinTreeNode n;
-      n.rel = r;
-      n.rels = plan::RelBit(r);
-      n.card = static_cast<double>(fcat.relation(r).cardinality);
-      tree.nodes.push_back(n);
-      return static_cast<int32_t>(tree.nodes.size() - 1);
-    };
-    int32_t cur = add_leaf(local(q.input_));
-    for (size_t i = 0; i < q.steps_.size(); ++i) {
-      int32_t leaf = add_leaf(local(q.steps_[i].build));
-      plan::JoinTreeNode n;
-      n.left = cur;
-      n.right = leaf;
-      n.rels = tree.nodes[cur].rels | tree.nodes[leaf].rels;
-      n.card = tree.nodes[cur].card * tree.nodes[leaf].card *
-               edges[i].selectivity;
-      tree.nodes.push_back(n);
-      cur = static_cast<int32_t>(tree.nodes.size() - 1);
-      tree.cost += n.card;
-    }
-    tree.root = cur;
-    out->tree = std::move(tree);
-  } else {
-    out->tree = opt::ShapedBest(graph, fcat, q.shape_);
-  }
-
-  // Estimated result cardinality and group count: prices the aggregation
-  // for the simulator's AggPartial/AggMerge ops and the admission cost.
-  // When every grouping column carries distinct-count statistics (KMV
-  // sketches from AddTable) the group count is bounded by the product of
-  // per-column distincts capped at the output cardinality; the
-  // sqrt-of-output default covers unstatted columns.
-  const double root_card =
-      std::max(0.0, out->tree.nodes[out->tree.root].card);
-  double est_groups = 0.0;
-  if (out->has_agg) {
-    if (q.group_by_.empty()) {
-      est_groups = 1.0;
-    } else {
-      double distinct_prod = 1.0;
-      bool all_stats = true;
-      for (const auto& g : q.group_by_) {
-        const std::vector<mt::ColumnStats>* st = table_stats(g.rel);
-        if (st == nullptr || g.col >= st->size()) {
-          all_stats = false;
-          break;
-        }
-        distinct_prod *= static_cast<double>(
-            std::max<uint64_t>((*st)[g.col].distinct_est, 1));
-      }
-      est_groups =
-          all_stats
-              ? std::max(1.0, std::min(std::max(root_card, 1.0),
-                                       distinct_prod))
-              : std::max(1.0, std::sqrt(root_card));
-    }
-  }
-  out->plan_cost =
-      out->tree.cost + (out->has_agg ? root_card + est_groups : 0.0);
-
-  // Bridge 1: the simulated backend's parallel execution plan.
-  plan::ExpandOptions eo;
-  eo.apply_h1 = opts.apply_h1;
-  eo.serialize_chains = opts.apply_h2;
-  eo.scan_filter_sel = filter_sel;  // indexed by local rel id
-  eo.aggregate = out->has_agg;
-  eo.agg_groups_est = est_groups;
-  // Chain queries and explicitly shape-constrained trees build on the
-  // right child so the macro-expansion preserves the requested pipeline
-  // structure (right-deep => one maximal chain, left-deep => blocking
-  // ladder); an explicit Shape(kBushy) gets the same treatment so shape
-  // comparisons share one expansion convention.
-  eo.build_on_right_child =
-      q.chain_ || (!q.tree_.has_value() && q.shape_set_);
-  out->pplan = plan::MacroExpand(out->tree, out->cat, eo);
-  HIERDB_RETURN_NOT_OK(out->pplan.Validate());
-  out->filter_pass = filter_sel;
-
-  // Bridge 2: the real-data pipeline plan (threads/cluster backends).
-  // The simulated backend never touches it, so skip the table synthesis.
-  if (!want_real) return Status::OK();
-
-  // Attaches the filters and the aggregation spec to the finished
-  // pipeline plan: table indexes equal local rel ids in every bridge
-  // path, and the (rel, col) references resolve to offsets in the final
-  // chain's output row via the plan's layout. Ends with the structural
-  // validation (which bounds-checks filter/agg columns against the bound
-  // tables — registered or synthesized).
-  auto attach_filters_and_agg = [&]() -> Status {
-    out->mtplan.table_filters = filters;
-    if (out->has_agg) {
-      std::vector<uint32_t> widths;
-      widths.reserve(out->tables.size());
-      for (const mt::Table* t : out->tables) widths.push_back(t->width());
-      std::vector<uint32_t> offsets = out->mtplan.FinalLayout(widths);
-      auto resolve = [&](RelId rel, uint32_t col, const char* what,
-                         uint32_t* slot) -> Status {
-        uint32_t l = local(rel);
-        if (offsets[l] == UINT32_MAX) {
-          return Status::Internal("relation missing from the final output");
-        }
-        if (col >= widths[l]) {
-          return Status::OutOfRange(
-              std::string(what) + " column " + std::to_string(col) +
-              " >= width " + std::to_string(widths[l]) + " of relation '" +
-              catalog_.relation(rel).name + "'");
-        }
-        *slot = offsets[l] + col;
-        return Status::OK();
-      };
-      mt::AggSpec spec;
-      for (const auto& g : q.group_by_) {
-        uint32_t slot = 0;
-        HIERDB_RETURN_NOT_OK(resolve(g.rel, g.col, "GroupBy", &slot));
-        spec.group_cols.push_back(slot);
-      }
-      for (const auto& a : q.agg_items_) {
-        uint32_t slot = 0;
-        if (a.has_col) {
-          HIERDB_RETURN_NOT_OK(resolve(a.rel, a.col, "Agg", &slot));
-        }
-        spec.aggs.push_back({a.fn, slot});
-      }
-      spec.having = having_preds;
-      out->mtplan.agg = std::move(spec);
-    }
-    return out->mtplan.Validate(out->tables);
-  };
-
-  // Build-cache identities are consumed by both real backends (RunReal
-  // wires the cache, and kCluster's placement memo keys on them); with
-  // reuse off, or on the simulator, planning skips even the cheap id
-  // copies and, for synthesized tables, the O(rows) content hashing.
-  const bool want_cache =
-      opts.reuse_builds && opts.backend != Backend::kSimulated;
-  if (q.chain_) {
-    // Chain queries execute the registered rows verbatim.
-    std::string missing;
-    for (RelId r : rels) {
-      if (table(r) == nullptr) missing = catalog_.relation(r).name;
-    }
-    if (!missing.empty()) {
-      out->real_gap = "relation '" + missing +
-                      "' has no registered data (chain queries run on real "
-                      "tables; use Session::AddTable)";
-      return Status::OK();
-    }
-    for (RelId r : out->to_global) {
-      out->tables.push_back(table(r));
-      if (want_cache) {
-        out->cache_ids.push_back(tables_[r].content_hash);
-      }
-    }
-    mt::Chain chain;
-    chain.input = mt::Source::OfTable(local(q.input_));
-    for (const auto& s : q.steps_) {
-      chain.joins.push_back(
-          {mt::Source::OfTable(local(s.build)), s.probe_col, s.build_col});
-    }
-    out->mtplan.chains.push_back(std::move(chain));
-    HIERDB_RETURN_NOT_OK(attach_filters_and_agg());
-    out->has_real = true;
-    return Status::OK();
-  }
-
-  // Graph form: run on registered tables when every edge carries explicit
-  // join columns and every relation has data; otherwise synthesize tables
-  // that track the catalog cardinalities (paper methodology).
-  bool all_cols = true, all_data = true;
-  for (const auto& e : q.edges_) all_cols = all_cols && e.has_cols;
-  for (RelId r : rels) all_data = all_data && table(r) != nullptr;
-  if (all_cols && all_data) {
-    for (RelId r : out->to_global) {
-      out->tables.push_back(table(r));
-      if (want_cache) {
-        out->cache_ids.push_back(tables_[r].content_hash);
-      }
-    }
-    std::vector<mt::EdgeColumns> cols;
-    for (const auto& e : q.edges_) cols.push_back({e.col_a, e.col_b});
-    auto plan = mt::TranslateJoinTree(out->tree, graph, out->tables, cols);
-    HIERDB_RETURN_NOT_OK(plan.status());
-    out->mtplan = std::move(plan).value();
-    HIERDB_RETURN_NOT_OK(attach_filters_and_agg());
-    out->has_real = true;
-  } else {
-    mt::BindOptions bo;
-    bo.scale = opts.bind_scale;
-    bo.seed = opts.seed;
-    bo.min_rows = opts.bind_min_rows;
-    bo.skew_theta = opts.skew_theta;
-    auto bound = mt::BindJoinTree(out->tree, graph, out->cat, bo);
-    HIERDB_RETURN_NOT_OK(bound.status());
-    out->owned = std::move(bound.value().tables);
-    // Filter pushdown into the synthesized bind: Where predicates on
-    // these relations evaluate once here, so the executors scan
-    // pre-filtered tables instead of re-testing every row (the bound
-    // tables are this query's private copies — registered tables are
-    // never touched). The planning catalog keeps pricing the unfiltered
-    // cardinalities; filter_pass flips to 1.0 because the scanned tables
-    // themselves already shrank.
-    for (uint32_t l = 0; l < filters.size(); ++l) {
-      if (filters[l].empty()) continue;
-      mt::Batch& b = out->owned[l].batch;
-      for (const mt::Predicate& pr : filters[l]) {
-        if (pr.col >= b.width()) {
-          return Status::OutOfRange(
-              "Where column " + std::to_string(pr.col) + " >= width " +
-              std::to_string(b.width()) + " of relation '" +
-              catalog_.relation(out->to_global[l]).name + "'");
-        }
-      }
-      mt::Batch kept(b.width());
-      for (size_t r = 0; r < b.rows(); ++r) {
-        if (mt::MatchesAll(filters[l], b.row(r))) kept.AppendRow(b.row(r));
-      }
-      out->prefiltered_rows += b.rows() - kept.rows();
-      b = std::move(kept);
-      filters[l].clear();
-      out->filter_pass[l] = 1.0;
-    }
-    // Synthesized tables are cacheable on their contents plus the
-    // synthesis identity: two queries share a build only when the data
-    // really is byte-identical and was drawn under the same seed/skew/
-    // bind parameters (the key's "seed, skew" component). The per-query
-    // O(rows) hashing of synthesized tables is skipped when reuse is off
-    // (registered tables were hashed once at AddTable).
-    if (want_cache) {
-      uint64_t seed_skew = MixU64(0xA24BAED4963EE407ULL, opts.seed);
-      seed_skew = MixU64(seed_skew, DoubleBits(opts.skew_theta));
-      seed_skew = MixU64(seed_skew, DoubleBits(opts.bind_scale));
-      seed_skew = MixU64(seed_skew, opts.bind_min_rows);
-      out->cache_seed_skew = seed_skew;
-      for (const auto& t : out->owned) {
-        out->cache_ids.push_back(mt::TableContentHash(t.batch));
-      }
-    }
-    for (const auto& t : out->owned) out->tables.push_back(&t);
-    out->mtplan = std::move(bound.value().plan);
-    HIERDB_RETURN_NOT_OK(attach_filters_and_agg());
-    out->has_real = true;
-  }
-  return Status::OK();
-}
-
-Status Session::ValidateOptions(const ExecOptions& opts) const {
-  if (opts.strategy == Strategy::kSP && opts.nodes > 1) {
-    return Status::InvalidArgument(
-        "SP (synchronous pipelining) is shared-memory only: nodes must be 1");
-  }
-  if (opts.backend == Backend::kCluster &&
-      opts.strategy == Strategy::kSP) {
-    return Status::InvalidArgument(
-        "the cluster backend supports DP and FP only");
-  }
-  if (opts.backend == Backend::kThreads && opts.nodes != 1) {
-    return Status::InvalidArgument(
-        "the threads backend is one SM-node (nodes must be 1); use "
-        "Backend::kCluster for multi-node runs");
-  }
-  if (opts.nodes == 0 || opts.threads_per_node == 0) {
-    return Status::InvalidArgument("machine shape must be at least 1x1");
-  }
-  if (opts.materialize && opts.backend == Backend::kSimulated) {
-    return Status::InvalidArgument(
-        "the simulated backend has no rows to materialize (use "
-        "Backend::kThreads or Backend::kCluster)");
-  }
-  return Status::OK();
+  return db_.stats(id);
 }
 
 QueryHandle Session::Submit(const Query& q, const ExecOptions& opts) {
   Status bad = ValidateOptions(opts);
   if (!bad.ok()) return Scheduler::Completed(bad);
+  // Plan through the bridges an attempt may run: the simulator's plan
+  // only when the primary or fallback backend is simulated, the real one
+  // only for a real primary backend.
   auto planned = std::make_shared<Planned>();
-  Status st =
-      PlanQuery(q, opts, opts.backend != Backend::kSimulated, planned.get());
+  Status st = PlanLogical(q, opts, db_, planned.get());
+  if (st.ok() && (opts.backend == Backend::kSimulated ||
+                  opts.fallback_backend == Backend::kSimulated)) {
+    st = BridgeSimulated(q, opts, planned.get());
+  }
+  if (st.ok() && opts.backend != Backend::kSimulated) {
+    st = BridgeReal(q, opts, db_, planned.get());
+  }
   if (!st.ok()) return Scheduler::Completed(st);
   // Planned owns its synthesized tables and is immutable from here on;
   // the closure runs on a scheduler worker, possibly concurrently with
@@ -1245,7 +356,9 @@ QueryHandle Session::Submit(const Query& q, const ExecOptions& opts) {
         }
         recorder_->Instant(obs::EventKind::kSchedule, seq,
                            static_cast<uint64_t>(queue_ms * 1e6));
-        auto r = RunPlanned(*planned, eff, stop, fc);
+        auto r = eff.backend == Backend::kSimulated
+                     ? RunSimulated(*planned, eff, stop)
+                     : RunReal(*planned, eff, stop, fc);
         const uint64_t faults_fired =
             injector != nullptr ? injector->counters().total() - faults_before
                                 : 0;
@@ -1393,19 +506,6 @@ PoolStats Session::pool_stats() const {
 
 mt::BuildCache::Stats Session::build_cache_stats() const {
   return build_cache_.stats();
-}
-
-Result<QueryResult> Session::RunPlanned(const Planned& p,
-                                        const ExecOptions& opts,
-                                        const std::atomic<bool>& stop,
-                                        const FaultCtx& fc) const {
-  switch (opts.backend) {
-    case Backend::kSimulated: return RunSimulated(p, opts, stop);
-    case Backend::kThreads:
-    case Backend::kCluster:
-      return RunReal(p, opts, stop, fc);
-  }
-  return Status::Internal("unknown backend");
 }
 
 Result<QueryResult> Session::RunSimulated(
@@ -1579,7 +679,7 @@ Session::PlaceTables(const Planned& p, const ExecOptions& opts) const {
   };
   auto place_input = [&](uint32_t idx) {
     if (opts.placement_theta > 0) {
-      place(idx, 1, DoubleBits(opts.placement_theta));
+      place(idx, 1, std::bit_cast<uint64_t>(opts.placement_theta));
     } else {
       place(idx, 0, 0);
     }
@@ -1643,13 +743,19 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   eo.apply_h2 = opts.apply_h2;
   eo.recorder = recorder_.get();
   eo.recorder_query = fc.query_seq;
+  // One bounded sample sink per capture point, for the executor and the
+  // reference alike.
+  auto make_sinks = [&](std::vector<std::unique_ptr<obs::RowCapture>>* own) {
+    std::vector<mt::CaptureSink> caps;
+    for (const auto& cs : p.captures) {
+      own->push_back(
+          std::make_unique<obs::RowCapture>(session_options_.capture_rows));
+      caps.push_back({cs.chain, cs.point, own->back().get()});
+    }
+    return caps;
+  };
   std::vector<std::unique_ptr<obs::RowCapture>> cap_sinks;
-  cap_sinks.reserve(p.captures.size());
-  for (const auto& cs : p.captures) {
-    cap_sinks.push_back(
-        std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-    eo.captures.push_back({cs.chain, cs.point, cap_sinks.back().get()});
-  }
+  eo.captures = make_sinks(&cap_sinks);
   if (opts.strategy == Strategy::kFP && opts.fp_error_rate > 0) {
     const uint32_t ops = mt::CompiledOpCount(plan);
     Rng rng(opts.seed ^ 0x9E3779B97F4A7C15ULL);
@@ -1748,36 +854,22 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   const std::vector<bool>& chain_reused = es.chain_reused;
   rep.chains_reused = static_cast<uint32_t>(
       std::count(chain_reused.begin(), chain_reused.end(), true));
-  std::vector<double> est = EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-  rep.chain_cards = MakeChainCards(est, &rows_per_chain, &chain_reused);
+  rep.chain_cards = ChainCards(p, &rows_per_chain, &chain_reused);
   for (size_t i = 0; i < cap_sinks.size(); ++i) {
     rep.captures.push_back(cap_sinks[i]->Take(
         p.captures[i].name, p.captures[i].chain, p.captures[i].point));
   }
   if (opts.trace) {
-    auto qt = std::make_shared<obs::QueryTrace>();
-    qt->backend = BackendName(opts.backend);
-    qt->strategy = StrategyName(opts.strategy);
+    auto qt = std::make_shared<obs::QueryTrace>(
+        PlanTrace(p, opts, rows_per_chain, &chain_reused));
     qt->response_ms = rep.response_ms;
-    qt->nodes = on_cluster ? co.nodes : 1;
-    qt->workers_per_node = eo.threads;
-    qt->ops = RealTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est,
-                           rows_per_chain, on_cluster);
-    qt->chains = rep.chain_cards;
     rep.trace = std::move(qt);  // Submit adds the attempt's events
   }
   if (opts.validate) {
     // One reference for both backends: the pruned plan over the whole
     // tables (cluster placement only splits rows across nodes).
     std::vector<std::unique_ptr<obs::RowCapture>> ref_sinks;
-    std::vector<mt::CaptureSink> ref_caps;
-    ref_sinks.reserve(p.captures.size());
-    for (const auto& cs : p.captures) {
-      ref_sinks.push_back(
-          std::make_unique<obs::RowCapture>(session_options_.capture_rows));
-      ref_caps.push_back({cs.chain, cs.point, ref_sinks.back().get()});
-    }
-    auto ref = mt::ReferenceExecute(plan, p.tables, ref_caps);
+    auto ref = mt::ReferenceExecute(plan, p.tables, make_sinks(&ref_sinks));
     HIERDB_RETURN_NOT_OK(ref.status());
     rep.validated = true;
     rep.reference_rows = ref.value().count;
@@ -1803,62 +895,26 @@ Result<std::string> Session::Explain(const Query& q,
                                      const ExecOptions& opts) const {
   HIERDB_RETURN_NOT_OK(ValidateOptions(opts));
   Planned p;
-  HIERDB_RETURN_NOT_OK(PlanQuery(q, opts, /*want_real=*/true, &p));
-
-  std::ostringstream os;
-  os << "query: " << p.cat.size() << " relations, " << p.tree.num_joins()
-     << " joins (" << (q.is_chain() ? "chain" : "graph") << " form)";
-  if (!q.filters_.empty()) os << ", " << q.filters_.size() << " filters";
-  if (p.has_agg) os << ", aggregated";
-  os << "\n";
-  os << "backend: " << BackendName(opts.backend) << ", strategy "
-     << StrategyName(opts.strategy) << ", machine " << opts.nodes << "x"
-     << opts.threads_per_node << "\n\n";
-  os << "join tree (cost " << p.tree.cost << "):\n"
-     << p.tree.ToString(p.cat) << "\n";
-  os << "parallel execution plan (simulated backend):\n"
-     << p.pplan.ToString() << "\n";
-  os << "pipeline plan (threads/cluster backends):\n";
-  if (p.has_real) {
-    os << p.mtplan.ToString();
-    if (opts.backend == Backend::kCluster && p.mtplan.chains.size() > 1) {
-      os << "cluster note: all " << p.mtplan.chains.size()
-         << " chains execute distributed ("
-         << (opts.apply_h2 ? "back-to-back" : "concurrent where independent")
-         << "); intermediates stay on their producing nodes and repartition "
-            "to the consuming join via tuple-batch shipping\n";
-    }
-  } else {
-    os << "unavailable: " << p.real_gap << "\n";
-  }
-  return os.str();
+  HIERDB_RETURN_NOT_OK(PlanLogical(q, opts, db_, &p));
+  HIERDB_RETURN_NOT_OK(BridgeSimulated(q, opts, &p));
+  HIERDB_RETURN_NOT_OK(BridgeReal(q, opts, db_, &p));
+  return ExplainText(q, opts, p);
 }
 
 Result<std::string> Session::ExplainDot(const Query& q,
                                         const ExecOptions& opts) const {
   HIERDB_RETURN_NOT_OK(ValidateOptions(opts));
   Planned p;
-  HIERDB_RETURN_NOT_OK(
-      PlanQuery(q, opts, opts.backend != Backend::kSimulated, &p));
-
-  // An estimate-only QueryTrace (no events): the same plan graph a traced
-  // execution carries, so the DOT shape matches what PlanDot renders from
-  // ExecutionReport::trace — minus the actuals and span annotations.
-  obs::QueryTrace qt;
-  qt.backend = BackendName(opts.backend);
-  qt.strategy = StrategyName(opts.strategy);
-  qt.nodes = opts.nodes;
-  qt.workers_per_node = opts.threads_per_node;
-  if (opts.backend == Backend::kSimulated) {
-    qt.ops = SimTraceOps(p.pplan);
-  } else {
-    if (!p.has_real) return Status::InvalidArgument(p.real_gap);
-    std::vector<double> est =
-        EstimateChainRows(p.mtplan, p.filter_pass, p.tables);
-    qt.ops = RealTraceOps(p.mtplan, p.filter_pass, p.tables, p.cat, est, {},
-                          opts.backend == Backend::kCluster);
-    qt.chains = MakeChainCards(est, nullptr);
-  }
+  HIERDB_RETURN_NOT_OK(PlanLogical(q, opts, db_, &p));
+  const bool sim = opts.backend == Backend::kSimulated;
+  HIERDB_RETURN_NOT_OK(sim ? BridgeSimulated(q, opts, &p)
+                           : BridgeReal(q, opts, db_, &p));
+  if (!sim && !p.has_real) return Status::InvalidArgument(p.real_gap);
+  // The same plan graph a traced execution carries, so the DOT shape
+  // matches what PlanDot renders from ExecutionReport::trace — minus the
+  // actuals and span annotations.
+  obs::QueryTrace qt = PlanTrace(p, opts);
+  if (sim) qt.ops = SimTraceOps(p.pplan);
   return obs::PlanDot(qt);
 }
 
@@ -1955,18 +1011,7 @@ std::string Session::WriteForensicBundle(
   // plan.json — the implicated query's plan graph (anomaly dumps; an
   // explicit DumpForensics has no query at hand).
   if (planned != nullptr && opts != nullptr && planned->has_real) {
-    obs::QueryTrace qt;
-    qt.backend = BackendName(opts->backend);
-    qt.strategy = StrategyName(opts->strategy);
-    qt.nodes = opts->nodes;
-    qt.workers_per_node = opts->threads_per_node;
-    std::vector<double> est = EstimateChainRows(
-        planned->mtplan, planned->filter_pass, planned->tables);
-    qt.ops = RealTraceOps(planned->mtplan, planned->filter_pass,
-                          planned->tables, planned->cat, est, {},
-                          opts->backend == Backend::kCluster);
-    qt.chains = MakeChainCards(est, nullptr);
-    write("plan.json", obs::PlanJson(qt));
+    write("plan.json", obs::PlanJson(PlanTrace(*planned, *opts)));
   }
 
   write("metrics.json", MetricsSnapshot().ToJson());

@@ -71,7 +71,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -80,6 +79,7 @@
 #include <tuple>
 #include <vector>
 
+#include "api/planner.h"
 #include "api/worker_pool.h"
 #include "catalog/catalog.h"
 #include "cluster/cluster_executor.h"
@@ -103,8 +103,6 @@
 #include "sim/config.h"
 
 namespace hierdb::api {
-
-using catalog::RelId;
 
 /// Filter comparison and aggregate-function enums, shared with the
 /// executor layer (mt/agg.h).
@@ -725,17 +723,7 @@ class Session;
 /// Session::NewQuery().
 class Query {
  public:
-  Query() = default;
-
-  bool is_chain() const { return chain_; }
-  uint32_t num_joins() const {
-    return static_cast<uint32_t>(chain_ ? steps_.size() : edges_.size());
-  }
-
- private:
-  friend class QueryBuilder;
-  friend class Session;
-
+  /// What the builder recorded, as the planner (api/planner.h) reads it.
   struct Edge {
     RelId a = 0;
     RelId b = 0;
@@ -744,22 +732,12 @@ class Query {
     uint32_t col_b = 0;
     bool has_cols = false;  ///< explicit join columns (real-data execution)
   };
-  std::vector<Edge> edges_;
-  std::optional<plan::JoinTree> tree_;  ///< explicit tree override
-  opt::ShapeOptions shape_;             ///< used when no explicit tree
-  bool shape_set_ = false;              ///< Shape() was called explicitly
-
-  bool chain_ = false;
-  bool has_input_ = false;  ///< Scan() was called
-  RelId input_ = 0;
   struct Step {
     RelId build = 0;
     uint32_t probe_col = 0;  ///< column in the pipelined row
     uint32_t build_col = 0;  ///< column in the build relation
     double selectivity = 0.0;
   };
-  std::vector<Step> steps_;
-
   /// Scan-level filters and the optional GROUP BY/aggregation, shared by
   /// both query forms. Columns are relation-qualified (rel, col) so the
   /// query stays valid whatever join tree the optimizer chooses.
@@ -779,13 +757,9 @@ class Query {
     uint32_t col = 0;
     bool has_col = false;  ///< false: COUNT(*) — no column referenced
   };
-  std::vector<FilterSpec> filters_;
-  std::vector<GroupColSpec> group_by_;
-  std::vector<AggSpecItem> agg_items_;
-
   /// Post-aggregation (HAVING) predicate: over an aggregate (`on_agg`,
-  /// matched against agg_items_) or a grouping column (matched against
-  /// group_by_). Resolved to an output-row column at plan time.
+  /// matched against agg_items) or a grouping column (matched against
+  /// group_by). Resolved to an output-row column at plan time.
   struct HavingSpec {
     bool on_agg = false;
     AggFn fn = AggFn::kCount;
@@ -795,8 +769,6 @@ class Query {
     CmpOp cmp = CmpOp::kEq;
     int64_t value = 0;
   };
-  std::vector<HavingSpec> having_;
-
   /// Plan-point captures (QueryBuilder::CapturePoint): `point` is the
   /// position in the chain where the builder call appeared — 0 right
   /// after Scan() (the scan's filtered, projected output), j after the
@@ -805,11 +777,37 @@ class Query {
     std::string name;
     uint32_t point = 0;
   };
-  std::vector<CaptureSpec> captures_;
+  struct Spec {
+    std::vector<Edge> edges;
+    std::optional<plan::JoinTree> tree;  ///< explicit tree override
+    opt::ShapeOptions shape;             ///< used when no explicit tree
+    bool shape_set = false;              ///< Shape() was called explicitly
 
- public:
-  bool has_agg() const { return !group_by_.empty() || !agg_items_.empty(); }
-  bool has_captures() const { return !captures_.empty(); }
+    bool chain = false;
+    bool has_input = false;  ///< Scan() was called
+    RelId input = 0;
+    std::vector<Step> steps;
+
+    std::vector<FilterSpec> filters;
+    std::vector<GroupColSpec> group_by;
+    std::vector<AggSpecItem> agg_items;
+    std::vector<HavingSpec> having;
+    std::vector<CaptureSpec> captures;
+  };
+  const Spec& spec() const { return spec_; }
+
+  bool is_chain() const { return spec_.chain; }
+  uint32_t num_joins() const {
+    return static_cast<uint32_t>(spec_.chain ? spec_.steps.size()
+                                             : spec_.edges.size());
+  }
+  bool has_agg() const {
+    return !spec_.group_by.empty() || !spec_.agg_items.empty();
+  }
+
+ private:
+  friend class QueryBuilder;
+  Spec spec_;
 };
 
 /// Fluent builder. Graph form:
@@ -818,52 +816,85 @@ class Query {
 ///   db.NewQuery().Scan(fact).Probe(d1, 1, 0).Probe(d2, 2, 0).Build()
 class QueryBuilder {
  public:
-  QueryBuilder() = default;
-
   /// Adds a join predicate a-b. selectivity <= 0 picks the FK default
   /// max(|A|,|B|) / (|A|*|B|) (each result about the larger input).
-  QueryBuilder& Join(RelId a, RelId b, double selectivity = 0.0);
+  QueryBuilder& Join(RelId a, RelId b, double selectivity = 0.0) {
+    q_.spec_.edges.push_back({a, b, selectivity, 0, 0, false});
+    return *this;
+  }
 
   /// Join predicate with explicit join columns; when every edge carries
   /// columns and every relation has registered data, the real backends run
   /// on the registered tables instead of synthesized ones.
   QueryBuilder& JoinOn(RelId a, uint32_t col_a, RelId b, uint32_t col_b,
-                       double selectivity = 0.0);
+                       double selectivity = 0.0) {
+    q_.spec_.edges.push_back({a, b, selectivity, col_a, col_b, true});
+    return *this;
+  }
 
   /// Overrides the optimizer with an explicit join tree.
-  QueryBuilder& Tree(plan::JoinTree tree);
+  QueryBuilder& Tree(plan::JoinTree tree) {
+    q_.spec_.tree = std::move(tree);
+    return *this;
+  }
 
   /// Constrains the optimizer's tree shape (default: bushy).
-  QueryBuilder& Shape(opt::TreeShape shape, uint32_t segment_length = 3);
+  QueryBuilder& Shape(opt::TreeShape shape, uint32_t segment_length = 3) {
+    q_.spec_.shape.shape = shape;
+    q_.spec_.shape.segment_length = segment_length;
+    q_.spec_.shape_set = true;
+    return *this;
+  }
 
   /// Chain form: the driving scan.
-  QueryBuilder& Scan(RelId input);
+  QueryBuilder& Scan(RelId input) {
+    q_.spec_.chain = true;
+    q_.spec_.has_input = true;
+    q_.spec_.input = input;
+    return *this;
+  }
 
   /// Chain form: one hash-join step. `probe_col` indexes the pipelined
   /// row (input columns, then each build's columns appended in step
   /// order); `build_col` indexes the build relation.
   QueryBuilder& Probe(RelId build, uint32_t probe_col,
-                      uint32_t build_col = 0, double selectivity = 0.0);
+                      uint32_t build_col = 0, double selectivity = 0.0) {
+    q_.spec_.chain = true;
+    q_.spec_.steps.push_back({build, probe_col, build_col, selectivity});
+    return *this;
+  }
 
   /// Scan-level filter: keep only `rel` rows whose column `col` compares
   /// `cmp` against `value`. Applied where the relation's rows enter the
   /// pipeline (the driving scan or a build's scatter) on every backend;
   /// multiple Where calls on one relation conjoin. Works with both query
   /// forms; `rel` must be joined by the query.
-  QueryBuilder& Where(RelId rel, uint32_t col, CmpOp cmp, int64_t value);
+  QueryBuilder& Where(RelId rel, uint32_t col, CmpOp cmp, int64_t value) {
+    q_.spec_.filters.push_back({rel, col, cmp, value});
+    return *this;
+  }
 
   /// GROUP BY column `col` of relation `rel` (multiple calls build a
   /// compound key). The result rows become [group values..., aggregates
   /// ...]; with no GroupBy the aggregates reduce to a single global group.
-  QueryBuilder& GroupBy(RelId rel, uint32_t col);
+  QueryBuilder& GroupBy(RelId rel, uint32_t col) {
+    q_.spec_.group_by.push_back({rel, col});
+    return *this;
+  }
 
   /// Aggregate `fn` over column `col` of relation `rel`. COUNT ignores
   /// the column (use Count() for the argument-free spelling). GroupBy
   /// with no aggregates yields the distinct group combinations.
-  QueryBuilder& Agg(AggFn fn, RelId rel, uint32_t col = 0);
+  QueryBuilder& Agg(AggFn fn, RelId rel, uint32_t col = 0) {
+    q_.spec_.agg_items.push_back({fn, rel, col, fn != AggFn::kCount});
+    return *this;
+  }
 
   /// COUNT(*) — rows per group.
-  QueryBuilder& Count();
+  QueryBuilder& Count() {
+    q_.spec_.agg_items.push_back({AggFn::kCount, 0, 0, /*has_col=*/false});
+    return *this;
+  }
 
   /// HAVING over an aggregate: keep only groups whose `fn(rel.col)` value
   /// compares `cmp` against `value`. The aggregate must also appear in an
@@ -871,11 +902,23 @@ class QueryBuilder {
   /// Multiple Having calls conjoin. Applied identically on every backend
   /// as the groups are finalized — digests and materialized rows agree.
   QueryBuilder& Having(AggFn fn, RelId rel, uint32_t col, CmpOp cmp,
-                       int64_t value);
+                       int64_t value) {
+    q_.spec_.having.push_back(
+        {/*on_agg=*/true, fn, rel, col, fn != AggFn::kCount, cmp, value});
+    return *this;
+  }
   /// HAVING over a grouping column (must appear in a GroupBy() call).
-  QueryBuilder& Having(RelId rel, uint32_t col, CmpOp cmp, int64_t value);
+  QueryBuilder& Having(RelId rel, uint32_t col, CmpOp cmp, int64_t value) {
+    q_.spec_.having.push_back(
+        {/*on_agg=*/false, AggFn::kCount, rel, col, false, cmp, value});
+    return *this;
+  }
   /// HAVING COUNT(*) `cmp` `value` (requires a Count() aggregate).
-  QueryBuilder& HavingCount(CmpOp cmp, int64_t value);
+  QueryBuilder& HavingCount(CmpOp cmp, int64_t value) {
+    q_.spec_.having.push_back(
+        {/*on_agg=*/true, AggFn::kCount, 0, 0, false, cmp, value});
+    return *this;
+  }
 
   /// Plan-point capture: samples the rows flowing past the *current*
   /// position in the chain — right after Scan() the scan's output
@@ -887,7 +930,11 @@ class QueryBuilder {
   /// answer at that operator is comparable offline. Chain form only;
   /// real backends only. Results land in ExecutionReport::captures and in
   /// forensic bundles.
-  QueryBuilder& CapturePoint(std::string name);
+  QueryBuilder& CapturePoint(std::string name) {
+    q_.spec_.captures.push_back(
+        {std::move(name), static_cast<uint32_t>(q_.spec_.steps.size())});
+    return *this;
+  }
 
   Query Build() const { return q_; }
 
@@ -908,7 +955,8 @@ class QueryBuilder {
 /// queries are still executing is supported (table storage is
 /// pointer-stable and executions reference plan-time snapshots), but
 /// registration must not race a concurrent Submit/Execute/Explain *call*
-/// on another thread (planning reads the catalog unlocked).
+/// on another thread: planning reads the catalog unlocked, under the
+/// planner's snapshot contract (api/planner.h).
 class Session {
  public:
   Session();
@@ -927,7 +975,7 @@ class Session {
   /// derived from the table. Real backends run on these rows verbatim.
   RelId AddTable(mt::Table table);
 
-  const catalog::Catalog& catalog() const { return catalog_; }
+  const catalog::Catalog& catalog() const { return db_.catalog; }
   /// Registered data for `id`, or nullptr for catalog-only relations.
   const mt::Table* table(RelId id) const;
   /// Per-column statistics (min/max + approximate distinct counts) of a
@@ -988,7 +1036,6 @@ class Session {
 
  private:
   friend class Scheduler;
-  struct Planned;
 
   /// Per-attempt context threaded into the backend runners: the query's
   /// injector (null = no chaos) and its admission seq.
@@ -998,17 +1045,8 @@ class Session {
     uint64_t query_seq = 0;
   };
 
-  /// `want_real` additionally builds the real-data bridge (tables +
-  /// pipeline plan); the simulated backend skips that work.
-  Status PlanQuery(const Query& q, const ExecOptions& opts, bool want_real,
-                   Planned* out) const;
-  /// Backend-shape checks shared by Submit and Explain.
-  Status ValidateOptions(const ExecOptions& opts) const;
-  /// Runs a planned query on its backend (called from scheduler lanes;
-  /// `stop` is the query's cooperative cancel/deadline token).
-  Result<QueryResult> RunPlanned(const Planned& p, const ExecOptions& opts,
-                                 const std::atomic<bool>& stop,
-                                 const FaultCtx& fc) const;
+  /// The backend runners, called from scheduler lanes (`stop` is the
+  /// query's cooperative cancel/deadline token).
   Result<QueryResult> RunSimulated(const Planned& p, const ExecOptions& opts,
                                    const std::atomic<bool>& stop) const;
   /// kCluster placement: partitions each base relation by its first use
@@ -1031,20 +1069,8 @@ class Session {
   /// into it and must be destroyed before it.
   std::unique_ptr<obs::FlightRecorder> recorder_;
 
-  catalog::Catalog catalog_;
-  /// Registered data, aligned with RelIds. A deque never relocates
-  /// existing elements on registration, so executing queries' table
-  /// pointers stay valid while new tables are added (see the class
-  /// thread-safety note).
-  struct TableSlot {
-    std::optional<mt::Table> table;
-    uint64_t content_hash = 0;  ///< build-cache identity (0 = catalog-only)
-    /// Per-column min/max + approximate distinct counts, computed once at
-    /// AddTable. The planner's predicate short-circuit (always-true /
-    /// always-false Where folds) reads the [min, max] envelope.
-    std::vector<mt::ColumnStats> stats;
-  };
-  std::deque<TableSlot> tables_;
+  /// The catalog and registered data the planner reads.
+  PlanCatalog db_;
   /// The deterministic simulator runs one query at a time (so concurrent
   /// submissions stay reproducible); real backends overlap freely.
   mutable std::mutex sim_mu_;

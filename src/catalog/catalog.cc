@@ -12,12 +12,6 @@ RelId Catalog::AddRelation(std::string name, uint64_t cardinality,
   return id;
 }
 
-uint64_t Catalog::total_bytes() const {
-  uint64_t n = 0;
-  for (const auto& r : relations_) n += r.bytes();
-  return n;
-}
-
 SizeRanges SizeRanges::Scaled(double scale) const {
   auto s = [scale](uint64_t v) {
     return std::max<uint64_t>(1, static_cast<uint64_t>(v * scale));

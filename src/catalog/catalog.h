@@ -50,8 +50,6 @@ class Catalog {
   uint32_t size() const { return static_cast<uint32_t>(relations_.size()); }
   const std::vector<Relation>& relations() const { return relations_; }
 
-  uint64_t total_bytes() const;
-
  private:
   std::vector<Relation> relations_;
 };

@@ -77,9 +77,6 @@ class Rng {
     return lo + NextDouble() * (hi - lo);
   }
 
-  /// Derive an independent child generator (for per-component streams).
-  Rng Fork() { return Rng(Next() ^ 0xa5a5a5a5a5a5a5a5ULL); }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

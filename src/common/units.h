@@ -33,11 +33,6 @@ inline double ToMillis(SimTime t) {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
 
-/// Seconds (double) view of a SimTime, for reporting.
-inline double ToSeconds(SimTime t) {
-  return static_cast<double>(t) / static_cast<double>(kSecond);
-}
-
 }  // namespace hierdb
 
 #endif  // HIERDB_COMMON_UNITS_H_

@@ -70,8 +70,6 @@ struct Frame {
   size_t emit_idx = 0;
 
   uint64_t serial = 0;  ///< for I/O completion routing
-
-  bool QueueBlocked() const { return wait_queue != nullptr; }
 };
 
 /// Inter-node messages (handled by the per-node scheduler threads).
@@ -124,7 +122,6 @@ class Worker {
   /// Ensures a dispatch event is pending (no-op when already running).
   void Kick();
 
-  NodeId node_id() const { return node_; }
   uint32_t index() const { return idx_; }
   SimTime busy_ns() const { return busy_ns_; }
   const std::vector<Frame>& stack() const { return stack_; }

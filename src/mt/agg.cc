@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "mt/hash.h"
+
 namespace hierdb::mt {
 
 const char* CmpOpName(CmpOp op) {
@@ -30,11 +32,6 @@ const char* AggFnName(AggFn fn) {
 
 namespace {
 
-uint64_t MixU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 /// Accumulator slots one aggregate occupies in a partial row.
 uint32_t SlotsOf(AggFn fn) { return fn == AggFn::kAvg ? 2 : 1; }
 
@@ -44,9 +41,9 @@ uint64_t PredicatesHash(const std::vector<Predicate>& preds) {
   if (preds.empty()) return 0;
   uint64_t h = 0x6A09E667F3BCC909ULL;
   for (const Predicate& p : preds) {
-    h = MixU64(h, p.col);
-    h = MixU64(h, static_cast<uint64_t>(p.cmp));
-    h = MixU64(h, static_cast<uint64_t>(p.value));
+    h = HashCombine(h, p.col);
+    h = HashCombine(h, static_cast<uint64_t>(p.cmp));
+    h = HashCombine(h, static_cast<uint64_t>(p.value));
   }
   return h == 0 ? 1 : h;
 }

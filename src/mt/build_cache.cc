@@ -13,11 +13,6 @@ namespace {
 constexpr auto kWaitPoll = std::chrono::milliseconds(2);
 constexpr auto kWaitCap = std::chrono::seconds(5);
 
-uint64_t Mix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
 uint64_t FiltersHash(const PipelinePlan& plan, uint32_t table) {
   const std::vector<Predicate>* preds = plan.FiltersFor(table);
   return preds != nullptr ? PredicatesHash(*preds) : 0;
@@ -42,8 +37,8 @@ uint64_t SourceIdentity(const std::vector<uint64_t>& table_ids,
                         const PipelinePlan& plan, const Source& s) {
   if (s.kind == Source::Kind::kTable) {
     if (s.index >= table_ids.size() || table_ids[s.index] == 0) return 0;
-    uint64_t h = Mix(table_ids[s.index], FiltersHash(plan, s.index));
-    return Mix(h, ProjectionHash(plan, s.index));
+    uint64_t h = HashCombine(table_ids[s.index], FiltersHash(plan, s.index));
+    return HashCombine(h, ProjectionHash(plan, s.index));
   }
   const Chain& chain = plan.chains[s.index];
   uint64_t h = SourceIdentity(table_ids, plan, chain.input);
@@ -51,8 +46,8 @@ uint64_t SourceIdentity(const std::vector<uint64_t>& table_ids,
   for (const JoinStep& js : chain.joins) {
     const uint64_t b = SourceIdentity(table_ids, plan, js.build);
     if (b == 0) return 0;
-    h = Mix(Mix(h, b), static_cast<uint64_t>(js.probe_col) << 32 |
-                           js.build_col);
+    h = HashCombine(HashCombine(h, b),
+                    static_cast<uint64_t>(js.probe_col) << 32 | js.build_col);
   }
   return h == 0 ? 1 : h;
 }

@@ -87,6 +87,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "mt/hash.h"
 #include "mt/plan.h"
 #include "mt/row.h"
 #include "mt/row_table.h"
@@ -120,11 +121,10 @@ struct BuildKey {
 struct BuildKeyHash {
   size_t operator()(const BuildKey& k) const {
     uint64_t h = k.table ^ (k.chain ? 0xC3A5C85C97CB3127ULL : 0);
-    h ^= (static_cast<uint64_t>(k.column) << 32 | k.buckets) +
-         0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h ^= k.seed_skew + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h ^= k.filters + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    h ^= k.projection + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    h = HashCombine(h, static_cast<uint64_t>(k.column) << 32 | k.buckets);
+    h = HashCombine(h, k.seed_skew);
+    h = HashCombine(h, k.filters);
+    h = HashCombine(h, k.projection);
     return static_cast<size_t>(h);
   }
 };

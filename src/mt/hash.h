@@ -18,6 +18,11 @@ inline uint64_t HashKey(int64_t key) {
   return z ^ (z >> 31);
 }
 
+/// Order-dependent combine of `v` into the running hash `h`.
+inline uint64_t HashCombine(uint64_t h, uint64_t v) {
+  return h ^ (v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2));
+}
+
 /// Chain slot of `hash` in a hash table with `heads` chain heads (a power
 /// of two, at least 2): the top log2(heads) bits. Partitioning reads the
 /// low and middle bits: a build bucket is `hash % B`, a cluster node

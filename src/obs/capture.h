@@ -61,14 +61,6 @@ class RowCapture {
     Insert(h, row, width);
   }
 
-  /// Offers `rows.size() / width` rows stored contiguously.
-  void OfferBatch(const std::vector<int64_t>& flat, uint32_t width) {
-    if (width == 0) return;
-    for (size_t i = 0; i + width <= flat.size(); i += width) {
-      Offer(flat.data() + i, width);
-    }
-  }
-
   /// Moves the sample out (call after the run quiesced).
   CaptureResult Take(std::string name, uint32_t chain, uint32_t point);
 

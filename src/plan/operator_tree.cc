@@ -8,17 +8,6 @@
 
 namespace hierdb::plan {
 
-const char* OpKindName(OpKind k) {
-  switch (k) {
-    case OpKind::kScan: return "Scan";
-    case OpKind::kBuild: return "Build";
-    case OpKind::kProbe: return "Probe";
-    case OpKind::kAggPartial: return "AggPartial";
-    case OpKind::kAggMerge: return "AggMerge";
-  }
-  return "?";
-}
-
 uint32_t PhysicalPlan::num_scans() const {
   uint32_t n = 0;
   for (const auto& o : ops) {
@@ -33,14 +22,6 @@ uint32_t PhysicalPlan::num_joins() const {
     if (o.IsProbe()) ++n;
   }
   return n;
-}
-
-std::vector<OpId> PhysicalPlan::BlockersOf(OpId id) const {
-  std::vector<OpId> out;
-  for (const auto& c : constraints) {
-    if (c.after == id) out.push_back(c.before);
-  }
-  return out;
 }
 
 Status PhysicalPlan::Validate() const {

@@ -33,8 +33,6 @@ constexpr OpId kNoOp = UINT32_MAX;
 /// downstream — its completed groups are the query result).
 enum class OpKind { kScan, kBuild, kProbe, kAggPartial, kAggMerge };
 
-const char* OpKindName(OpKind k);
-
 /// One atomic operator of the operator tree.
 struct Operator {
   OpId id = 0;
@@ -99,9 +97,6 @@ struct PhysicalPlan {
 
   uint32_t num_scans() const;
   uint32_t num_joins() const;
-
-  /// All operators that must end before `id` may start.
-  std::vector<OpId> BlockersOf(OpId id) const;
 
   /// Validates structural invariants (dataflow acyclicity, constraint
   /// sanity, chain coverage).

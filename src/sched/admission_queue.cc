@@ -24,12 +24,6 @@ AdmissionQueue::AdmissionQueue(OrderPolicy policy, double aging_ms,
   }
 }
 
-size_t AdmissionQueue::total_queued() const {
-  size_t n = 0;
-  for (const Tenant& t : tenants_) n += t.by_seq.size();
-  return n;
-}
-
 double AdmissionQueue::KeyFor(const QueueItem& item) const {
   switch (policy_) {
     case OrderPolicy::kFifo:

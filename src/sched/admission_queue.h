@@ -77,7 +77,6 @@ class AdmissionQueue {
   /// Waiting entries of `t`, including dead (cancelled/expired) ones not
   /// yet swept.
   size_t queued(uint32_t t) const { return tenants_[t].by_seq.size(); }
-  size_t total_queued() const;
   uint32_t inflight(uint32_t t) const { return tenants_[t].inflight; }
 
   void Push(QueueItem item);

@@ -125,8 +125,6 @@ struct SystemConfig {
   DiskParams disk;
   CostModel cost;
 
-  uint32_t total_procs() const { return num_nodes * procs_per_node; }
-
   /// Effective ns per instruction on a node with `procs` processors,
   /// including the memory-hierarchy contention factor.
   double instr_ns(uint32_t procs_on_node) const {

@@ -54,7 +54,6 @@ class Network {
             TrafficClass cls, EventFn on_delivery);
 
   const NetworkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetworkStats{}; }
 
  private:
   Simulator* sim_;

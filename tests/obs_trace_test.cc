@@ -251,6 +251,26 @@ TEST(ObsTrace, ClusterTraceTagsNodesAndAggPhase) {
   EXPECT_TRUE(saw_agg_span);
 }
 
+// Spawns threads like ThreadSpawnContext and requests a stop on its k-th
+// StopRequested() poll. Workers poll once per activation, so the stop
+// lands mid-run after activations ran, however loaded the host is.
+class StopOnPoll final : public ExecContext {
+ public:
+  explicit StopOnPoll(uint64_t k) : k_(k) {}
+  void SpawnWorkers(uint32_t n,
+                    const std::function<void(uint32_t)>& body) override {
+    threads_.SpawnWorkers(n, body);
+  }
+  bool StopRequested() const override {
+    return polls_.fetch_add(1, std::memory_order_relaxed) + 1 >= k_;
+  }
+
+ private:
+  ThreadSpawnContext threads_;
+  const uint64_t k_;
+  mutable std::atomic<uint64_t> polls_{0};
+};
+
 // The cancelled-trace guarantee lives at the executor layer: span cells
 // are written into the recorder on every exit path, so a query stopped
 // mid-flight still leaves an inspectable trace.
@@ -266,32 +286,27 @@ TEST(ObsTrace, CancelledExecutionStillDrainsSpans) {
 
   obs::FlightRecorder rec({});
   rec.BeginTrace(1);
-  std::atomic<bool> stop{false};
-  ThreadSpawnContext ctx(&stop);
+  // ~800 scan morsels and as many probe batches poll far more than 64
+  // times, so the stop always lands before the query completes.
+  StopOnPoll ctx(64);
   mt::PipelineOptions po;
   po.threads = 2;
-  po.morsel_rows = 512;  // many activations => cancel lands mid-run
+  po.morsel_rows = 512;
   po.ctx = &ctx;
   po.recorder = &rec;
   po.recorder_query = 1;
   mt::PipelineExecutor executor(po);
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    stop.store(true, std::memory_order_release);
-  });
   auto got = executor.Execute(plan, tables);
-  canceller.join();
-  // Whether the cancel won the race or the query finished first, the
-  // trace holds whatever ran, monotonic and well-formed.
+  // The trace holds whatever ran before the stop, monotonic and
+  // well-formed.
   std::vector<obs::TraceEvent> events = rec.EndTrace(1);
   ASSERT_FALSE(events.empty());
   for (const obs::TraceEvent& ev : events) {
     EXPECT_LE(ev.start_ns, ev.end_ns);
   }
-  if (!got.ok()) {
-    EXPECT_EQ(got.status().code(), StatusCode::kCancelled)
-        << got.status().ToString();
-  }
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCancelled)
+      << got.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
