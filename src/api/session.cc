@@ -86,7 +86,7 @@ std::string ExecutionReport::ToString() const {
   if (backend == Backend::kSimulated) {
     os << " idle=" << idle_fraction * 100.0 << "%";
   } else {
-    os << " idle_waits=" << idle_waits;
+    os << " idle_waits=" << idle_waits << " idle_timeouts=" << idle_timeouts;
   }
   os << " acts=" << activations;
   if (tuples > 0) os << " tuples=" << tuples;
@@ -829,6 +829,7 @@ Result<QueryResult> Session::RunReal(const Planned& p,
   rep.aggregated = p.has_agg;
   rep.rows_prefiltered = p.prefiltered_rows;
   rep.idle_waits = es.idle_waits;
+  rep.idle_timeouts = es.idle_timeouts;
   rep.build_cache_hits = es.build_cache_hits;
   rep.build_cache_misses = es.build_cache_misses;
   rep.direct_probes = es.direct_probes;

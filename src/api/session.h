@@ -294,6 +294,9 @@ struct ExecutionReport {
   double idle_fraction = 0.0;
   /// Real backends: waits with no runnable work (summed over threads/nodes).
   uint64_t idle_waits = 0;
+  /// Real backends: idle waits that the liveness net ended, not a signal
+  /// (mt::EngineStats::idle_timeouts).
+  uint64_t idle_timeouts = 0;
 
   uint64_t activations = 0;  ///< activations processed (all backends)
   uint64_t tuples = 0;       ///< kSimulated: tuples processed

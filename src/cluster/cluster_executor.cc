@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/idle_signal.h"
 #include "common/zipf.h"
 #include "mt/node_engine.h"
 #include "mt/row_table.h"
@@ -145,6 +146,9 @@ struct ClusterExecutor::Impl {
   // Worker provider + cooperative cancellation for this run.
   ExecContext* ctx = nullptr;
   std::atomic<bool> cancelled{false};
+  // The team's one idle signal: any body serves every node, so every
+  // node's readiness wakes the same waiters (see Body).
+  IdleSignal idle;
 
   // Build-side reuse (mt::ResolveBuilds against opt.build_cache, never
   // waiting on another query's build). The engines start a hit
@@ -171,13 +175,14 @@ struct ClusterExecutor::Impl {
   std::mutex fail_mu;
   std::string unavailable_msg;
   /// Global progress clock: bumped on every handled message and every
-  /// executed activation/morsel (only when detection is on). Node 0's
-  /// scheduler step watches it; no movement past the liveness timeout
-  /// while the query is unfinished means termination can no longer be
-  /// reached (the dropped-message case where every node is still alive).
+  /// executed activation/morsel (only when detection is on). Node 0
+  /// watches it (WatchProgress), also once finished; no movement past the
+  /// liveness timeout while the query is unfinished means termination can
+  /// no longer be reached (the dropped-message case where every node is
+  /// still alive, or a peer that stalled after node 0 finished).
   std::atomic<uint64_t> progress{0};
   std::atomic<uint64_t> dup_dropped{0};
-  // The watchdog's last reading, owned by node 0's step.
+  // The watchdog's last reading, owned by node 0's step (WatchProgress).
   uint64_t last_progress = 0;
   uint64_t progress_since = 0;
 
@@ -355,7 +360,7 @@ struct ClusterExecutor::Impl {
       cfg.nodes = opt.nodes;
       cfg.keep_final = materialize_final;
       node->engine = std::make_unique<NodeEngine>(
-          opt, plan, std::move(rows), widths, &builds, cfg, node.get());
+          opt, plan, std::move(rows), widths, &builds, cfg, node.get(), &idle);
       const NodeEngine& e = *node->engine;
       node->fp_starving = std::vector<std::atomic<bool>>(nops);
       for (auto& f : node->fp_starving) f.store(false);
@@ -461,7 +466,18 @@ struct ClusterExecutor::Impl {
     m.op = op;
     m.bucket = bucket;
     m.payload = net::EncodeBatch(rows);
-    fabric.Send(node.id, dest, std::move(m)).ok();
+    Send(node.id, dest, std::move(m));
+  }
+
+  /// Run-phase delivery: a message is work for its destination's
+  /// scheduler, which any body may step, so one idle body wakes for it.
+  void Send(uint32_t from, uint32_t to, Message m) {
+    fabric.Send(from, to, std::move(m)).ok();
+    idle.Signal();
+  }
+  void Broadcast(uint32_t from, const Message& m) {
+    fabric.Broadcast(from, m).ok();
+    idle.Signal();
   }
 
   void MarkStarving(Node& node, uint32_t slot) {
@@ -486,12 +502,19 @@ struct ClusterExecutor::Impl {
   // between passes it steps every node's scheduler no other body is
   // stepping. So any single body, run alone, completes the query, and a
   // node still runs at most T workers at once.
+  //
+  // An idle body waits on readiness: it reads the team's idle signal
+  // before its sweep (steps, passes, Park) and, if the sweep found
+  // nothing, waits in NodeEngine::IdleWait. Besides the engines' queue
+  // pushes and terminations, run-phase fabric sends signal one waiter
+  // (Send, Broadcast) and a finished node signals all.
 
   void Body(uint32_t k) {
     const uint32_t N = opt.nodes;
     const uint32_t T = opt.threads;
     const uint32_t home = k / T;
     while (true) {
+      const uint64_t seen = idle.Epoch();
       if (ctx->StopRequested()) CancelAll();
       if (cancelled.load(std::memory_order_acquire) ||
           std::all_of(nodes.begin(), nodes.end(), [](const auto& n) {
@@ -514,28 +537,55 @@ struct ClusterExecutor::Impl {
           node.held[slot].store(false, std::memory_order_release);
         }
       }
-      if (!worked && !ctx->Park()) nodes[home]->engine->Nap();
+      if (!worked) nodes[home]->engine->IdleWait(seen);
     }
   }
 
-  /// Steps each unfinished node no other body is stepping, `first` first,
-  /// waking the node's napping bodies when its step worked. Returns
-  /// whether any step worked.
+  /// Steps each unfinished node no other body is stepping, `first` first.
+  /// Returns whether any step worked. A step's readiness is signalled
+  /// where it arises: its queue pushes, sends and terminations.
   bool StepNodes(uint32_t first) {
     bool worked = false;
     for (uint32_t i = 0; i < opt.nodes; ++i) {
       Node& node = *nodes[(first + i) % opt.nodes];
-      if (node.finished.load(std::memory_order_acquire) ||
+      const bool finished = node.finished.load(std::memory_order_acquire);
+      // A finished node 0 still watches the progress clock: a peer that
+      // stalls after node 0 finished is seen by nothing else.
+      const bool watch = finished && node.id == 0 && opt.detect_faults;
+      if ((finished && !watch) ||
           node.stepping.exchange(true, std::memory_order_acquire)) {
         continue;
       }
-      if (SchedulerStep(node)) {
-        worked = true;
-        node.engine->Wake();
+      if (watch) {
+        WatchProgress(MonoNs());
+      } else {
+        worked |= SchedulerStep(node);
       }
       node.stepping.store(false, std::memory_order_release);
     }
     return worked;
+  }
+
+  /// Node 0's progress watchdog: fails the query Unavailable once the
+  /// progress clock stood still past the liveness timeout (true then).
+  bool WatchProgress(uint64_t now) {
+    const uint64_t cur = progress.load(std::memory_order_relaxed);
+    if (cur != last_progress) {
+      last_progress = cur;
+      progress_since = now;
+      return false;
+    }
+    if (now - progress_since <= uint64_t{opt.liveness_timeout_ms} * 1'000'000) {
+      return false;
+    }
+    if (opt.recorder != nullptr) {
+      opt.recorder->Instant(obs::EventKind::kHeartbeatMiss, opt.recorder_query,
+                            now - progress_since, 0);
+    }
+    FailUnavailable("cluster made no progress for " +
+                    std::to_string(opt.liveness_timeout_ms) +
+                    " ms (suspected message loss)");
+    return true;
   }
 
   // One step of a node's scheduler (node 0 doubles as coordinator):
@@ -593,7 +643,7 @@ struct ClusterExecutor::Impl {
         node.last_hb_sent = now;
         Message hb;
         hb.type = MsgType::kHeartbeat;
-        fabric.Broadcast(id, hb).ok();
+        fabric.Broadcast(id, hb).ok();  // no work for anyone: no signal
       }
       for (uint32_t p = 0; p < opt.nodes; ++p) {
         if (p == id || now - node.last_heard[p] <= timeout_ns) continue;
@@ -608,26 +658,11 @@ struct ClusterExecutor::Impl {
                         " ms; suspected stall or crash)");
         return worked;
       }
-      if (id == 0) {
-        const uint64_t cur = progress.load(std::memory_order_relaxed);
-        if (cur != last_progress) {
-          last_progress = cur;
-          progress_since = now;
-        } else if (now - progress_since > timeout_ns) {
-          if (opt.recorder != nullptr) {
-            opt.recorder->Instant(obs::EventKind::kHeartbeatMiss,
-                                  opt.recorder_query, now - progress_since,
-                                  static_cast<int32_t>(id));
-          }
-          FailUnavailable("cluster made no progress for " +
-                          std::to_string(opt.liveness_timeout_ms) +
-                          " ms (suspected message loss)");
-          return worked;
-        }
-      }
+      if (id == 0 && WatchProgress(now)) return worked;
     }
     if (engine.Done() && engine.InboxEmpty()) {
       node.finished.store(true, std::memory_order_release);
+      idle.SignalAll();  // the last finish lets every body exit
     }
     return worked;
   }
@@ -693,7 +728,7 @@ struct ClusterExecutor::Impl {
     m.type = MsgType::kStarving;
     m.op = want_op;
     m.arg = 0;  // available memory: unconstrained in this build
-    fabric.Broadcast(node.id, m).ok();
+    Broadcast(node.id, m);
     return true;
   }
 
@@ -707,7 +742,7 @@ struct ClusterExecutor::Impl {
       m.from = 0;
       CoordinatorHandle(std::move(m));
     } else {
-      fabric.Send(id, 0, std::move(m)).ok();
+      Send(id, 0, std::move(m));
     }
   }
 
@@ -716,7 +751,7 @@ struct ClusterExecutor::Impl {
     m.type = type;
     m.op = op;
     m.arg = arg;
-    fabric.Broadcast(0, m).ok();
+    Broadcast(0, m);
     // Self-delivery.
     m.from = 0;
     HandleNodeMessage(0, std::move(m));
@@ -812,7 +847,7 @@ struct ClusterExecutor::Impl {
       reply.type = MsgType::kNoWork;
       reply.arg = 0;  // offer stage
     }
-    fabric.Send(node.id, m.from, std::move(reply)).ok();
+    Send(node.id, m.from, std::move(reply));
   }
 
   // Protocol invariant: no node receives work for an op after acking its
@@ -857,7 +892,7 @@ struct ClusterExecutor::Impl {
           net::PutU32(&req.payload, b);
         }
       }
-      fabric.Send(node.id, node.best_provider, std::move(req)).ok();
+      Send(node.id, node.best_provider, std::move(req));
     }
   }
 
@@ -943,14 +978,14 @@ struct ClusterExecutor::Impl {
     if (bundle.activations.empty()) {
       reply.type = MsgType::kNoWork;
       reply.arg = 1;  // acquire stage
-      fabric.Send(node.id, m.from, std::move(reply)).ok();
+      Send(node.id, m.from, std::move(reply));
       return;
     }
     reply.type = MsgType::kWork;
     reply.op = op;
     reply.arg = static_cast<uint64_t>(taken);
     reply.payload = net::EncodeRowWork(bundle);
-    fabric.Send(node.id, m.from, std::move(reply)).ok();
+    Send(node.id, m.from, std::move(reply));
   }
 
   void HandleWork(Node& node, const Message& m) {
@@ -1052,6 +1087,8 @@ struct ClusterExecutor::Impl {
           m.op = agg_op;
           m.bucket = p;
           m.payload = net::EncodeBatch(part);
+          // Past the run: the merge below reads it after a barrier, and
+          // no body waits on the idle signal.
           fabric.Send(n, home, std::move(m)).ok();
         }
       }

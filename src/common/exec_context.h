@@ -24,7 +24,8 @@
 //                           query (SetStealHook below) — the paper's
 //                           load-balancing hierarchy extended across
 //                           query boundaries. Returns true if foreign
-//                           work ran; false means "nap briefly yourself".
+//                           work ran; false means "wait for your own
+//                           work" (the executor's idle wait).
 //
 //   SetStealHook(fn)        an executor publishes "run one of my
 //                           activations" so idle threads of *other*

@@ -30,9 +30,7 @@ class EmissionLedger {
   std::vector<std::pair<uint32_t, uint64_t>> Emit(uint64_t input_consumed);
 
   uint64_t input_total() const { return input_total_; }
-  uint64_t input_seen() const { return input_seen_; }
   uint64_t output_total() const { return output_total_; }
-  uint64_t output_emitted() const { return output_emitted_; }
   bool Exhausted() const { return input_seen_ == input_total_; }
 
  private:

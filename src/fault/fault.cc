@@ -2,18 +2,6 @@
 
 namespace hierdb::fault {
 
-const char* SiteName(Site s) {
-  switch (s) {
-    case Site::kFabricDrop: return "fabric_drop";
-    case Site::kFabricDup: return "fabric_dup";
-    case Site::kFabricDelay: return "fabric_delay";
-    case Site::kNodeStall: return "node_stall";
-    case Site::kNodeCrash: return "node_crash";
-    case Site::kWorkerDeath: return "worker_death";
-  }
-  return "unknown";
-}
-
 namespace {
 // splitmix64 finalizer: full-avalanche mix so consecutive ordinals at a
 // site decorrelate.

@@ -37,8 +37,6 @@ enum class Site : uint32_t {
   kWorkerDeath,
 };
 
-const char* SiteName(Site s);
-
 /// A seeded schedule of faults. Plain data; copy freely. A
 /// default-constructed plan is unarmed and injects nothing.
 struct FaultPlan {

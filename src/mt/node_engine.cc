@@ -269,7 +269,7 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
                        std::vector<const Batch*> table_rows,
                        const std::vector<uint32_t>& table_widths,
                        const ResolvedBuilds* builds, Config config,
-                       Link* link)
+                       Link* link, IdleSignal* idle)
     : opt_(options),
       plan_(plan),
       table_rows_(std::move(table_rows)),
@@ -279,7 +279,8 @@ NodeEngine::NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
       ctx_(options.ctx),
       sp_(options.strategy == LocalStrategy::kSP),
       agg_(plan.agg.has_value() ? &*plan.agg : nullptr),
-      slots_(options.threads + config.guests) {
+      slots_(options.threads + config.guests),
+      idle_(idle) {
   const uint32_t C = static_cast<uint32_t>(plan.chains.size());
   const uint32_t T = opt_.threads;
   const uint32_t B = opt_.buckets;
@@ -570,7 +571,7 @@ void NodeEngine::Terminate(uint32_t op_id) {
     if (opt_.strategy == LocalStrategy::kFP) RecomputeFpLocked();
     if (ops_remaining_ == 0) done_.store(true);
   }
-  work_cv_.notify_all();
+  idle_->SignalAll();
   for (uint32_t i = 0; i < nops(); ++i) MaybeDrained(i);
 }
 
@@ -580,7 +581,7 @@ void NodeEngine::Cancel() {
     std::lock_guard<std::mutex> lock(state_mu_);
     done_.store(true);
   }
-  work_cv_.notify_all();
+  idle_->SignalAll();
 }
 
 // FP: apportion threads across the consumable, unterminated ops in
@@ -671,8 +672,10 @@ void NodeEngine::Receive(uint32_t op, uint32_t bucket, Batch&& rows) {
   ops_[op]->pending.fetch_add(1);
   const uint32_t hint = bucket == kMixed ? rx_hint_++ : bucket;
   Activation act{op, bucket, QueueColumn(op, hint), std::move(rows)};
-  if (!queues_[op * opt_.threads + act.column]->TryPush(
+  if (queues_[op * opt_.threads + act.column]->TryPush(
           std::move(act), opt_.queue_capacity)) {
+    idle_->Signal();
+  } else {
     inbox_.push_back(std::move(act));
   }
 }
@@ -684,6 +687,7 @@ bool NodeEngine::FlushInbox() {
     if (queues_[act.op * opt_.threads + act.column]->TryPush(
             std::move(act), opt_.queue_capacity)) {
       inbox_.erase(inbox_.begin() + static_cast<long>(i));
+      idle_->Signal();
       moved = true;
     } else {
       ++i;
@@ -718,16 +722,18 @@ bool NodeEngine::Pass(uint32_t slot) {
 
 void NodeEngine::WorkerLoop(uint32_t slot) {
   while (!done_.load(std::memory_order_acquire)) {
-    if (Pass(slot)) continue;
-    // Nothing runnable here: lend this beat to another in-flight query
-    // (cross-query steal) before napping.
-    if (!ctx_->Park()) Nap();
+    const uint64_t seen = idle_->Epoch();
+    if (!Pass(slot)) IdleWait(seen);
   }
 }
 
-void NodeEngine::Nap() {
-  std::unique_lock<std::mutex> lock(state_mu_);
-  work_cv_.wait_for(lock, std::chrono::microseconds(kIdleNapUs));
+void NodeEngine::IdleWait(uint64_t seen) {
+  // Nothing runnable here: lend this beat to another in-flight query
+  // (cross-query steal) before waiting.
+  if (ctx_->Park()) return;
+  if (!idle_->Wait(seen, std::chrono::microseconds(kIdleNetUs))) {
+    stat_idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 // A foreign thread (idle pool worker or a parked worker of another
@@ -1163,8 +1169,10 @@ void NodeEngine::Emit(uint32_t slot, uint32_t dest, uint32_t op,
   stat_emitted_.fetch_add(1, std::memory_order_relaxed);
   Activation act{op, bucket, QueueColumn(op, bucket == kMixed ? slot : bucket),
                  std::move(rows)};
-  if (!queues_[op * opt_.threads + act.column]->TryPush(
+  if (queues_[op * opt_.threads + act.column]->TryPush(
           std::move(act), opt_.queue_capacity)) {
+    idle_->Signal();
+  } else {
     stat_escapes_.fetch_add(1, std::memory_order_relaxed);
     outbox_[slot].push_back(std::move(act));
   }
@@ -1188,6 +1196,7 @@ bool NodeEngine::FlushOutbox(uint32_t slot) {
       if (queues_[act.op * opt_.threads + act.column]->TryPush(
               std::move(act), opt_.queue_capacity)) {
         outbox.erase(outbox.begin() + static_cast<long>(i));
+        idle_->Signal();
         progressed = true;
       } else {
         ++i;
@@ -1289,6 +1298,7 @@ void NodeEngine::AddStats(EngineStats* s) const {
   s->escapes += stat_escapes_.load();
   s->nonprimary += stat_nonprimary_.load();
   s->idle_waits += stat_idle_.load();
+  s->idle_timeouts += stat_idle_timeouts_.load();
   s->fp_safety_escapes += stat_fp_safety_.load();
   s->rows_filtered += stat_filtered_.load();
   s->direct_probes += stat_direct_.load();

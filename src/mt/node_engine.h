@@ -32,17 +32,18 @@
 // primary queues, then claims trigger morsels, then steals within the
 // node. A producer whose destination queue is full stages the activation
 // in its outbox and helps while stuck (procedure-call suspension, Section
-// 3.1). Under FP, threads are apportioned to the consumable ops by
-// estimated cost (largest remainder), recomputed whenever an op
-// terminates or unblocks. Under SP (synchronous pipelining, Shekita93)
-// nothing is queued: a local hand-off runs its consumer at once in the
-// emitting slot, so a morsel is carried buildscan -> build, or scan ->
-// probe -> ... -> terminal, by procedure calls. An inline call is legal
-// only into a consumable op; SP therefore implies H1 (a scan runs only
-// once every probe of its chain is consumable), and the recursion is
-// never deeper than the chain's join count. A trace span's busy time is
-// exclusive: an inline callee's time is not counted again in its
-// caller's.
+// 3.1). A worker that finds nothing waits on its team's IdleSignal until
+// something becomes runnable (IdleWait), not for a fixed time. Under FP,
+// threads are apportioned to the consumable ops by estimated cost (largest
+// remainder), recomputed whenever an op terminates or unblocks. Under SP
+// (synchronous pipelining, Shekita93) nothing is queued: a local hand-off
+// runs its consumer at once in the emitting slot, so a morsel is carried
+// buildscan -> build, or scan -> probe -> ... -> terminal, by procedure
+// calls. An inline call is legal only into a consumable op; SP therefore
+// implies H1 (a scan runs only once every probe of its chain is
+// consumable), and the recursion is never deeper than the chain's join
+// count. A trace span's busy time is exclusive: an inline callee's time is
+// not counted again in its caller's.
 //
 // Operator bodies. A morsel filters, projects, and splits its rows by
 // destination node (scan: the first join key's home node; buildscan: the
@@ -70,7 +71,6 @@
 #define HIERDB_MT_NODE_ENGINE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -79,6 +79,7 @@
 #include <vector>
 
 #include "common/exec_context.h"
+#include "common/idle_signal.h"
 #include "common/status.h"
 #include "common/strategy.h"
 #include "mt/agg.h"
@@ -214,6 +215,9 @@ struct EngineStats {
   /// another of the probe's threads takes it.)
   uint64_t nonprimary = 0;
   uint64_t idle_waits = 0;        ///< worker passes with no runnable work
+  /// Idle waits ended by the liveness net (NodeEngine::kIdleNetUs), not by
+  /// a signal.
+  uint64_t idle_timeouts = 0;
   uint64_t fp_safety_escapes = 0; ///< FP help-while-stuck firings
   uint64_t rows_filtered = 0;     ///< rows dropped by scan-level predicates
   /// Rows produced by each chain's terminal operator (the chain's actual
@@ -315,19 +319,25 @@ class NodeEngine {
   /// Compiles `plan` for this node. `table_rows[i]` is this node's share
   /// of base table i and `table_widths[i]` its full width; `builds` (owned
   /// by the executor, outliving the engine) says which joins probe shared
-  /// tables and which chains are elided. Every pointer must outlive the
-  /// engine.
+  /// tables and which chains are elided. `idle` is the idle signal of the
+  /// team that runs the engine: one per engine under kThreads, one per
+  /// query on the cluster, where any body serves every node. Every pointer
+  /// must outlive the engine.
   NodeEngine(const EngineOptions& options, const PipelinePlan& plan,
              std::vector<const Batch*> table_rows,
              const std::vector<uint32_t>& table_widths,
-             const ResolvedBuilds* builds, Config config, Link* link);
+             const ResolvedBuilds* builds, Config config, Link* link,
+             IdleSignal* idle);
   ~NodeEngine();
 
   NodeEngine(const NodeEngine&) = delete;
   NodeEngine& operator=(const NodeEngine&) = delete;
 
-  /// How long an idle worker naps when nothing wakes it.
-  static constexpr uint32_t kIdleNapUs = 200;
+  /// The liveness net of an idle wait. Readiness wakes idle workers; the
+  /// net bounds only how late one sees what nothing signals: a stop token
+  /// set from outside, a cluster heartbeat or stall that is due, another
+  /// query's work to steal (ExecContext::Park).
+  static constexpr uint32_t kIdleNetUs = 200;
 
   /// Unblocks the initially runnable ops. Call once, before workers run.
   void Start();
@@ -336,21 +346,25 @@ class NodeEngine {
   /// link. Returns whether an activation ran. The slot's state is the
   /// caller's alone for the call: one thread per slot at a time.
   bool Pass(uint32_t slot);
-  /// Worker body for slot `slot`: passes, parking and napping when idle,
-  /// until the node is done or cancelled.
+  /// Worker body for slot `slot` (kThreads): passes until the node is
+  /// done or cancelled, with an IdleWait after a pass that ran nothing.
   void WorkerLoop(uint32_t slot);
-  /// Idles the caller until Wake, a termination, a cancel or kIdleNapUs.
-  void Nap();
+  /// The idle wait of both backends, for a worker whose sweep found
+  /// nothing since it read `seen` from the idle signal: lends the beat to
+  /// another query (ExecContext::Park), else waits until the signal moves
+  /// past `seen` or the net expires (counted in idle_timeouts). A local
+  /// queue push (Emit, FlushOutbox, Receive, FlushInbox) signals one
+  /// waiter; Terminate and Cancel signal all.
+  void IdleWait(uint64_t seen);
   /// Cross-query steal hook: runs at most one activation on a guest slot.
   bool RunForeign();
 
   /// Terminates `op` on this node (idempotent): merges a chain terminal's
-  /// output, unblocks dependents and wakes the workers.
+  /// output, unblocks dependents and wakes every idle worker.
   void Terminate(uint32_t op);
   /// Stops the node: workers return at their next check.
   void Cancel();
   void Fail() { failed_.store(true); }
-  void Wake() { work_cv_.notify_all(); }
 
   bool Done() const { return done_.load(std::memory_order_acquire); }
   bool Cancelled() const { return cancelled_.load(); }
@@ -524,8 +538,8 @@ class NodeEngine {
   std::vector<obs::OpSpanAgg> trace_cells_;  // [slot * nops + op]
   std::vector<uint64_t> traced_ns_;          // per slot: busy ns traced
 
+  IdleSignal* idle_;     // the team's, not owned
   std::mutex state_mu_;  // guards termination and unblocking
-  std::condition_variable work_cv_;
   uint32_t ops_remaining_ = 0;  // under state_mu_
   std::atomic<bool> done_{false};
   std::atomic<bool> cancelled_{false};
@@ -539,6 +553,7 @@ class NodeEngine {
   std::atomic<uint64_t> stat_escapes_{0};
   std::atomic<uint64_t> stat_nonprimary_{0};
   std::atomic<uint64_t> stat_idle_{0};
+  std::atomic<uint64_t> stat_idle_timeouts_{0};
   std::atomic<uint64_t> stat_fp_safety_{0};
   std::atomic<uint64_t> stat_filtered_{0};
   std::atomic<uint64_t> stat_direct_{0};

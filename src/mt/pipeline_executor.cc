@@ -78,7 +78,9 @@ Result<ResultDigest> PipelineExecutor::Execute(
   cfg.guests = ctx->GuestSlots();
   cfg.keep_final = materialized != nullptr;
   OneNodeLink link(&builds, o.build_cache);
-  NodeEngine engine(o, plan, std::move(rows), widths, &builds, cfg, &link);
+  IdleSignal idle;
+  NodeEngine engine(o, plan, std::move(rows), widths, &builds, cfg, &link,
+                    &idle);
   link.Attach(&engine);
   engine.Start();
 

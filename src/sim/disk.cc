@@ -12,7 +12,6 @@ void Disk::SubmitRead(uint32_t pages, EventFn on_complete) {
   SimTime service = params_.latency + params_.seek_time + transfer;
   next_free_ = start + service;
   busy_time_ += service;
-  ++reads_submitted_;
   pages_read_ += pages;
   sim_->ScheduleAt(next_free_, std::move(on_complete));
 }

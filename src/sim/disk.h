@@ -26,7 +26,6 @@ class Disk {
   /// the virtual time the data is in memory.
   void SubmitRead(uint32_t pages, EventFn on_complete);
 
-  uint64_t reads_submitted() const { return reads_submitted_; }
   uint64_t pages_read() const { return pages_read_; }
   /// Total time this disk spent servicing requests.
   SimTime busy_time() const { return busy_time_; }
@@ -36,7 +35,6 @@ class Disk {
   DiskParams params_;
   uint32_t page_size_;
   SimTime next_free_ = 0;
-  uint64_t reads_submitted_ = 0;
   uint64_t pages_read_ = 0;
   SimTime busy_time_ = 0;
 };

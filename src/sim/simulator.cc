@@ -16,7 +16,6 @@ uint64_t Simulator::Run(uint64_t max_events) {
     now_ = ev.time;
     ev.fn();
     ++executed;
-    ++events_executed_;
   }
   return executed;
 }
@@ -29,7 +28,6 @@ uint64_t Simulator::RunUntil(SimTime until) {
     now_ = ev.time;
     ev.fn();
     ++executed;
-    ++events_executed_;
   }
   if (now_ < until) now_ = until;
   return executed;

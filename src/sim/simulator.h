@@ -48,7 +48,6 @@ class Simulator {
   uint64_t RunUntil(SimTime until);
 
   bool Empty() const { return queue_.empty(); }
-  uint64_t events_executed() const { return events_executed_; }
 
  private:
   struct Event {
@@ -65,7 +64,6 @@ class Simulator {
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
-  uint64_t events_executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
 };
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -415,6 +416,17 @@ void CheckBundle(const fs::path& dir, bool expect_plan) {
   EXPECT_NE(manifest.find("\"files\""), std::string::npos);
 }
 
+// A deadline inside a run of Join2, with `*fx` built (from 2M fact rows,
+// doubled while the run is too short) to the size it was measured at.
+double CalibratedDeadline(std::unique_ptr<Fixture>* fx,
+                          const SessionOptions& so, const ExecOptions& o) {
+  return test::DeadlineInsideRun(2000000, o, [&](size_t rows) {
+           fx->reset();
+           *fx = std::make_unique<Fixture>(rows, so);
+           return test::DeadlineFixture{&(*fx)->db, (*fx)->Join2()};
+         }).deadline_ms;
+}
+
 TEST(Forensics, MidRunDeadlineMissWritesAValidBundle) {
   ScratchDir scratch("deadline");
   SessionOptions so;
@@ -422,9 +434,10 @@ TEST(Forensics, MidRunDeadlineMissWritesAValidBundle) {
   // A deadline well inside one thread's measured run: the timer fires
   // mid-run, the executor stops cooperatively and the lane reports
   // DeadlineExceeded — the canonical anomaly.
-  Fixture f(2000000, so);
+  std::unique_ptr<Fixture> fx;
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
-  o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
+  o.deadline_ms = CalibratedDeadline(&fx, so, o);
+  Fixture& f = *fx;
   auto r = f.db.Execute(f.Join2(), o);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
@@ -463,9 +476,10 @@ TEST(Forensics, AutomaticBundlesStopAtTheCap) {
   SessionOptions so;
   so.forensics_dir = scratch.str();
   so.forensics_max_bundles = 2;
-  Fixture f(2000000, so);
+  std::unique_ptr<Fixture> fx;
   ExecOptions o = Opts(Backend::kThreads, 1, 1);
-  o.deadline_ms = test::DeadlineInsideRun(f.db, f.Join2(), o);
+  o.deadline_ms = CalibratedDeadline(&fx, so, o);
+  Fixture& f = *fx;
   for (int i = 0; i < 4; ++i) {
     auto r = f.db.Execute(f.Join2(), o);
     ASSERT_FALSE(r.ok());

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,10 +289,19 @@ struct SchedFixture {
   }
 };
 
-// Fact rows for the deadline tests on the threads backend:
-// test::DeadlineInsideRun needs the query to run at least 16 ms, on a
-// fast, quiet host too.
+// Starting fact rows for the deadline tests on the threads backend;
+// test::DeadlineInsideRun doubles them while the query runs under 16 ms.
 constexpr size_t kDeadlineFactRows = 1600000;
+
+// Rebuilds `*fx` at `rows` fact rows and returns it with the chain query
+// of `probes` joins: the fixture test::DeadlineInsideRun calibrates.
+test::DeadlineFixture BuildChainFixture(std::unique_ptr<SchedFixture>* fx,
+                                        const SessionOptions& so, size_t rows,
+                                        uint32_t probes) {
+  fx->reset();
+  *fx = std::make_unique<SchedFixture>(so, rows);
+  return {&(*fx)->db, (*fx)->ChainQuery(probes)};
+}
 
 ExecOptions Opts(Backend backend, uint32_t nodes = 1, uint32_t threads = 2) {
   ExecOptions o;
@@ -314,11 +325,18 @@ bool WaitForInFlight(const Session& db, uint32_t n, int timeout_ms = 20000) {
 // deadline inside the query's measured runtime reliably fires
 // mid-execution, stops the executor cooperatively, and surfaces
 // DeadlineExceeded with partial progress counters. The measuring runs arm
-// no timer.
-void ExpectMidExecutionMiss(Session& db, const Query& q, ExecOptions opts) {
-  opts.deadline_ms = test::DeadlineInsideRun(db, q, opts);
+// no timer. `build` is the fixture, calibrated from `rows`.
+void ExpectMidExecutionMiss(
+    size_t rows, ExecOptions opts,
+    const std::function<test::DeadlineFixture(size_t)>& build) {
+  test::DeadlineFixture f;
+  opts.deadline_ms =
+      test::DeadlineInsideRun(rows, opts, [&](size_t n) {
+        return f = build(n);
+      }).deadline_ms;
+  Session& db = *f.db;
   auto t0 = std::chrono::steady_clock::now();
-  auto r = db.Submit(q, opts).Take();
+  auto r = db.Submit(f.query, opts).Take();
   double wall =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0).count();
@@ -341,36 +359,50 @@ void ExpectMidExecutionMiss(Session& db, const Query& q, ExecOptions opts) {
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnThreads) {
-  SchedFixture fx{SessionOptions{}, kDeadlineFactRows};
-  ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3), Opts(Backend::kThreads));
+  std::unique_ptr<SchedFixture> fx;
+  ExpectMidExecutionMiss(kDeadlineFactRows, Opts(Backend::kThreads),
+                         [&](size_t rows) {
+                           return BuildChainFixture(&fx, {}, rows, 3);
+                         });
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnCluster) {
-  SchedFixture fx{SessionOptions{}, 480000};
-  ExpectMidExecutionMiss(fx.db, fx.ChainQuery(3),
-                         Opts(Backend::kCluster, 2, 2));
+  std::unique_ptr<SchedFixture> fx;
+  ExpectMidExecutionMiss(480000, Opts(Backend::kCluster, 2, 2),
+                         [&](size_t rows) {
+                           return BuildChainFixture(&fx, {}, rows, 3);
+                         });
 }
 
 TEST(SchedDeadline, MissesMidExecutionOnSimulated) {
-  SessionOptions so;
-  Session db(so);
   // Catalog-only giants: the discrete-event run takes ~hundreds of ms of
-  // real time, plenty for a 25 ms deadline to interrupt.
-  RelId a = db.AddRelation("biga", 10'000'000);
-  RelId b = db.AddRelation("bigb", 1'000'000);
-  Query q = db.NewQuery().Join(a, b).Build();
-  ExpectMidExecutionMiss(db, q, Opts(Backend::kSimulated));
+  // real time, plenty for a 25 ms deadline to interrupt. `rows` sizes
+  // the larger relation.
+  std::unique_ptr<Session> db;
+  ExpectMidExecutionMiss(10'000'000, Opts(Backend::kSimulated),
+                         [&](size_t rows) {
+                           db.reset();
+                           db = std::make_unique<Session>(SessionOptions{});
+                           RelId a = db->AddRelation("biga", rows);
+                           RelId b = db->AddRelation("bigb", rows / 10);
+                           return test::DeadlineFixture{
+                               db.get(), db->NewQuery().Join(a, b).Build()};
+                         });
 }
 
 TEST(SchedDeadline, ExpiresWhileQueuedWithoutDispatch) {
   SessionOptions so;
   so.max_concurrent_queries = 1;
-  SchedFixture fx(so, kDeadlineFactRows);
   ExecOptions opts = Opts(Backend::kThreads);
   // Measured on a twin session, so this one's counters stay exact.
-  SchedFixture twin(so, kDeadlineFactRows);
-  const double deadline_ms =
-      test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
+  std::unique_ptr<SchedFixture> twin;
+  const test::DeadlineSize size =
+      test::DeadlineInsideRun(kDeadlineFactRows, opts, [&](size_t rows) {
+        return BuildChainFixture(&twin, so, rows, 3);
+      });
+  const double deadline_ms = size.deadline_ms;
+  twin.reset();
+  SchedFixture fx(so, size.rows);
 
   QueryHandle blocker = fx.db.Submit(fx.ChainQuery(3), opts);
   ASSERT_TRUE(WaitForInFlight(fx.db, 1));
@@ -412,12 +444,16 @@ TEST(SchedDeadline, GenerousDeadlineCompletesAndDisarms) {
 TEST(SchedDeadline, DeadlinesStillFireAfterMidRunMiss) {
   SessionOptions so;
   so.max_concurrent_queries = 1;
-  SchedFixture fx(so, kDeadlineFactRows);
   ExecOptions opts = Opts(Backend::kThreads);
   // Measured on a twin session, so this one's counters stay exact.
-  SchedFixture twin(so, kDeadlineFactRows);
-  const double deadline_ms =
-      test::DeadlineInsideRun(twin.db, twin.ChainQuery(3), opts);
+  std::unique_ptr<SchedFixture> twin;
+  const test::DeadlineSize size =
+      test::DeadlineInsideRun(kDeadlineFactRows, opts, [&](size_t rows) {
+        return BuildChainFixture(&twin, so, rows, 3);
+      });
+  const double deadline_ms = size.deadline_ms;
+  twin.reset();
+  SchedFixture fx(so, size.rows);
 
   ExecOptions miss = opts;
   miss.deadline_ms = deadline_ms;

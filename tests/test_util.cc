@@ -70,20 +70,32 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
   return r.metrics;
 }
 
-double DeadlineInsideRun(api::Session& db, const api::Query& q,
-                         const api::ExecOptions& opts) {
+namespace {
+// A small cap: each doubling rebuilds the fixture and times it again.
+constexpr int kMaxDeadlineDoublings = 3;
+}  // namespace
+
+DeadlineSize DeadlineInsideRun(
+    size_t rows, const api::ExecOptions& opts,
+    const std::function<DeadlineFixture(size_t rows)>& build) {
   double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < 3; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = db.Submit(q, opts).Take();
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    best = std::min(best, std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
+  for (int doublings = 0;; ++doublings, rows *= 2) {
+    const DeadlineFixture f = build(rows);
+    best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 3; ++i) {
+      auto t0 = std::chrono::steady_clock::now();
+      auto r = f.db->Submit(f.query, opts).Take();
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
+    }
+    // The timer wheel ticks every millisecond: keep two ticks at least.
+    if (best / 8 >= 2.0 || doublings == kMaxDeadlineDoublings) break;
   }
-  // The timer wheel ticks every millisecond: keep two ticks at least.
-  EXPECT_GE(best / 8, 2.0) << "fixture too small: runs take " << best << " ms";
-  return best / 8;
+  EXPECT_GE(best / 8, 2.0) << "fixture too small: runs take " << best
+                           << " ms at " << rows << " rows";
+  return {rows, best / 8};
 }
 
 cluster::PlanQuery OneChainQuery(const cluster::PartitionedTable* input,

@@ -5,6 +5,7 @@
 #define HIERDB_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <functional>
 
 #include "api/session.h"
 #include "catalog/catalog.h"
@@ -45,14 +46,32 @@ exec::RunMetrics MustRun(const sim::SystemConfig& cfg, exec::Strategy strat,
                          const plan::PhysicalPlan& plan,
                          const exec::RunOptions& opts = {});
 
-/// A deadline that lands well inside a run of `q` on `db`: an eighth of
-/// the fastest of three runs without a deadline (these arm no timer).
-/// Measured, so deadline tests hold however fast the executor is; the
-/// margin absorbs a host that slows down between the measurement and the
-/// run it times. Fails the test if the eighth is under two timer-wheel
-/// ticks (the fixture is too small).
-double DeadlineInsideRun(api::Session& db, const api::Query& q,
-                         const api::ExecOptions& opts);
+/// A deadline fixture at a given size: the session and the query to time
+/// and then run. `db` belongs to the caller's fixture.
+struct DeadlineFixture {
+  api::Session* db = nullptr;
+  api::Query query;
+};
+
+/// The calibrated size of a deadline fixture: the row count it was built
+/// at and a deadline that lands inside a run of its query.
+struct DeadlineSize {
+  size_t rows = 0;
+  double deadline_ms = 0.0;
+};
+
+/// A deadline that lands well inside a run of the query: an eighth of the
+/// fastest of three runs without a deadline (these arm no timer).
+/// `build(rows)` (re)builds the caller's fixture at `rows` rows; starting
+/// at `rows`, the count doubles (at most three times)
+/// until that eighth clears two timer-wheel ticks. Measured, so deadline
+/// tests hold however fast the executor is; the margin absorbs a host
+/// that slows down between the measurement and the run it times. Fails
+/// the test if the eighth is still under two ticks (the fixture is too
+/// small). The caller's fixture is left built at the returned rows.
+DeadlineSize DeadlineInsideRun(
+    size_t rows, const api::ExecOptions& opts,
+    const std::function<DeadlineFixture(size_t rows)>& build);
 
 /// One probe of a single-chain cluster query.
 struct ChainJoin {
